@@ -17,7 +17,7 @@ def main():
 
     print("pointwise values")
     for point in ([0.0, 0.5], [0.0, -0.5], [0.0, 0.0]):
-        print(f"  h({point}) = {dl.evaluate_field(fld, point)}")
+        print(f"  h({point}) = {fld.evaluate(point)}")
 
     print("\nhulls on the switching line (any x):")
     for x in (0.0, 1.7):
@@ -31,7 +31,7 @@ def main():
     fil = dl.filippov_map(fld, [0.0, 0.0], 1e-9)
     kra = dl.krasovskii_map(fld, [0.0, 0.0], 1e-9)
     for v in ([1.0, 0.0], [-1.0, 0.0]):
-        print(f"  {v}: in F? {dl.hull_contains(fil, v, 1e-9)}   in K? {dl.hull_contains(kra, v, 1e-9)}")
+        print(f"  {v}: in F? {fil.contains(v, 1e-9)}   in K? {kra.contains(v, 1e-9)}")
 
     print("\nmollified field at the line (bump radius 0.1):")
     for n in (100, 10000):

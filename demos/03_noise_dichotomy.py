@@ -36,8 +36,8 @@ def main():
     origin = np.zeros(1)
     kra = dl.krasovskii_map(sp, origin, 1e-9)
     fil = dl.filippov_map(sp, origin, 1e-9)
-    print(f"  slope 0 in K(0)? {dl.hull_contains(kra, origin, 1e-12)}"
-          f"   in F(0)? {dl.hull_contains(fil, origin, 1e-6)}")
+    print(f"  slope 0 in K(0)? {kra.contains(origin, 1e-12)}"
+          f"   in F(0)? {fil.contains(origin, 1e-6)}")
 
     print("\noccupation-measure view (first gaussian seed):")
     measure = dl.averaged_measure(trace, trace.n_steps)

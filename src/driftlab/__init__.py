@@ -31,10 +31,7 @@ from .fields import (
     PiecewiseField,
     QuadraticPiece,
     builtin_field,
-    evaluate_field,
     filippov_map,
-    hull_contains,
-    hull_distance,
     krasovskii_map,
     mollify,
 )
@@ -46,8 +43,6 @@ from .sa import (
     interpolate,
     make_rng,
     run_sa,
-    sample_noise,
-    stepsize,
     validate_schedule,
     window_index,
 )
@@ -65,6 +60,7 @@ from .measures import (
     GaussianMonomial,
     TestFunctionFamily,
     averaged_measure,
+    checkpoint_residuals,
     graph_support_fraction,
     martingale_diagnostic,
     residual_decay_study,

@@ -17,10 +17,9 @@ import numpy as np
 from . import io as dio
 from .config import load_config
 from .errors import ConfigInvalid, DivergedIterate, DriftlabError, IoFailure
-from .experiments import compare_noise_study, run_experiment
+from .experiments import compare_noise_study, run_experiment, seed_paths, write_seed_diagnostics
 from .fields import filippov_map, krasovskii_map
 from .inclusion import integrate_filippov
-from .measures import TestFunctionFamily, averaged_measure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,25 +101,15 @@ def _cmd_maps(config, args):
 
 
 def _cmd_measures(config, args):
-    from .experiments import _residual_rows, _support_rows
-
     out_dir = args.out or config.output_dir
     seeds = _parse_seeds(args.seeds) if args.seeds else config.seeds
     field = config.build_field()
     for seed in seeds:
-        trace_path = os.path.join(out_dir, f"trace_seed{seed}.csv")
-        trace = dio.read_trace_csv(trace_path, seed=seed, field_name=field.name)
-        full_measure = averaged_measure(trace, trace.n_steps)
-        family = TestFunctionFamily.from_box(full_measure.box_states)
-        checkpoints = [min(c, trace.n_steps) for c in config.measures.checkpoints]
-        dio.write_residuals_csv(
-            os.path.join(out_dir, f"residuals_seed{seed}.csv"),
-            _residual_rows(trace, family, checkpoints),
-        )
-        dio.write_support_csv(
-            os.path.join(out_dir, f"support_seed{seed}.csv"),
-            _support_rows(trace, field, config.measures.eps),
-        )
+        paths = seed_paths(out_dir, seed)
+        trace = dio.read_trace_csv(paths["trace"], seed=seed, field_name=field.name)
+        # a shorter trace clamps the checkpoints; clamped duplicates collapse
+        checkpoints = list(dict.fromkeys(min(c, trace.n_steps) for c in config.measures.checkpoints))
+        write_seed_diagnostics(trace, field, checkpoints, config.measures.eps, paths)
         if not args.quiet:
             print(f"[driftlab] recomputed diagnostics for seed {seed}")
     return EXIT_OK

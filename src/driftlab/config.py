@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 
@@ -99,6 +100,19 @@ def _positive(value, path):
     return float(value)
 
 
+def _require_finite(value, path):
+    """Reject NaN and infinite numbers anywhere inside value; json.load
+    parses the NaN, Infinity and -Infinity tokens."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigInvalid(f"{path}: must be finite, got {value}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{path}[{i}]")
+
+
 def config_from_dict(data):
     if not isinstance(data, dict):
         raise ConfigInvalid("config root must be an object")
@@ -110,6 +124,7 @@ def config_from_dict(data):
                 f"field: unknown built-in {field_spec!r}; known: {', '.join(BUILTIN_FIELDS)}"
             )
     elif isinstance(field_spec, dict):
+        _require_finite(field_spec, "field")
         try:
             PiecewiseField.from_dict(field_spec)
         except (KeyError, ValueError) as exc:
@@ -122,6 +137,7 @@ def config_from_dict(data):
         raise ConfigInvalid("x0: must be a non-empty finite vector")
 
     sched_data = _require(data, "schedule", "", dict)
+    _require_finite(sched_data, "schedule")
     try:
         schedule = StepsizeSchedule(
             kind=sched_data.get("kind", "power"),
@@ -133,6 +149,7 @@ def config_from_dict(data):
         raise ConfigInvalid(f"schedule: {exc}") from exc
 
     noise_data = _require(data, "noise", "", dict)
+    _require_finite(noise_data, "noise")
     try:
         noise = NoiseModel(
             kind=noise_data.get("kind", "gaussian"),

@@ -18,8 +18,8 @@ from .errors import DivergedIterate, WindowExceedsTrace
 from .measures import (
     TestFunctionFamily,
     averaged_measure,
+    checkpoint_residuals,
     graph_support_fraction,
-    stationarity_residual,
 )
 from .sa import NoiseModel, run_sa, validate_schedule
 from .tracking import tracking_profile
@@ -55,7 +55,7 @@ class ExperimentBundle:
     any_diverged: bool
 
 
-def _seed_paths(out_dir, seed):
+def seed_paths(out_dir, seed):
     return {
         "trace": os.path.join(out_dir, f"trace_seed{seed}.csv"),
         "tracking": os.path.join(out_dir, f"tracking_seed{seed}.csv"),
@@ -64,17 +64,21 @@ def _seed_paths(out_dir, seed):
     }
 
 
-def _residual_rows(trace, family, checkpoints):
-    rows = []
+def write_seed_diagnostics(trace, field, checkpoints, eps_list, paths):
+    """Stationarity residuals at the checkpoints and graph-support fractions
+    per eps of one trace, with the test family and the support taken from
+    one full-trace measure.  Writes paths["residuals"] and paths["support"]
+    and returns (residual_rows, support_rows)."""
+    measure = averaged_measure(trace, trace.n_steps)
+    family = TestFunctionFamily.from_box(measure.box_states)
+    residual_rows = []
     c_anchor = None
-    for n in checkpoints:
-        measure = averaged_measure(trace, int(n))
-        residuals = stationarity_residual(measure, family)
+    for n, residuals in zip(checkpoints, checkpoint_residuals(trace, family, checkpoints)):
         t_n = float(trace.times[int(n)])
         if c_anchor is None:
             c_anchor = float(np.max(np.abs(residuals))) * t_n
         for i, r in enumerate(residuals):
-            rows.append(
+            residual_rows.append(
                 {
                     "checkpoint_n": int(n),
                     "t_n": t_n,
@@ -83,22 +87,19 @@ def _residual_rows(trace, family, checkpoints):
                     "envelope": c_anchor / t_n,
                 }
             )
-    return rows
-
-
-def _support_rows(trace, field, eps_list):
-    measure = averaged_measure(trace, trace.n_steps)
-    rows = []
+    support_rows = []
     for eps in eps_list:
         support = graph_support_fraction(measure, field, eps)
-        rows.append(
+        support_rows.append(
             {
                 "eps": float(eps),
                 "filippov_fraction": support.filippov,
                 "krasovskii_fraction": support.krasovskii,
             }
         )
-    return rows
+    dio.write_residuals_csv(paths["residuals"], residual_rows)
+    dio.write_support_csv(paths["support"], support_rows)
+    return residual_rows, support_rows
 
 
 def interpretation_flags(field):
@@ -110,7 +111,7 @@ def interpretation_flags(field):
 
 def run_single_seed(config, field, seed, out_dir):
     """One seed of the pipeline; returns a SeedResult and writes its CSVs."""
-    paths = _seed_paths(out_dir, seed)
+    paths = seed_paths(out_dir, seed)
     result = SeedResult(seed=seed)
     try:
         trace = run_sa(
@@ -143,12 +144,9 @@ def run_single_seed(config, field, seed, out_dir):
     except WindowExceedsTrace as exc:
         result.notes.append(f"tracking skipped: {exc}")
         dio.write_tracking_csv(paths["tracking"], [])
-    full_measure = averaged_measure(trace, trace.n_steps)
-    family = TestFunctionFamily.from_box(full_measure.box_states)
-    result.residual_rows = _residual_rows(trace, family, config.measures.checkpoints)
-    dio.write_residuals_csv(paths["residuals"], result.residual_rows)
-    result.support_rows = _support_rows(trace, field, config.measures.eps)
-    dio.write_support_csv(paths["support"], result.support_rows)
+    result.residual_rows, result.support_rows = write_seed_diagnostics(
+        trace, field, config.measures.checkpoints, config.measures.eps, paths
+    )
     return result
 
 
@@ -194,17 +192,13 @@ def run_experiment(config, out_dir=None, seeds=None, quiet=True):
 
 
 def _arm_noise_models(config):
-    density = (
-        config.noise
-        if config.noise.kind == "gaussian"
-        else NoiseModel(kind="gaussian", scale=config.noise.scale or 0.1)
-    )
-    atomic = (
-        config.noise
-        if config.noise.kind in ("rademacher", "zero")
-        else NoiseModel(kind="zero", scale=0.0)
-    )
-    return {"density": density, "atomic": atomic}
+    """The config's noise serves the arm its density flag selects; the other
+    arm gets gaussian noise (at the config's scale, or 0.1 at scale 0) or
+    zero noise."""
+    noise = config.noise
+    if noise.density_flag:
+        return {"density": noise, "atomic": NoiseModel(kind="zero", scale=0.0)}
+    return {"density": NoiseModel(kind="gaussian", scale=noise.scale or 0.1), "atomic": noise}
 
 
 @dataclass
@@ -262,6 +256,12 @@ def compare_noise_study(config, out_dir=None, seeds=None, quiet=True):
             }
         )
     flags = interpretation_flags(field)
+    for arm_name, noise in arms.items():
+        if noise is not config.noise:
+            flags.append(
+                f"arm {arm_name}: {noise.kind} noise at scale {noise.scale:g} substituted "
+                f"for the config's {config.noise.kind} noise at scale {config.noise.scale:g}"
+            )
     if not field.guards:
         flags.append("no dichotomy (smooth field)")
     header = list(table[0].keys())

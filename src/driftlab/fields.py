@@ -117,9 +117,6 @@ class ConstantPiece:
     def value_batch(self, xs):
         return np.broadcast_to(self.c, (xs.shape[0], self.c.size)).copy()
 
-    def lipschitz(self, box=None):
-        return 0.0
-
     def to_dict(self):
         return {"type": "constant", "value": self.c.tolist()}
 
@@ -136,9 +133,6 @@ class AffinePiece:
 
     def value_batch(self, xs):
         return xs @ self.A.T + self.b
-
-    def lipschitz(self, box=None):
-        return float(np.linalg.norm(self.A, 2))
 
     def to_dict(self):
         return {"type": "affine", "A": self.A.tolist(), "b": self.b.tolist()}
@@ -159,12 +153,6 @@ class QuadraticPiece:
     def value_batch(self, xs):
         quad = np.einsum("ijk,nj,nk->ni", self.Q, xs, xs)
         return quad + xs @ self.A.T + self.b
-
-    def lipschitz(self, box=None):
-        # |Df| <= 2 ||Q|| R + ||A|| on a ball of radius R around the origin
-        radius = 10.0 if box is None else float(np.max(np.abs(box)))
-        q_norm = sum(np.linalg.norm(Qi, 2) for Qi in self.Q)
-        return 2.0 * q_norm * radius + float(np.linalg.norm(self.A, 2))
 
     def to_dict(self):
         return {"type": "quadratic", "Q": self.Q.tolist(), "A": self.A.tolist(), "b": self.b.tolist()}
@@ -197,9 +185,7 @@ class PiecewiseField:
     guards: list = dc_field(default_factory=list)
     pieces: dict = dc_field(default_factory=dict)
     boundary_values: dict = dc_field(default_factory=dict)
-    lipschitz_bound: float | None = None
     name: str = ""
-    state_box: tuple | None = None
 
     def __post_init__(self):
         self.pieces = {normalize_pattern(k): v for k, v in self.pieces.items()}
@@ -384,8 +370,6 @@ class PiecewiseField:
             "pieces": {k: p.to_dict() for k, p in self.pieces.items()},
             "boundary_values": {k: v.tolist() for k, v in self.boundary_values.items()},
         }
-        if self.lipschitz_bound is not None:
-            d["lipschitz_bound"] = self.lipschitz_bound
         if self.name:
             d["name"] = self.name
         return d
@@ -400,15 +384,8 @@ class PiecewiseField:
             guards=guards,
             pieces=pieces,
             boundary_values=spec.get("boundary_values", {}),
-            lipschitz_bound=spec.get("lipschitz_bound"),
             name=spec.get("name", ""),
         )
-
-    def lipschitz_estimate(self, box=None):
-        if self.lipschitz_bound is not None:
-            return self.lipschitz_bound
-        vals = [p.lipschitz(box) for p in self.pieces.values()]
-        return max(vals) if vals else 0.0
 
 
 def _strict_cone_feasible(vectors, dimension):
@@ -464,6 +441,9 @@ class ConvexVelocitySet:
         return self.project(v)[1]
 
     def contains(self, v, tol=DEFAULT_RADIUS_TOL):
+        """True iff v is within tol of the hull."""
+        if tol < 0:
+            raise ValueError("tol must be >= 0")
         return self.distance(v) <= tol
 
     def equals(self, other, tol=1e-12):
@@ -521,25 +501,8 @@ def _hull_project(vertices, v):
     return best_p, best_d
 
 
-def hull_contains(velocity_set, v, tol=DEFAULT_RADIUS_TOL):
-    """True iff v is within tol of the hull."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    return velocity_set.contains(v, tol)
-
-
-def hull_distance(velocity_set, v):
-    """Euclidean distance from v to the hull."""
-    return velocity_set.distance(v)
-
-
 # ---------------------------------------------------------------------------
 # set-valued maps
-
-def evaluate_field(field, x):
-    """Pointwise h(x) lookup."""
-    return field.evaluate(x)
-
 
 def filippov_map(field, x, radius_tol=DEFAULT_RADIUS_TOL):
     """Convex hull of adjacent positive-measure region values at x.
@@ -571,7 +534,7 @@ def mollify(field, x, delta, samples, rng):
     """Monte-Carlo estimate of the field smoothed by a bump of radius delta.
 
     Draws from the normalized smooth bump supported in the delta-ball
-    (rejection from the uniform ball) and averages evaluate_field; draws that
+    (rejection from the uniform ball) and averages evaluate; draws that
     land on a boundary pattern are redrawn.
     """
     if delta <= 0:
@@ -614,7 +577,6 @@ def builtin_field(name, dimension=None):
             guards=[CoordinateGuard(1, 2)],
             pieces={"+": ConstantPiece([1.0, -1.0]), "-": ConstantPiece([1.0, 1.0])},
             boundary_values={"0": [-1.0, 0.0]},
-            lipschitz_bound=0.0,
             name="example1",
         )
     if name == "relay":
@@ -623,7 +585,6 @@ def builtin_field(name, dimension=None):
             guards=[CoordinateGuard(0, 1)],
             pieces={"+": ConstantPiece([-1.0]), "-": ConstantPiece([1.0])},
             boundary_values={"0": [0.0]},
-            lipschitz_bound=0.0,
             name="relay",
         )
     if name == "spurious_equilibrium":
@@ -632,7 +593,6 @@ def builtin_field(name, dimension=None):
             guards=[CoordinateGuard(0, 1)],
             pieces={"+": ConstantPiece([1.0]), "-": ConstantPiece([1.0])},
             boundary_values={"0": [0.0]},
-            lipschitz_bound=0.0,
             name="spurious_equilibrium",
         )
     if name == "linear":
@@ -641,7 +601,6 @@ def builtin_field(name, dimension=None):
             dimension=d,
             guards=[],
             pieces={"": AffinePiece(-np.eye(d))},
-            lipschitz_bound=1.0,
             name="linear",
         )
     raise ValueError(f"unknown built-in field {name!r}")

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import (
     DivergedIterate,
-    EmptyTrace,
     IndexOutOfRange,
     OutOfDomain,
     WindowExceedsTrace,
@@ -72,11 +71,6 @@ class StepsizeSchedule:
         if self.kind == "custom":
             d["sequence"] = self.sequence.tolist()
         return d
-
-
-def stepsize(schedule, n):
-    """a(n) for the given schedule."""
-    return schedule.value(n)
 
 
 @dataclass
@@ -166,8 +160,9 @@ class NoiseModel:
 
     @property
     def density_flag(self):
-        """True iff the conditional law is absolutely continuous."""
-        return self.kind in _DENSITY_KINDS
+        """True iff the conditional law is absolutely continuous; at scale 0
+        every kind is a Dirac mass."""
+        return self.kind in _DENSITY_KINDS and self.scale > 0
 
     def moment_constant(self, dimension):
         return self.scale**2 * dimension
@@ -187,11 +182,6 @@ class NoiseModel:
 
     def to_dict(self):
         return {"kind": self.kind, "scale": self.scale, "density_flag": self.density_flag}
-
-
-def sample_noise(model, x, rng):
-    """One conditional draw at state x (all catalog models are state-independent)."""
-    return model.sample_batch(1, np.asarray(x).size, rng)[0]
 
 
 def make_rng(seed):
@@ -232,9 +222,9 @@ class IterateTrace:
 def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWUP_BOUND):
     """Run the iteration for n_steps from x0; deterministic given seed.
 
-    Raises DivergedIterate when an iterate leaves the blow-up ball, which
-    signals a violation of the almost-sure boundedness assumption that the
-    asymptotic theory conditions on.
+    Raises DivergedIterate when an iterate leaves the blow-up ball or stops
+    being finite, which signals a violation of the almost-sure boundedness
+    assumption that the asymptotic theory conditions on.
     """
     x0 = np.asarray(x0, dtype=float)
     if n_steps < 1:
@@ -256,7 +246,10 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
         drifts[n] = z
         x = x + steps[n] * (z + noises[n])
         states[n + 1] = x
-        if float(x @ x) > blowup_bound * blowup_bound:
+        # written as not-<= so that a NaN iterate fails the test too
+        if not float(x @ x) <= blowup_bound * blowup_bound:
+            if not np.all(np.isfinite(x)):
+                raise DivergedIterate(f"x({n + 1}) is not finite: {x.tolist()}")
             raise DivergedIterate(
                 f"|x({n + 1})| exceeded the blow-up bound {blowup_bound:g}"
             )
@@ -312,8 +305,3 @@ def window_index(trace, n, T):
         )
     k = int(np.searchsorted(trace.times, target - slack, side="left"))
     return min(k, trace.times.size - 1)
-
-
-def require_nonempty(trace):
-    if trace.n_steps < 1:
-        raise EmptyTrace("trace has no recorded steps")

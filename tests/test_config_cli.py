@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -69,7 +70,26 @@ class TestConfigValidation:
         }
         cfg = config_from_dict(base_config(tmp_path, field=inline, x0=[0.5]))
         fld = cfg.build_field()
-        assert np.array_equal(dl.evaluate_field(fld, [0.25]), [-1.0])
+        assert np.array_equal(fld.evaluate([0.25]), [-1.0])
+
+    @pytest.mark.parametrize(
+        "key, value, path",
+        [
+            ("field", {"dimension": 1, "pieces": {"": {"type": "affine", "A": [[float("nan")]]}}},
+             "field.pieces..A[0][0]"),
+            ("schedule", {"kind": "power", "a0": float("nan"), "gamma": 0.75}, "schedule.a0"),
+            ("schedule", {"kind": "power", "a0": 1.0, "gamma": float("inf")}, "schedule.gamma"),
+            ("schedule", {"kind": "custom", "sequence": [0.1, float("-inf")]},
+             "schedule.sequence[1]"),
+            ("noise", {"kind": "gaussian", "scale": float("inf")}, "noise.scale"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, key, value, path):
+        # json.dumps writes NaN/Infinity tokens, which json.load accepts
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(base_config(tmp_path, x0=[0.5], **{key: value})))
+        with pytest.raises(dl.ConfigInvalid, match=re.escape(path)):
+            load_config(str(config_path))
 
     def test_hash_matches_recomputation(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
@@ -199,6 +219,31 @@ class TestCompareNoiseStudy:
         for row in result.table:
             assert row["krasovskii_fraction_median"] >= row["filippov_fraction_median"]
 
+    @pytest.mark.parametrize(
+        "noise, kinds, substituted",
+        [
+            ({"kind": "uniform_ball", "scale": 0.2}, ("uniform_ball", "zero"), "atomic"),
+            ({"kind": "rademacher", "scale": 0.2}, ("gaussian", "rademacher"), "density"),
+            # gaussian at scale 0 is a Dirac mass: it serves the atomic arm
+            ({"kind": "gaussian", "scale": 0.0}, ("gaussian", "gaussian"), "density"),
+        ],
+    )
+    def test_arms_follow_density_flag(self, tmp_path, noise, kinds, substituted):
+        cfg = config_from_dict(
+            base_config(
+                tmp_path, field="relay", x0=[0.5], noise=noise,
+                n_steps=500, seeds=[1],
+                tracking={"T": 0.5, "n_windows": 1, "dt": 1e-2},
+                measures={"checkpoints": [500], "eps": [0.05]},
+            )
+        )
+        result = compare_noise_study(cfg, quiet=True)
+        by_arm = {row["arm"]: row for row in result.table}
+        assert (by_arm["density"]["noise_kind"], by_arm["atomic"]["noise_kind"]) == kinds
+        assert by_arm["density"]["density_flag"] and not by_arm["atomic"]["density_flag"]
+        notes = [f for f in result.flags if "substituted" in f]
+        assert len(notes) == 1 and notes[0].startswith(f"arm {substituted}:")
+
     def test_smooth_field_flag(self, tmp_path):
         cfg = config_from_dict(
             base_config(
@@ -284,7 +329,22 @@ class TestCli:
         out = str(tmp_path / "m")
         assert cli_main(["simulate", "--config", path, "--out", out, "--quiet"]) == 0
         residuals = open(os.path.join(out, "residuals_seed1.csv")).read()
+        support = open(os.path.join(out, "support_seed1.csv")).read()
         assert cli_main(["measures", "--config", path, "--out", out, "--quiet"]) == 0
+        assert open(os.path.join(out, "residuals_seed1.csv")).read() == residuals
+        assert open(os.path.join(out, "support_seed1.csv")).read() == support
+
+    def test_measures_clamps_checkpoints_to_trace(self, tmp_path):
+        out = str(tmp_path / "m")
+        short = self._write_config(tmp_path, n_steps=300, seeds=[1],
+                                   tracking={"T": 0.5, "n_windows": 1, "dt": 1e-2},
+                                   measures={"checkpoints": [300], "eps": [0.05]})
+        assert cli_main(["simulate", "--config", short, "--out", out, "--quiet"]) == 0
+        residuals = open(os.path.join(out, "residuals_seed1.csv")).read()
+        # both checkpoints lie past the 300-step trace and clamp to one
+        longer = self._write_config(tmp_path, n_steps=500, seeds=[1],
+                                    measures={"checkpoints": [400, 500], "eps": [0.05]})
+        assert cli_main(["measures", "--config", longer, "--out", out, "--quiet"]) == 0
         assert open(os.path.join(out, "residuals_seed1.csv")).read() == residuals
 
     def test_study_exit_code(self, tmp_path):

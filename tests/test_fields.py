@@ -30,15 +30,15 @@ def spurious():
 
 class TestEvaluateField:
     def test_example1_upper_region(self, example1):
-        assert np.array_equal(dl.evaluate_field(example1, [0.0, 0.5]), [1.0, -1.0])
+        assert np.array_equal(example1.evaluate([0.0, 0.5]), [1.0, -1.0])
 
     def test_example1_boundary_value(self, example1):
-        assert np.array_equal(dl.evaluate_field(example1, [0.0, 0.0]), [-1.0, 0.0])
+        assert np.array_equal(example1.evaluate([0.0, 0.0]), [-1.0, 0.0])
 
     def test_constant_field(self):
         fld = PiecewiseField(2, [], {"": ConstantPiece([2.0, 3.0])})
         for x in ([0.0, 0.0], [5.0, -1.0]):
-            assert np.array_equal(dl.evaluate_field(fld, x), [2.0, 3.0])
+            assert np.array_equal(fld.evaluate(x), [2.0, 3.0])
 
     def test_boundary_without_value_uses_lex_smallest_adjacent(self):
         # '+' sorts before '-', so the + piece wins on the surface
@@ -47,23 +47,21 @@ class TestEvaluateField:
             [CoordinateGuard(0, 1)],
             {"+": ConstantPiece([-1.0]), "-": ConstantPiece([1.0])},
         )
-        assert np.array_equal(dl.evaluate_field(fld, [0.0]), [-1.0])
+        assert np.array_equal(fld.evaluate([0.0]), [-1.0])
 
     def test_unassigned_pattern_raises(self):
         fld = PiecewiseField(1, [CoordinateGuard(0, 1)], {"+": ConstantPiece([1.0])})
         with pytest.raises(dl.UnassignedPattern):
-            dl.evaluate_field(fld, [-1.0])
+            fld.evaluate([-1.0])
         with pytest.raises(dl.UnassignedPattern):
             # boundary with no value and no assigned adjacent piece on either side
-            dl.evaluate_field(
-                PiecewiseField(1, [CoordinateGuard(0, 1)], {}), [0.0]
-            )
+            PiecewiseField(1, [CoordinateGuard(0, 1)], {}).evaluate([0.0])
 
     def test_batch_matches_pointwise(self, example1):
         xs = np.array([[0.0, 0.5], [2.0, -0.3], [1.0, 0.0], [-1.0, 2.0]])
         batch = example1.evaluate_batch(xs)
         for i, x in enumerate(xs):
-            assert np.array_equal(batch[i], dl.evaluate_field(example1, x))
+            assert np.array_equal(batch[i], example1.evaluate(x))
 
 
 class TestFilippovMap:
@@ -72,7 +70,7 @@ class TestFilippovMap:
         expected = ConvexVelocitySet(np.array([[1.0, -1.0], [1.0, 1.0]]))
         assert hull.equals(expected, tol=1e-12)
         # the boundary value is genuinely excluded
-        assert not dl.hull_contains(hull, [-1.0, 0.0], 1e-6)
+        assert not hull.contains([-1.0, 0.0], 1e-6)
 
     def test_example1_interior_singleton(self, example1):
         hull = dl.filippov_map(example1, [0.0, 0.5], 1e-9)
@@ -85,7 +83,7 @@ class TestFilippovMap:
         rng = dl.make_rng(42)
         for _ in range(10):
             v = dl.mollify(relay, [0.0], 0.05, 200, rng)
-            assert dl.hull_contains(hull, v, 1e-9)
+            assert hull.contains(v, 1e-9)
 
     def test_tol_monotonicity(self, example1):
         # vertices at the smaller tol stay inside the hull at the larger tol
@@ -93,7 +91,7 @@ class TestFilippovMap:
             small = dl.filippov_map(example1, x, 1e-10)
             large = dl.filippov_map(example1, x, 1e-6)
             for v in small.vertices:
-                assert dl.hull_contains(large, v, 1e-12)
+                assert large.contains(v, 1e-12)
 
     def test_corner_collects_all_quadrants(self):
         quads = {
@@ -109,8 +107,8 @@ class TestFilippovMap:
         )
         hull = dl.filippov_map(fld, [0.0, 0.0], 1e-9)
         for v in quads.values():
-            assert dl.hull_contains(hull, v, 1e-12)
-        assert dl.hull_contains(hull, [0.0, 0.0], 1e-12)
+            assert hull.contains(v, 1e-12)
+        assert hull.contains([0.0, 0.0], 1e-12)
 
     def test_unassigned_adjacent_pattern_raises(self):
         half = PiecewiseField(1, [CoordinateGuard(0, 1)], {"+": ConstantPiece([1.0])})
@@ -149,12 +147,12 @@ class TestKrasovskiiMap:
         hull = dl.krasovskii_map(spurious, [0.0], 1e-9)
         # brute-force oracle: field values over a punctured neighborhood
         # plus the assigned on-surface value
-        sampled = {float(dl.evaluate_field(spurious, [x])[0]) for x in (-0.1, -1e-6, 1e-6, 0.1)}
+        sampled = {float(spurious.evaluate([x])[0]) for x in (-0.1, -1e-6, 1e-6, 0.1)}
         sampled.add(float(spurious.boundary_values["0"][0]))
         expected = ConvexVelocitySet(np.array([[v] for v in sorted(sampled)]))
         assert hull.equals(expected, tol=1e-12)
-        assert dl.hull_contains(hull, [0.0], 0.0)
-        assert dl.hull_contains(hull, [1.0], 0.0)
+        assert hull.contains([0.0], 0.0)
+        assert hull.contains([1.0], 0.0)
 
     def test_filippov_subset_of_krasovskii(self, example1, relay, spurious):
         points = {
@@ -167,7 +165,7 @@ class TestKrasovskiiMap:
                 fil = dl.filippov_map(fld, x, 1e-9)
                 kra = dl.krasovskii_map(fld, x, 1e-9)
                 for v in fil.vertices:
-                    assert dl.hull_contains(kra, v, 1e-12)
+                    assert kra.contains(v, 1e-12)
 
 
 class TestMollify:
@@ -193,7 +191,7 @@ class TestMollify:
         field_range = 2.0  # max pairwise distance of piece values
         for seed in range(5):
             out = dl.mollify(example1, [0.0, 0.0], 0.1, n, dl.make_rng(seed))
-            assert dl.hull_contains(local_hull, out, 5.0 / np.sqrt(n) * field_range)
+            assert local_hull.contains(out, 5.0 / np.sqrt(n) * field_range)
 
     def test_parameter_validation(self, example1):
         with pytest.raises(ValueError):
@@ -205,22 +203,24 @@ class TestMollify:
 class TestHullOperations:
     def test_contains_midpoint(self):
         hull = ConvexVelocitySet(np.array([[1.0, -1.0], [1.0, 1.0]]))
-        assert dl.hull_contains(hull, [1.0, 0.0], 1e-9)
+        assert hull.contains([1.0, 0.0], 1e-9)
 
     def test_excludes_off_line_point(self):
         hull = ConvexVelocitySet(np.array([[1.0, -1.0], [1.0, 1.0]]))
-        assert not dl.hull_contains(hull, [0.0, 0.0], 1e-6)
+        assert not hull.contains([0.0, 0.0], 1e-6)
 
     def test_vertex_with_zero_tol(self):
         hull = ConvexVelocitySet(np.array([[1.0, -1.0], [1.0, 1.0]]))
-        assert dl.hull_contains(hull, [1.0, 1.0], 0.0)
+        assert hull.contains([1.0, 1.0], 0.0)
+        with pytest.raises(ValueError):
+            hull.contains([1.0, 1.0], -1e-12)
 
     def test_distances(self):
         hull = ConvexVelocitySet(np.array([[1.0, -1.0], [1.0, 1.0]]))
-        assert dl.hull_distance(hull, [1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
-        assert dl.hull_distance(hull, [0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
+        assert hull.distance([1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+        assert hull.distance([0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
         singleton = ConvexVelocitySet(np.array([[0.0]]))
-        assert dl.hull_distance(singleton, [3.0]) == pytest.approx(3.0, abs=1e-12)
+        assert singleton.distance([3.0]) == pytest.approx(3.0, abs=1e-12)
 
     def test_empty_set_raises(self):
         with pytest.raises(dl.EmptySet):
@@ -242,7 +242,7 @@ class TestHullOperations:
         verts = scale * np.array([[1.0, -1.0], [1.0, 1.0], [-2.0, 0.5]])
         hull = ConvexVelocitySet(verts)
         combo = w * verts[0] + (1.0 - w) * 0.5 * (verts[1] + verts[2])
-        assert dl.hull_contains(hull, combo, 1e-9 * scale)
+        assert hull.contains(combo, 1e-9 * scale)
 
 
 def _random_affine_field(coeffs):
@@ -282,7 +282,7 @@ class TestSetValuedProperties:
         fil = dl.filippov_map(fld, xy, 1e-9)
         kra = dl.krasovskii_map(fld, xy, 1e-9)
         for v in fil.vertices:
-            assert dl.hull_contains(kra, v, 1e-9)
+            assert kra.contains(v, 1e-9)
 
     @given(coeffs=_field_strategy, xy=_point)
     @settings(max_examples=60, deadline=None)
@@ -291,7 +291,7 @@ class TestSetValuedProperties:
         x = np.array(xy)
         if abs(fld.guards[0].value(x)) <= 1e-9:
             return
-        value = dl.evaluate_field(fld, x)
+        value = fld.evaluate(x)
         for hull in (dl.filippov_map(fld, x, 1e-9), dl.krasovskii_map(fld, x, 1e-9)):
             assert hull.vertices.shape[0] == 1
             assert np.allclose(hull.vertices[0], value)
@@ -304,4 +304,4 @@ class TestSetValuedProperties:
         if abs(fld.guards[0].value(x)) <= 1e-9:
             return
         hull = dl.filippov_map(fld, x, 1e-9)
-        assert dl.hull_contains(hull, dl.evaluate_field(fld, x), 1e-9)
+        assert hull.contains(fld.evaluate(x), 1e-9)

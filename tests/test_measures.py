@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import driftlab as dl
 from driftlab.fields import ConstantPiece, PiecewiseField
@@ -256,6 +256,65 @@ class TestResidualDecay:
         assert table.t_values[-1] >= 4.0 * table.t_values[0]
         assert table.median_residuals[-1] <= 0.5 * table.median_residuals[0]
         assert table.envelope[0] == pytest.approx(table.median_residuals[0])
+
+
+_STARTS = {"example1": [0.0, 1.0], "relay": [0.5], "spurious_equilibrium": [0.0], "linear": [1.0]}
+_NOISES = {"gaussian": 0.1, "rademacher": 0.1, "zero": 0.0}
+
+
+class TestCheckpointResiduals:
+    @given(
+        name=st.sampled_from(sorted(_STARTS)),
+        kind=st.sampled_from(sorted(_NOISES)),
+        seed=st.integers(0, 1000),
+        n_steps=st.integers(1, 3000),
+        zero_every=st.sampled_from([0, 2, 3]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    # zero-noise spurious_equilibrium sits on the guard every step
+    @example(name="spurious_equilibrium", kind="zero", seed=0, n_steps=500, zero_every=0,
+             data=None)
+    # zero stepsizes: averaged_measure drops those atoms
+    @example(name="relay", kind="gaussian", seed=1, n_steps=500, zero_every=3, data=None)
+    def test_matches_averaged_measure_oracle(self, name, kind, seed, n_steps, zero_every, data):
+        fld = dl.builtin_field(name)
+        steps = 0.5 / np.arange(1, n_steps + 1) ** 0.75
+        if zero_every:
+            steps[1::zero_every] = 0.0
+        trace = dl.run_sa(
+            fld, _STARTS[name], dl.StepsizeSchedule("custom", sequence=steps),
+            dl.NoiseModel(kind, _NOISES[kind]), n_steps, seed=seed,
+        )
+        if data is None:
+            checkpoints = sorted({1, n_steps // 3 + 1, n_steps})
+        else:
+            checkpoints = sorted(data.draw(
+                st.sets(st.integers(1, n_steps), min_size=1, max_size=4), label="checkpoints"
+            ))
+        fam = dl.TestFunctionFamily.from_box(dl.averaged_measure(trace, n_steps).box_states)
+        fast = dl.checkpoint_residuals(trace, fam, checkpoints)
+        assert fast.shape == (len(checkpoints), len(fam))
+        for j, n in enumerate(checkpoints):
+            oracle = dl.stationarity_residual(dl.averaged_measure(trace, n), fam)
+            assert np.allclose(fast[j], oracle, rtol=1e-9, atol=1e-12)
+
+    def test_argument_checks(self):
+        relay = dl.builtin_field("relay")
+        trace = dl.run_sa(
+            relay, [0.5], dl.StepsizeSchedule("constant", a0=0.1),
+            dl.NoiseModel("gaussian", 0.1), 10, seed=0,
+        )
+        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        for bad in ([0, 5], [5, 11], [5, 5], [6, 5]):
+            with pytest.raises(ValueError):
+                dl.checkpoint_residuals(trace, fam, bad)
+        empty = dl.IterateTrace(
+            states=np.zeros((1, 1)), drifts=np.zeros((0, 1)), noises=np.zeros((0, 1)),
+            steps=np.zeros(0), times=np.zeros(1), seed=0,
+        )
+        with pytest.raises(dl.EmptyTrace):
+            dl.checkpoint_residuals(empty, fam, [1])
 
 
 class TestVelocityMassSplit:

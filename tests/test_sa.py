@@ -8,23 +8,23 @@ from driftlab.fields import AffinePiece, PiecewiseField
 
 class TestStepsize:
     def test_power_examples(self):
-        assert dl.stepsize(dl.StepsizeSchedule("power", a0=1.0, gamma=1.0), 3) == 0.25
-        assert dl.stepsize(dl.StepsizeSchedule("power", a0=0.1, gamma=0.75), 0) == 0.1
+        assert dl.StepsizeSchedule("power", a0=1.0, gamma=1.0).value(3) == 0.25
+        assert dl.StepsizeSchedule("power", a0=0.1, gamma=0.75).value(0) == 0.1
 
     def test_constant(self):
-        assert dl.stepsize(dl.StepsizeSchedule("constant", a0=0.5), 7) == 0.5
+        assert dl.StepsizeSchedule("constant", a0=0.5).value(7) == 0.5
 
     def test_custom_sequence(self):
         sched = dl.StepsizeSchedule("custom", sequence=[0.5, 0.25])
-        assert dl.stepsize(sched, 1) == 0.25
+        assert sched.value(1) == 0.25
         with pytest.raises(dl.IndexOutOfRange):
-            dl.stepsize(sched, 2)
+            sched.value(2)
 
     def test_values_match_scalar(self):
         # batch and scalar paths may differ by one ulp (simd pow), no more
         sched = dl.StepsizeSchedule("power", a0=0.3, gamma=0.6)
         vals = sched.values(50)
-        scalars = np.array([dl.stepsize(sched, n) for n in range(50)])
+        scalars = np.array([sched.value(n) for n in range(50)])
         assert np.allclose(vals, scalars, rtol=1e-15, atol=0.0)
 
 
@@ -64,7 +64,7 @@ class TestValidateSchedule:
 
 class TestNoiseModels:
     def test_zero_model(self):
-        out = dl.sample_noise(dl.NoiseModel("zero", 0.0), [1.0, 2.0], dl.make_rng(0))
+        out = dl.NoiseModel("zero", 0.0).sample_batch(1, 2, dl.make_rng(0))[0]
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_gaussian_clt_mean(self):
@@ -98,6 +98,9 @@ class TestNoiseModels:
         assert dl.NoiseModel("uniform_ball", 0.1).density_flag
         assert not dl.NoiseModel("rademacher", 0.1).density_flag
         assert not dl.NoiseModel("zero", 0.0).density_flag
+        # a density law at scale 0 is a Dirac mass
+        assert not dl.NoiseModel("gaussian", 0.0).density_flag
+        assert not dl.NoiseModel("uniform_ball", 0.0).density_flag
 
 
 class TestRunSA:
@@ -174,6 +177,19 @@ class TestRunSA:
                 100,
                 seed=0,
                 blowup_bound=1e3,
+            )
+
+    def test_non_finite_iterate_raises(self):
+        # NaN compares false with everything, so it must not slip past the bound
+        nan_field = PiecewiseField(1, [], {"": AffinePiece([[np.nan]])}, name="nan")
+        with pytest.raises(dl.DivergedIterate, match="not finite"):
+            dl.run_sa(
+                nan_field,
+                [1.0],
+                dl.StepsizeSchedule("constant", a0=0.1),
+                dl.NoiseModel("zero", 0.0),
+                50,
+                seed=0,
             )
 
     def test_lengths_consistent(self):

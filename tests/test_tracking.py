@@ -95,5 +95,5 @@ class TestTrackingProfile:
     def test_trapped_slope_explained_by_krasovskii_not_filippov(self):
         sp = dl.builtin_field("spurious_equilibrium")
         zero = np.zeros(1)
-        assert dl.hull_contains(dl.krasovskii_map(sp, zero, 1e-9), zero, 1e-12)
-        assert not dl.hull_contains(dl.filippov_map(sp, zero, 1e-9), zero, 1e-6)
+        assert dl.krasovskii_map(sp, zero, 1e-9).contains(zero, 1e-12)
+        assert not dl.filippov_map(sp, zero, 1e-9).contains(zero, 1e-6)
