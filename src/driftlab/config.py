@@ -95,8 +95,8 @@ def _require(data, key, path, types=None):
 
 
 def _positive(value, path):
-    if not (isinstance(value, (int, float)) and value > 0):
-        raise ConfigInvalid(f"{path}: must be a positive number")
+    if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
+        raise ConfigInvalid(f"{path}: must be a positive finite number")
     return float(value)
 
 

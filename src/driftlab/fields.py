@@ -199,11 +199,9 @@ class PiecewiseField:
         for pat in self.boundary_values:
             if len(pat) != len(self.guards) or "0" not in pat:
                 raise ValueError(f"boundary pattern {pat!r} must contain a '0' label")
+        self._boundary_pieces = {k: ConstantPiece(v) for k, v in self.boundary_values.items()}
 
     # -- sign patterns ------------------------------------------------------
-
-    def guard_values(self, x):
-        return np.array([g.value(x) for g in self.guards])
 
     def sign_pattern(self, x, zero_tol=0.0):
         """Sign pattern of x; guards within zero_tol of 0 are labeled '0'."""
@@ -216,152 +214,119 @@ class PiecewiseField:
                 chars.append("+" if v > 0 else "-")
         return "".join(chars)
 
+    def sign_labels(self, xs, zero_tol=0.0):
+        """sign_pattern of every row of xs as int8 codes +1, -1 and 0,
+        shape (rows, guards)."""
+        gv = np.empty((xs.shape[0], len(self.guards)))
+        for k, g in enumerate(self.guards):
+            gv[:, k] = g.value_batch(xs)
+        return np.where(np.abs(gv) <= zero_tol, 0, np.where(gv > 0, 1, -1)).astype(np.int8)
+
     def piece_for(self, pattern):
+        """The piece that carries a sign pattern: a full pattern's region
+        piece, a boundary pattern's value, or, for a boundary pattern with no
+        value, the adjacent piece with the lexicographically smallest pattern."""
         piece = self.pieces.get(pattern)
         if piece is None:
-            raise UnassignedPattern(f"no piece assigned to sign pattern {pattern!r}")
-        return piece
-
-    # -- pointwise evaluation -----------------------------------------------
-
-    def evaluate(self, x):
-        """The single vector h(x) as the field definition assigns it.
-
-        Boundary patterns use `boundary_values` when present; otherwise the
-        piece of the adjacent region with lexicographically smallest pattern.
-        """
-        x = np.asarray(x, dtype=float)
-        pattern = self.sign_pattern(x)
-        if "0" not in pattern:
-            return np.array(self.piece_for(pattern).value(x), dtype=float)
-        if pattern in self.boundary_values:
-            return self.boundary_values[pattern].copy()
+            piece = self._boundary_pieces.get(pattern)
+        if piece is not None:
+            return piece
         zero_slots = [i for i, c in enumerate(pattern) if c == "0"]
         # '+' < '-' in ASCII, so itertools.product over "+-" scans lexicographically
         for fill in itertools.product("+-", repeat=len(zero_slots)):
             cand = list(pattern)
             for slot, c in zip(zero_slots, fill):
                 cand[slot] = c
-            cand = "".join(cand)
-            if cand in self.pieces:
-                return np.array(self.pieces[cand].value(x), dtype=float)
-        raise UnassignedPattern(
-            f"pattern {pattern!r} has no boundary value and no adjacent piece"
-        )
+            piece = self.pieces.get("".join(cand))
+            if piece is not None:
+                return piece
+        raise UnassignedPattern(f"no piece assigned to sign pattern {pattern!r}")
+
+    # -- evaluation ---------------------------------------------------------
+
+    def evaluate(self, x):
+        """The single vector h(x) as the field definition assigns it; piece_for
+        gives the value rule on guard surfaces."""
+        x = np.asarray(x, dtype=float)
+        return np.array(self.piece_for(self.sign_pattern(x)).value(x), dtype=float)
 
     def evaluate_batch(self, xs):
-        """Vectorized evaluate() for points off every guard surface."""
+        """evaluate() for every row of xs, one value_batch call per sign pattern."""
         xs = np.asarray(xs, dtype=float)
         out = np.empty((xs.shape[0], self.dimension))
-        if not self.guards:
-            return np.asarray(self.piece_for("").value_batch(xs))
-        gv = np.column_stack([g.value_batch(xs) for g in self.guards])
-        signs = np.where(gv > 0, 1, np.where(gv < 0, -1, 0)).astype(np.int8)
-        on_boundary = np.any(signs == 0, axis=1)
+        signs = self.sign_labels(xs)
         codes = signs @ (3 ** np.arange(len(self.guards)))
-        for code in np.unique(codes[~on_boundary]):
-            mask = (codes == code) & ~on_boundary
-            idx = np.argmax(mask)
-            pattern = "".join(_SIGN_CHARS[int(s)] for s in signs[idx])
+        for code in np.unique(codes):
+            mask = codes == code
+            pattern = "".join(_SIGN_CHARS[int(s)] for s in signs[np.argmax(mask)])
             out[mask] = self.piece_for(pattern).value_batch(xs[mask])
-        for i in np.nonzero(on_boundary)[0]:
-            out[i] = self.evaluate(xs[i])
         return out
 
     # -- adjacency ----------------------------------------------------------
 
-    def active_guards(self, x, radius_tol):
-        gv = self.guard_values(x) if self.guards else np.zeros(0)
-        return gv, [k for k, v in enumerate(gv) if abs(v) <= radius_tol]
+    def _local_geometry(self, x, radius_tol):
+        """Sign pattern of x at radius_tol and the unit normal of each guard
+        labeled '0' (None where the gradient vanishes)."""
+        base = self.sign_pattern(x, radius_tol)
+        normals = {}
+        for k, c in enumerate(base):
+            if c == "0":
+                grad = np.asarray(self.guards[k].gradient(x), dtype=float)
+                nrm = np.linalg.norm(grad)
+                normals[k] = grad / nrm if nrm >= 1e-14 else None
+        return base, normals
+
+    @staticmethod
+    def _is_adjacent(pattern, base, normals):
+        """Does the carrier set of pattern meet the radius_tol-ball at the point?
+
+        Decided to first order: inactive guards must keep their sign; the
+        active ones must admit a direction u with n_k . u = 0 on '0' slots and
+        on the labeled side of n_k elsewhere (exact for affine guards).  Where
+        the normal vanishes (a norm guard at its center) only '+' and '0' are
+        reachable.
+        """
+        equalities, strict = [], []
+        for k, (c, b) in enumerate(zip(pattern, base)):
+            if b != "0":
+                if c != b:
+                    return False
+            elif normals[k] is None:
+                if c == "-":
+                    return False
+            elif c == "0":
+                equalities.append(normals[k])
+            else:
+                strict.append(normals[k] if c == "+" else -normals[k])
+        if strict and equalities:
+            import scipy.linalg
+
+            basis = scipy.linalg.null_space(np.vstack(equalities))
+            if basis.shape[1] == 0:
+                return False
+            strict = [basis.T @ v for v in strict]
+        return _strict_cone_feasible(strict)
 
     def adjacent_patterns(self, x, radius_tol=DEFAULT_RADIUS_TOL):
-        """Full sign patterns of positive-measure regions adjacent to x.
-
-        Decided to first order: a candidate assignment of signs to the active
-        guards is adjacent iff the open cone {u : sign_k * grad g_k(x) . u > 0}
-        is nonempty (exact for affine guards).
-        """
-        x = np.asarray(x, dtype=float)
-        if not self.guards:
-            return [""]
-        gv, active = self.active_guards(x, radius_tol)
-        base = ["+" if v > 0 else "-" for v in gv]
-        if not active:
-            return ["".join(base)]
-        per_guard_signs = []
-        grads = {}
-        for k in active:
-            grad = np.asarray(self.guards[k].gradient(x), dtype=float)
-            nrm = np.linalg.norm(grad)
-            if nrm < 1e-14:
-                # norm guard at its center: only the outside sign is reachable
-                per_guard_signs.append(("+",))
-                grads[k] = None
-            else:
-                per_guard_signs.append(("+", "-"))
-                grads[k] = grad / nrm
+        """Full sign patterns of positive-measure regions adjacent to x."""
+        base, normals = self._local_geometry(np.asarray(x, dtype=float), radius_tol)
+        active = list(normals)
         patterns = []
-        for combo in itertools.product(*per_guard_signs):
-            vecs = []
-            for k, sign in zip(active, combo):
-                if grads[k] is None:
-                    continue
-                vecs.append(grads[k] if sign == "+" else -grads[k])
-            if _strict_cone_feasible(vecs, self.dimension):
-                cand = list(base)
-                for k, sign in zip(active, combo):
-                    cand[k] = sign
-                patterns.append("".join(cand))
+        for fill in itertools.product("+-", repeat=len(active)):
+            cand = list(base)
+            for k, c in zip(active, fill):
+                cand[k] = c
+            cand = "".join(cand)
+            if self._is_adjacent(cand, base, normals):
+                patterns.append(cand)
         return patterns
 
     def adjacent_boundary_patterns(self, x, radius_tol=DEFAULT_RADIUS_TOL):
         """Boundary patterns whose carrier set meets the radius_tol-ball at x."""
-        x = np.asarray(x, dtype=float)
         if not self.boundary_values:
             return []
-        gv, active = self.active_guards(x, radius_tol)
-        active_set = set(active)
-        found = []
-        for pattern in self.boundary_values:
-            ok = True
-            equalities, strict = [], []
-            for k, c in enumerate(pattern):
-                if c == "0":
-                    if k not in active_set:
-                        ok = False
-                        break
-                    grad = np.asarray(self.guards[k].gradient(x), dtype=float)
-                    if np.linalg.norm(grad) > 1e-14:
-                        equalities.append(grad / np.linalg.norm(grad))
-                elif k in active_set:
-                    grad = np.asarray(self.guards[k].gradient(x), dtype=float)
-                    nrm = np.linalg.norm(grad)
-                    if nrm < 1e-14:
-                        if c != "+":
-                            ok = False
-                            break
-                    else:
-                        strict.append(grad / nrm if c == "+" else -grad / nrm)
-                else:
-                    if ("+" if gv[k] > 0 else "-") != c:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            if strict and equalities:
-                import scipy.linalg
-
-                basis = scipy.linalg.null_space(np.vstack(equalities))
-                if basis.shape[1] == 0:
-                    continue
-                projected = [basis.T @ v for v in strict]
-                if not _strict_cone_feasible(projected, basis.shape[1]):
-                    continue
-            elif strict:
-                if not _strict_cone_feasible(strict, self.dimension):
-                    continue
-            found.append(pattern)
-        return found
+        base, normals = self._local_geometry(np.asarray(x, dtype=float), radius_tol)
+        return [p for p in self.boundary_values if self._is_adjacent(p, base, normals)]
 
     def to_dict(self):
         d = {
@@ -388,7 +353,7 @@ class PiecewiseField:
         )
 
 
-def _strict_cone_feasible(vectors, dimension):
+def _strict_cone_feasible(vectors):
     """Is there u with v . u > 0 for every v (unit vectors)?"""
     if not vectors:
         return True

@@ -109,6 +109,23 @@ def _with_slot(pattern, k, char):
     return "".join(chars)
 
 
+def _bisect(residual, h, tol):
+    """A step s in [0, h] with |residual(s)| <= tol/4, by bisection, for a
+    residual that is positive at 0 and negative at h; the last midpoint if
+    _MAX_BISECT halvings do not get there."""
+    lo, hi = 0.0, h
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        val = residual(mid)
+        if abs(val) <= 0.25 * tol:
+            return mid
+        if val > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class _FilippovStepper:
     """Event-driven stepping state machine behind integrate_filippov."""
 
@@ -136,21 +153,19 @@ class _FilippovStepper:
         self.points.append(x_new.copy())
         self.labels.append(label)
 
-    def _mode_label(self):
-        if self.mode[0] == "region":
-            return self.mode[1]
-        if self.mode[0] == "slide":
-            return f"slide:{self.mode[1]}"
-        return self.mode[1]
-
     # -- mode resolution ----------------------------------------------------
 
+    def _crossed(self, pattern, x):
+        """Guards that x lies beyond, by more than surface_tol, on the side
+        opposite to their sign in pattern ('0' slots are skipped)."""
+        labels = self.field.sign_pattern(x, zero_tol=self.surface_tol)
+        return [
+            k for k, (c, new) in enumerate(zip(pattern, labels)) if c != new and "0" not in (c, new)
+        ]
+
     def _resolve_mode(self):
-        gv = self.field.guard_values(self.x) if self.field.guards else np.zeros(0)
-        active = [k for k, v in enumerate(gv) if abs(v) <= self.surface_tol]
-        pattern = "".join(
-            "0" if k in active else ("+" if v > 0 else "-") for k, v in enumerate(gv)
-        )
+        pattern = self.field.sign_pattern(self.x, zero_tol=self.surface_tol)
+        active = [k for k, c in enumerate(pattern) if c == "0"]
         if not active:
             self.mode = ("region", pattern)
         elif len(active) == 1:
@@ -159,10 +174,7 @@ class _FilippovStepper:
             self.mode = ("corner", pattern)
 
     def _classify_surface(self, k, pattern):
-        f_plus = self.field.piece_for(_with_slot(pattern, k, "+")).value(self.x)
-        f_minus = self.field.piece_for(_with_slot(pattern, k, "-")).value(self.x)
-        grad = self.field.guards[k].gradient(self.x)
-        dec = sliding_velocity(f_plus, f_minus, grad)
+        dec = self._sliding_decision(self.x, k, pattern)
         if dec.kind == "sliding":
             # strictly attracting; the slide step handles band-edge exits
             self.mode = ("slide", k, _with_slot(pattern, k, "0"))
@@ -181,11 +193,7 @@ class _FilippovStepper:
             return x + s * piece.value(mid)
 
         x_try = advance(h)
-        crossed = []
-        for k, guard in enumerate(self.field.guards):
-            sigma = 1.0 if pattern[k] == "+" else -1.0
-            if sigma * guard.value(x_try) < -self.surface_tol:
-                crossed.append(k)
+        crossed = self._crossed(pattern, x_try)
         if not crossed:
             self._record(self.t + h, x_try, pattern)
             return
@@ -197,19 +205,7 @@ class _FilippovStepper:
             if e0 <= self.surface_tol:
                 events.append((0.0, k))
                 continue
-            lo, hi = 0.0, h
-            val = None
-            for _ in range(_MAX_BISECT):
-                mid_s = 0.5 * (lo + hi)
-                val = sigma * guard.value(advance(mid_s))
-                if abs(val) <= 0.25 * self.surface_tol:
-                    lo = hi = mid_s
-                    break
-                if val > 0:
-                    lo = mid_s
-                else:
-                    hi = mid_s
-            s_star = 0.5 * (lo + hi)
+            s_star = _bisect(lambda s: sigma * guard.value(advance(s)), h, self.surface_tol)
             if abs(sigma * guard.value(advance(s_star))) > self.surface_tol:
                 raise StepTooLarge(
                     f"could not bisect guard {k} onto the surface within tolerance"
@@ -231,8 +227,7 @@ class _FilippovStepper:
     def _sliding_decision(self, x, k, pattern0):
         f_plus = self.field.piece_for(_with_slot(pattern0, k, "+")).value(x)
         f_minus = self.field.piece_for(_with_slot(pattern0, k, "-")).value(x)
-        grad = np.asarray(self.field.guards[k].gradient(x), dtype=float)
-        return sliding_velocity(f_plus, f_minus, grad), grad
+        return sliding_velocity(f_plus, f_minus, self.field.guards[k].gradient(x))
 
     def _project_to_surface(self, x, k):
         guard = self.field.guards[k]
@@ -249,7 +244,7 @@ class _FilippovStepper:
 
     def _slide_step(self, h):
         _, k, pattern0 = self.mode
-        dec, _ = self._sliding_decision(self.x, k, pattern0)
+        dec = self._sliding_decision(self.x, k, pattern0)
         if dec.kind != "sliding":
             self.mode = ("region", _with_slot(pattern0, k, dec.side))
             return
@@ -263,37 +258,29 @@ class _FilippovStepper:
             return
         v = dec.velocity
         mid = self.x + 0.5 * h * v
-        dec_mid, _ = self._sliding_decision(mid, k, pattern0)
+        dec_mid = self._sliding_decision(mid, k, pattern0)
         if dec_mid.kind == "sliding":
             v = dec_mid.velocity
         x_try = self._project_to_surface(self.x + h * v, k)
         # other guards may be hit while sliding
-        for j, guard in enumerate(self.field.guards):
-            if j == k:
-                continue
+        crossed = self._crossed(pattern0, x_try)
+        if crossed:
+            j = crossed[0]
+            guard = self.field.guards[j]
             sigma = 1.0 if pattern0[j] == "+" else -1.0
-            if sigma * guard.value(x_try) < -self.surface_tol:
-                lo, hi = 0.0, h
-                for _ in range(_MAX_BISECT):
-                    mid_s = 0.5 * (lo + hi)
-                    probe = self._project_to_surface(self.x + mid_s * v, k)
-                    val = sigma * guard.value(probe)
-                    if abs(val) <= 0.25 * self.surface_tol:
-                        lo = hi = mid_s
-                        break
-                    if val > 0:
-                        lo = mid_s
-                    else:
-                        hi = mid_s
-                s_star = 0.5 * (lo + hi)
-                if s_star > 0:
-                    self._record(
-                        self.t + s_star,
-                        self._project_to_surface(self.x + s_star * v, k),
-                        f"slide:{k}",
-                    )
-                self.mode = ("corner", self.field.sign_pattern(self.x, zero_tol=self.surface_tol))
-                return
+            s_star = _bisect(
+                lambda s: sigma * guard.value(self._project_to_surface(self.x + s * v, k)),
+                h,
+                self.surface_tol,
+            )
+            if s_star > 0:
+                self._record(
+                    self.t + s_star,
+                    self._project_to_surface(self.x + s_star * v, k),
+                    f"slide:{k}",
+                )
+            self.mode = ("corner", self.field.sign_pattern(self.x, zero_tol=self.surface_tol))
+            return
         self._record(self.t + h, x_try, f"slide:{k}")
 
     # -- corner fallback ----------------------------------------------------

@@ -85,6 +85,8 @@ def averaged_measure(trace, up_to_n):
     if up_to_n < 1 or up_to_n > trace.n_steps:
         raise ValueError(f"up_to_n must be in [1, {trace.n_steps}]")
     t_n = float(trace.times[up_to_n])
+    if t_n <= 0:
+        raise EmptyTrace(f"t({up_to_n}) = 0: no positive stepsize before step {up_to_n}")
     xs = trace.states[:up_to_n]
     zs = trace.drifts[:up_to_n]
     ws = trace.steps[:up_to_n] / t_n
@@ -226,6 +228,9 @@ def checkpoint_residuals(trace, family, checkpoints):
         raise ValueError(f"checkpoints must be in [1, {trace.n_steps}]")
     if np.any(np.diff(checkpoints) <= 0):
         raise ValueError("checkpoints must be increasing")
+    if checkpoints.size and trace.times[checkpoints[0]] <= 0:
+        n = checkpoints[0]
+        raise EmptyTrace(f"t({n}) = 0: no positive stepsize before step {n}")
     n_max = int(checkpoints.max(initial=0))
     terms = np.sum(family.gradients(trace.states[:n_max]) * trace.drifts[:n_max], axis=2)
     out = np.empty((checkpoints.size, len(family)))
@@ -251,11 +256,7 @@ def graph_support_fraction(measure, field, eps, radius_tol=DEFAULT_RADIUS_TOL):
     xs, zs, ws = measure.xs, measure.zs, measure.weights
     fil_ok = np.zeros(measure.n_atoms, dtype=bool)
     kra_ok = np.zeros(measure.n_atoms, dtype=bool)
-    if field.guards:
-        gv = np.column_stack([g.value_batch(xs) for g in field.guards])
-        interior = np.all(np.abs(gv) > radius_tol, axis=1)
-    else:
-        interior = np.ones(measure.n_atoms, dtype=bool)
+    interior = np.all(field.sign_labels(xs, radius_tol) != 0, axis=1)
     if np.any(interior):
         values = field.evaluate_batch(xs[interior])
         dist = np.linalg.norm(values - zs[interior], axis=1)

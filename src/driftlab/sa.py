@@ -234,6 +234,8 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
     d = field.dimension
     if x0.size != d:
         raise ValueError(f"x0 has size {x0.size}, field dimension is {d}")
+    if not 0 < blowup_bound < np.inf:
+        raise ValueError(f"blowup_bound must be positive and finite, got {blowup_bound}")
     rng = make_rng(seed)
     steps = schedule.values(n_steps)
     noises = noise.sample_batch(n_steps, d, rng)

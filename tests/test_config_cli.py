@@ -82,6 +82,11 @@ class TestConfigValidation:
             ("schedule", {"kind": "custom", "sequence": [0.1, float("-inf")]},
              "schedule.sequence[1]"),
             ("noise", {"kind": "gaussian", "scale": float("inf")}, "noise.scale"),
+            ("tracking", {"T": float("inf"), "n_windows": 3, "dt": 1e-3}, "tracking.T"),
+            ("tracking", {"T": 1.0, "n_windows": 3, "dt": float("inf")}, "tracking.dt"),
+            ("integrate", {"t_end": float("inf"), "dt": 1e-3}, "integrate.t_end"),
+            ("integrate", {"t_end": 3.0, "dt": float("inf")}, "integrate.dt"),
+            ("blowup_bound", float("inf"), "blowup_bound"),
         ],
     )
     def test_non_finite_numbers_rejected(self, tmp_path, key, value, path):

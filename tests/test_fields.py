@@ -9,8 +9,36 @@ from driftlab.fields import (
     ConstantPiece,
     ConvexVelocitySet,
     CoordinateGuard,
+    NormGuard,
     PiecewiseField,
 )
+
+
+_QUADRANTS = {
+    "++": [-1.0, -1.0],
+    "+-": [-1.0, 1.0],
+    "-+": [1.0, -1.0],
+    "--": [1.0, 1.0],
+}
+
+
+def _quadrant_field():
+    """Two coordinate guards and no boundary values."""
+    return PiecewiseField(
+        2,
+        [CoordinateGuard(0, 2), CoordinateGuard(1, 2)],
+        {k: ConstantPiece(v) for k, v in _QUADRANTS.items()},
+    )
+
+
+def _disc_field(radius):
+    """Inside/outside a circle about the origin, with a value on the circle."""
+    return PiecewiseField(
+        2,
+        [NormGuard([0.0, 0.0], radius)],
+        {"+": ConstantPiece([1.0, 0.0]), "-": ConstantPiece([0.0, 1.0])},
+        {"0": [5.0, 5.0]},
+    )
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +86,15 @@ class TestEvaluateField:
             PiecewiseField(1, [CoordinateGuard(0, 1)], {}).evaluate([0.0])
 
     def test_batch_matches_pointwise(self, example1):
-        xs = np.array([[0.0, 0.5], [2.0, -0.3], [1.0, 0.0], [-1.0, 2.0]])
-        batch = example1.evaluate_batch(xs)
-        for i, x in enumerate(xs):
-            assert np.array_equal(batch[i], example1.evaluate(x))
+        # rows on guard surfaces take the boundary value or, without one,
+        # the lexicographic fallback, in the batch exactly as pointwise
+        xs = np.array(
+            [[0.0, 0.5], [2.0, -0.3], [1.0, 0.0], [0.0, -1.0], [0.0, 0.0], [-1.0, 2.0]]
+        )
+        for fld in (example1, _quadrant_field(), _disc_field(1.0), dl.builtin_field("linear", 2)):
+            batch = fld.evaluate_batch(xs)
+            for i, x in enumerate(xs):
+                assert np.array_equal(batch[i], fld.evaluate(x))
 
 
 class TestFilippovMap:
@@ -94,19 +127,8 @@ class TestFilippovMap:
                 assert large.contains(v, 1e-12)
 
     def test_corner_collects_all_quadrants(self):
-        quads = {
-            "++": [-1.0, -1.0],
-            "+-": [-1.0, 1.0],
-            "-+": [1.0, -1.0],
-            "--": [1.0, 1.0],
-        }
-        fld = PiecewiseField(
-            2,
-            [CoordinateGuard(0, 2), CoordinateGuard(1, 2)],
-            {k: ConstantPiece(v) for k, v in quads.items()},
-        )
-        hull = dl.filippov_map(fld, [0.0, 0.0], 1e-9)
-        for v in quads.values():
+        hull = dl.filippov_map(_quadrant_field(), [0.0, 0.0], 1e-9)
+        for v in _QUADRANTS.values():
             assert hull.contains(v, 1e-12)
         assert hull.contains([0.0, 0.0], 1e-12)
 
@@ -129,6 +151,38 @@ class TestFilippovMap:
         )
         hull = dl.filippov_map(fld, [0.0], 1e-9)
         assert hull.equals(ConvexVelocitySet(np.array([[1.0], [-1.0]])), tol=1e-12)
+
+
+class TestNormGuards:
+    def test_center_of_radius_zero_guard(self):
+        # the normal vanishes at the center: only the outside region is adjacent
+        fld = _disc_field(0.0)
+        fil = dl.filippov_map(fld, [0.0, 0.0], 1e-9)
+        kra = dl.krasovskii_map(fld, [0.0, 0.0], 1e-9)
+        assert fil.equals(ConvexVelocitySet(np.array([[1.0, 0.0]])), tol=1e-12)
+        assert kra.equals(ConvexVelocitySet(np.array([[1.0, 0.0], [5.0, 5.0]])), tol=1e-12)
+
+    def test_on_the_circle(self):
+        fld = _disc_field(1.0)
+        for x in ([1.0, 0.0], [0.0, -1.0]):
+            fil = dl.filippov_map(fld, x, 1e-9)
+            kra = dl.krasovskii_map(fld, x, 1e-9)
+            assert fil.equals(ConvexVelocitySet(np.array([[1.0, 0.0], [0.0, 1.0]])), tol=1e-12)
+            assert kra.equals(
+                ConvexVelocitySet(np.array([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])), tol=1e-12
+            )
+
+    def test_with_coordinate_guard_at_origin(self):
+        fld = PiecewiseField(
+            2,
+            [NormGuard([0.0, 0.0], 0.0), CoordinateGuard(1, 2)],
+            {k: ConstantPiece(v) for k, v in _QUADRANTS.items()},
+            {"0+": [2.0, 2.0], "00": [3.0, 3.0], "+0": [4.0, 4.0], "-0": [6.0, 6.0]},
+        )
+        x = np.zeros(2)
+        assert fld.adjacent_patterns(x) == ["++", "+-"]
+        # '-0' needs the inside of a radius-0 circle, which is empty
+        assert fld.adjacent_boundary_patterns(x) == ["0+", "00", "+0"]
 
 
 class TestKrasovskiiMap:

@@ -316,6 +316,18 @@ class TestCheckpointResiduals:
         with pytest.raises(dl.EmptyTrace):
             dl.checkpoint_residuals(empty, fam, [1])
 
+    def test_checkpoint_at_zero_time_raises(self):
+        # a leading zero stepsize leaves t(1) = 0: the average up to 1 has no mass
+        trace = dl.run_sa(
+            dl.builtin_field("relay"), [0.5], dl.StepsizeSchedule("custom", sequence=[0.0, 0.5, 0.5]),
+            dl.NoiseModel("gaussian", 0.1), 3, seed=0,
+        )
+        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        with pytest.raises(dl.EmptyTrace, match=r"t\(1\) = 0"):
+            dl.averaged_measure(trace, 1)
+        with pytest.raises(dl.EmptyTrace, match=r"t\(1\) = 0"):
+            dl.checkpoint_residuals(trace, fam, [1, 3])
+
 
 class TestVelocityMassSplit:
     def test_relay_split_is_balanced(self):

@@ -192,6 +192,21 @@ class TestRunSA:
                 seed=0,
             )
 
+    def test_infinite_blowup_bound_rejected(self):
+        # inf <= inf, so an infinite bound would let the iterate reach inf
+        growing = PiecewiseField(1, [], {"": AffinePiece([[10.0]])}, name="growing")
+        for bound in (float("inf"), float("nan"), 0.0):
+            with pytest.raises(ValueError, match="blowup_bound"):
+                dl.run_sa(
+                    growing,
+                    [1.0],
+                    dl.StepsizeSchedule("constant", a0=1.0),
+                    dl.NoiseModel("zero", 0.0),
+                    400,
+                    seed=0,
+                    blowup_bound=bound,
+                )
+
     def test_lengths_consistent(self):
         trace = dl.run_sa(
             dl.builtin_field("relay"),
