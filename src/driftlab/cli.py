@@ -34,8 +34,14 @@ def _parse_seeds(text):
         raise ConfigInvalid(f"--seeds: {exc}") from exc
 
 
-def _parse_point(text):
-    return np.array([float(v) for v in text.split(",")])
+def _parse_point(text, dimension):
+    try:
+        point = np.array([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise ConfigInvalid(f"--point {text!r}: {exc}") from exc
+    if point.size != dimension or not np.all(np.isfinite(point)):
+        raise ConfigInvalid(f"--point {text!r}: the field needs {dimension} finite coordinates")
+    return point
 
 
 def build_parser():
@@ -89,7 +95,7 @@ def _cmd_integrate(config, args):
 
 def _cmd_maps(config, args):
     field = config.build_field()
-    points = [_parse_point(p) for p in args.point] or [config.x0]
+    points = [_parse_point(p, field.dimension) for p in args.point] or [config.x0]
     for x in points:
         fil = filippov_map(field, x, args.tol)
         kra = krasovskii_map(field, x, args.tol)

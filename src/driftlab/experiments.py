@@ -9,7 +9,7 @@ under a density-noise arm and an atomic-noise arm side by side.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,22 +36,9 @@ _WINDOW_NOTE = (
 
 
 @dataclass
-class SeedResult:
-    seed: int
-    diverged: bool = False
-    final_state: list | None = None
-    t_final: float | None = None
-    tracking_errors: list | None = None
-    residual_rows: list = dc_field(default_factory=list)
-    support_rows: list = dc_field(default_factory=list)
-    notes: list = dc_field(default_factory=list)
-
-
-@dataclass
 class ExperimentBundle:
     out_dir: str
     summary: dict
-    seed_results: list
     any_diverged: bool
 
 
@@ -68,7 +55,7 @@ def write_seed_diagnostics(trace, field, checkpoints, eps_list, paths):
     """Stationarity residuals at the checkpoints and graph-support fractions
     per eps of one trace, with the test family and the support taken from
     one full-trace measure.  Writes paths["residuals"] and paths["support"]
-    and returns (residual_rows, support_rows)."""
+    and returns the support rows."""
     measure = averaged_measure(trace, trace.n_steps)
     family = TestFunctionFamily.from_box(measure.box_states)
     residual_rows = []
@@ -99,7 +86,7 @@ def write_seed_diagnostics(trace, field, checkpoints, eps_list, paths):
         )
     dio.write_residuals_csv(paths["residuals"], residual_rows)
     dio.write_support_csv(paths["support"], support_rows)
-    return residual_rows, support_rows
+    return support_rows
 
 
 def interpretation_flags(field):
@@ -110,9 +97,14 @@ def interpretation_flags(field):
 
 
 def run_single_seed(config, field, seed, out_dir):
-    """One seed of the pipeline; returns a SeedResult and writes its CSVs."""
+    """One seed of the pipeline; writes its CSVs and returns its summary.json
+    record (seed, diverged, final_state, t_final, tracking_errors, support,
+    notes)."""
     paths = seed_paths(out_dir, seed)
-    result = SeedResult(seed=seed)
+    record = dict(
+        seed=seed, diverged=False, final_state=None, t_final=None, tracking_errors=None,
+        support=[], notes=[],
+    )
     try:
         trace = run_sa(
             field,
@@ -124,12 +116,12 @@ def run_single_seed(config, field, seed, out_dir):
             blowup_bound=config.blowup_bound,
         )
     except DivergedIterate as exc:
-        result.diverged = True
-        result.notes.append(str(exc))
-        return result
+        record["diverged"] = True
+        record["notes"].append(str(exc))
+        return record
     dio.write_trace_csv(paths["trace"], trace)
-    result.final_state = trace.states[-1].tolist()
-    result.t_final = float(trace.times[-1])
+    record["final_state"] = trace.states[-1].tolist()
+    record["t_final"] = float(trace.times[-1])
     try:
         report = tracking_profile(
             trace,
@@ -139,15 +131,15 @@ def run_single_seed(config, field, seed, out_dir):
             config.tracking.dt,
             noise_flag=config.noise.density_flag,
         )
-        dio.write_tracking_csv(paths["tracking"], report)
-        result.tracking_errors = [float(e) for e in report.errors]
+        dio.write_tracking_csv(paths["tracking"], report.to_rows())
+        record["tracking_errors"] = [float(e) for e in report.errors]
     except WindowExceedsTrace as exc:
-        result.notes.append(f"tracking skipped: {exc}")
+        record["notes"].append(f"tracking skipped: {exc}")
         dio.write_tracking_csv(paths["tracking"], [])
-    result.residual_rows, result.support_rows = write_seed_diagnostics(
+    record["support"] = write_seed_diagnostics(
         trace, field, config.measures.checkpoints, config.measures.eps, paths
     )
-    return result
+    return record
 
 
 def run_experiment(config, out_dir=None, seeds=None, quiet=True):
@@ -157,38 +149,25 @@ def run_experiment(config, out_dir=None, seeds=None, quiet=True):
     os.makedirs(out_dir, exist_ok=True)
     field = config.build_field()
     schedule_diag = validate_schedule(config.schedule, min(config.n_steps, 100_000))
-    results = []
+    records = []
     for seed in seeds:
         if not quiet:
             print(f"[driftlab] seed {seed} ...")
-        results.append(run_single_seed(config, field, seed, out_dir))
+        records.append(run_single_seed(config, field, seed, out_dir))
     summary = {
         "config": config.effective_dict(),
         "config_sha256": config.content_hash(),
         "schedule_diagnostics": schedule_diag.to_dict(),
         "schedule_warning": schedule_diag.satisfies_conditions is False,
         "interpretation_flags": interpretation_flags(field),
-        "seeds": [
-            {
-                "seed": r.seed,
-                "diverged": r.diverged,
-                "final_state": r.final_state,
-                "t_final": r.t_final,
-                "tracking_errors": r.tracking_errors,
-                "support": r.support_rows,
-                "notes": r.notes,
-            }
-            for r in results
-        ],
+        "seeds": records,
     }
     dio.write_json(os.path.join(out_dir, "summary.json"), summary)
-    any_diverged = any(r.diverged for r in results)
+    any_diverged = any(r["diverged"] for r in records)
     if not quiet:
         status = "DIVERGED" if any_diverged else "ok"
         print(f"[driftlab] wrote {out_dir} ({status})")
-    return ExperimentBundle(
-        out_dir=out_dir, summary=summary, seed_results=results, any_diverged=any_diverged
-    )
+    return ExperimentBundle(out_dir=out_dir, summary=summary, any_diverged=any_diverged)
 
 
 def _arm_noise_models(config):
@@ -226,22 +205,20 @@ def compare_noise_study(config, out_dir=None, seeds=None, quiet=True):
         arm_dir = os.path.join(out_dir, f"arm_{arm_name}")
         bundle = run_experiment(arm_config, out_dir=arm_dir, seeds=seeds, quiet=quiet)
         any_diverged = any_diverged or bundle.any_diverged
-        finals, t_finals, escapes = [], [], []
+        finals, escapes = [], []
         fil_fracs, kra_fracs = [], []
         first_errs, last_errs = [], []
-        for r in bundle.seed_results:
-            if r.diverged:
+        for r in bundle.summary["seeds"]:
+            if r["diverged"]:
                 continue
-            x_final = np.asarray(r.final_state)
-            finals.append(float(np.linalg.norm(x_final)))
-            t_finals.append(r.t_final)
-            escapes.append(float(np.linalg.norm(x_final)) >= 0.5 * r.t_final)
-            for row in r.support_rows:
-                fil_fracs.append(row["filippov_fraction"])
-                kra_fracs.append(row["krasovskii_fraction"])
-            if r.tracking_errors:
-                first_errs.append(r.tracking_errors[0])
-                last_errs.append(r.tracking_errors[-1])
+            final_norm = float(np.linalg.norm(r["final_state"]))
+            finals.append(final_norm)
+            escapes.append(final_norm >= 0.5 * r["t_final"])
+            fil_fracs += [row["filippov_fraction"] for row in r["support"]]
+            kra_fracs += [row["krasovskii_fraction"] for row in r["support"]]
+            if r["tracking_errors"]:
+                first_errs.append(r["tracking_errors"][0])
+                last_errs.append(r["tracking_errors"][-1])
         table.append(
             {
                 "arm": arm_name,
@@ -264,11 +241,11 @@ def compare_noise_study(config, out_dir=None, seeds=None, quiet=True):
             )
     if not field.guards:
         flags.append("no dichotomy (smooth field)")
-    header = list(table[0].keys())
-    rows = [[_cell(row[k]) for k in header] for row in table]
-    dio.atomic_write_text(
+    header = list(table[0])
+    dio.write_table(
         os.path.join(out_dir, "study_comparison.csv"),
-        ",".join(header) + "\n" + "\n".join(",".join(r) for r in rows) + "\n",
+        header,
+        ([row[k] for k in header] for row in table),
     )
     dio.write_json(
         os.path.join(out_dir, "study_summary.json"),
@@ -276,10 +253,3 @@ def compare_noise_study(config, out_dir=None, seeds=None, quiet=True):
     )
     return StudyResult(out_dir=out_dir, table=table, flags=flags, any_diverged=any_diverged)
 
-
-def _cell(value):
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return dio.fmt(value)
-    return str(value)

@@ -42,11 +42,13 @@ class AffineGuard:
         if self.a.ndim != 1 or not np.any(self.a):
             raise ValueError("affine guard needs a nonzero 1-d coefficient vector")
 
+    # value and value_batch share one expression, so a point labels the same
+    # way alone and in a batch (a BLAS matvec rounds differently from a dot)
     def value(self, x):
-        return float(self.a @ x + self.b)
+        return float((x * self.a).sum() + self.b)
 
     def value_batch(self, xs):
-        return xs @ self.a + self.b
+        return (xs * self.a).sum(axis=1) + self.b
 
     def gradient(self, x):
         return self.a
@@ -64,6 +66,12 @@ class CoordinateGuard(AffineGuard):
         super().__init__(a, 0.0)
         self.index = int(index)
 
+    def value(self, x):
+        return float(x[self.index]) + 0.0
+
+    def value_batch(self, xs):
+        return xs[:, self.index] + 0.0
+
     def to_dict(self):
         return {"type": "coordinate", "index": self.index, "dimension": self.a.size}
 
@@ -76,10 +84,12 @@ class NormGuard:
         self.radius = float(radius)
 
     def value(self, x):
-        return float(np.linalg.norm(x - self.center) - self.radius)
+        diff = x - self.center
+        return float(np.sqrt((diff * diff).sum()) - self.radius)
 
     def value_batch(self, xs):
-        return np.linalg.norm(xs - self.center, axis=1) - self.radius
+        diff = xs - self.center
+        return np.sqrt((diff * diff).sum(axis=1)) - self.radius
 
     def gradient(self, x):
         diff = x - self.center

@@ -1,13 +1,12 @@
 """Deterministic CSV/JSON artifact writers with atomic replacement.
 
-All floats are rendered with 17 significant digits so reruns with identical
-configs and seeds produce byte-identical files.
+Every CSV cell is rendered by one rule, `_cell`; floats get 17 significant
+digits, so they read back bit-exactly and reruns with identical configs and
+seeds produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import json
 import os
 import tempfile
@@ -18,8 +17,18 @@ from .errors import IoFailure
 from .sa import IterateTrace
 
 
-def fmt(value):
-    return format(float(value), ".17g")
+def _cell(value):
+    """Strings as given, booleans as true/false, integers in decimal, any
+    other number as "%.17g" (the same text as format(float(v), ".17g"))."""
+    if isinstance(value, float):  # np.float64 too; the common case goes first
+        return "%.17g" % value
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.17g" % value
 
 
 def atomic_write_text(path, text):
@@ -40,58 +49,64 @@ def atomic_write_text(path, text):
         raise IoFailure(f"could not write {path}: {exc}") from exc
 
 
-def _csv_text(header, rows):
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def write_table(path, header, rows):
+    """A CSV file of one header line and one line per row, each cell
+    rendered by _cell and joined with ','.  Text cells are written as
+    given, so they must hold no ',' and no line break."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _trace_header(d):
+    return ["n", "t"] + [f"{name}_{i + 1}" for name in "xzM" for i in range(d)] + ["a"]
 
 
 def write_trace_csv(path, trace):
+    """One row per step n < N (n, t, x, z, M, a) and a final-state row
+    (N, t, x) whose 2d+1 remaining cells are empty."""
     d = trace.dimension
-    header = (
-        ["n", "t"]
-        + [f"x_{i + 1}" for i in range(d)]
-        + [f"z_{i + 1}" for i in range(d)]
-        + [f"M_{i + 1}" for i in range(d)]
-        + ["a"]
-    )
-    rows = []
-    n_steps = trace.n_steps
-    for n in range(n_steps + 1):
-        row = [str(n), fmt(trace.times[n])] + [fmt(v) for v in trace.states[n]]
-        if n < n_steps:
-            row += [fmt(v) for v in trace.drifts[n]]
-            row += [fmt(v) for v in trace.noises[n]]
-            row.append(fmt(trace.steps[n]))
-        else:
-            row += [""] * (2 * d + 1)
-        rows.append(row)
-    atomic_write_text(path, _csv_text(header, rows))
+    body = np.column_stack(
+        [trace.times[:-1], trace.states[:-1], trace.drifts, trace.noises, trace.steps]
+    ).tolist()
+    rows = [[n, *row] for n, row in enumerate(body)]
+    rows.append([trace.n_steps, trace.times[-1], *trace.states[-1]] + [""] * (2 * d + 1))
+    write_table(path, _trace_header(d), rows)
 
 
 def read_trace_csv(path, seed=0, field_name=""):
+    """The trace write_trace_csv wrote, bit-exactly.  Anything else (another
+    header, a row with missing or non-numeric cells, no final-state row, an
+    n column that does not run 0..N) raises IoFailure naming the path."""
     try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            rows = list(reader)
+        with open(path) as handle:
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise IoFailure(f"could not read {path}: {exc}") from exc
-    d = sum(1 for name in header if name.startswith("x_"))
-    times = np.array([float(r[1]) for r in rows])
-    states = np.array([[float(v) for v in r[2 : 2 + d]] for r in rows])
-    body = rows[:-1]
-    drifts = np.array([[float(v) for v in r[2 + d : 2 + 2 * d]] for r in body])
-    noises = np.array([[float(v) for v in r[2 + 2 * d : 2 + 3 * d]] for r in body])
-    steps = np.array([float(r[2 + 3 * d]) for r in body])
+    if not lines:
+        raise IoFailure(f"{path}: empty file, not a trace CSV")
+    header = lines[0].split(",")
+    d, rem = divmod(len(header) - 3, 3)
+    if d < 1 or rem or header != _trace_header(d):
+        raise IoFailure(f"{path}: not a trace CSV header: {lines[0]!r}")
+    width = 3 * d + 3
+    rows = [line.split(",") for line in lines[1:]]
+    if not rows or len(rows[-1]) != width or any(rows[-1][2 + d :]):
+        raise IoFailure(f"{path}: no final-state row with {2 * d + 1} empty cells (truncated?)")
+    try:  # a ragged body cannot take the shape (rows, width)
+        body = np.array(rows[:-1], dtype=float).reshape(len(rows) - 1, width)
+        final = np.array(rows[-1][: 2 + d], dtype=float)
+    except ValueError as exc:
+        raise IoFailure(f"{path}: a row is not {width} numeric cells: {exc}") from exc
+    n_steps = body.shape[0]
+    if not (np.array_equal(body[:, 0], np.arange(n_steps)) and final[0] == n_steps):
+        raise IoFailure(f"{path}: the n column does not run 0..{n_steps}")
     return IterateTrace(
-        states=states,
-        drifts=drifts.reshape(len(body), d),
-        noises=noises.reshape(len(body), d),
-        steps=steps,
-        times=times,
+        states=np.vstack([body[:, 2 : 2 + d], final[2:]]),
+        drifts=body[:, 2 + d : 2 + 2 * d],
+        noises=body[:, 2 + 2 * d : 2 + 3 * d],
+        steps=body[:, 2 + 3 * d],
+        times=np.append(body[:, 1], final[1]),
         seed=seed,
         field_name=field_name,
     )
@@ -99,55 +114,30 @@ def read_trace_csv(path, seed=0, field_name=""):
 
 def write_trajectory_csv(path, trajectory):
     d = trajectory.dimension
-    header = ["t"] + [f"x_{i + 1}" for i in range(d)] + ["mode"]
     labels = list(trajectory.mode_labels)
-    rows = []
-    for i in range(trajectory.times.size):
-        mode = labels[min(i, len(labels) - 1)] if labels else ""
-        rows.append([fmt(trajectory.times[i])] + [fmt(v) for v in trajectory.points[i]] + [mode])
-    atomic_write_text(path, _csv_text(header, rows))
-
-
-def write_tracking_csv(path, report):
-    header = ["window_index", "n_start", "t_start", "T", "error", "noise_flag"]
     rows = [
-        [
-            str(r["window_index"]),
-            str(r["n_start"]),
-            fmt(r["t_start"]),
-            fmt(r["T"]),
-            fmt(r["error"]),
-            str(r["noise_flag"]).lower(),
-        ]
-        for r in (report.to_rows() if hasattr(report, "to_rows") else report)
+        [t, *x, labels[min(i, len(labels) - 1)] if labels else ""]
+        for i, (t, x) in enumerate(zip(trajectory.times.tolist(), trajectory.points.tolist()))
     ]
-    atomic_write_text(path, _csv_text(header, rows))
+    write_table(path, ["t"] + [f"x_{i + 1}" for i in range(d)] + ["mode"], rows)
+
+
+def write_tracking_csv(path, rows):
+    """Rows: TrackingReport.to_rows(), or [] for a seed whose tracking was skipped."""
+    header = ["window_index", "n_start", "t_start", "T", "error", "noise_flag"]
+    write_table(path, header, ([r[k] for k in header] for r in rows))
 
 
 def write_residuals_csv(path, checkpoint_rows):
     """Rows: dicts with checkpoint_n, t_n, member_index, residual, envelope."""
     header = ["checkpoint_n", "t_n", "member_index", "residual", "envelope"]
-    rows = [
-        [
-            str(r["checkpoint_n"]),
-            fmt(r["t_n"]),
-            str(r["member_index"]),
-            fmt(r["residual"]),
-            fmt(r["envelope"]),
-        ]
-        for r in checkpoint_rows
-    ]
-    atomic_write_text(path, _csv_text(header, rows))
+    write_table(path, header, ([r[k] for k in header] for r in checkpoint_rows))
 
 
 def write_support_csv(path, support_rows):
     """Rows: dicts with eps, filippov_fraction, krasovskii_fraction."""
     header = ["eps", "filippov_fraction", "krasovskii_fraction"]
-    rows = [
-        [fmt(r["eps"]), fmt(r["filippov_fraction"]), fmt(r["krasovskii_fraction"])]
-        for r in support_rows
-    ]
-    atomic_write_text(path, _csv_text(header, rows))
+    write_table(path, header, ([r[k] for k in header] for r in support_rows))
 
 
 def canonical_json(obj):

@@ -327,6 +327,24 @@ class TestCli:
         assert "F vertices" in out and "K vertices" in out
         assert "[-1.0, 0.0]" in out  # boundary value in K only
 
+    @pytest.mark.parametrize("point", ["0", "0,0,0", "0,abc", "0,nan"])
+    def test_maps_bad_point_is_config_error(self, tmp_path, capsys, point):
+        path = self._write_config(tmp_path)
+        assert cli_main(["maps", "--config", path, "--point", point]) == 2
+        assert "--point" in capsys.readouterr().err
+
+    def test_measures_on_truncated_trace_is_io_error(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, n_steps=200, seeds=[1],
+                                  tracking={"T": 0.5, "n_windows": 1, "dt": 1e-2},
+                                  measures={"checkpoints": [200], "eps": [0.05]})
+        out = str(tmp_path / "m")
+        assert cli_main(["simulate", "--config", path, "--out", out, "--quiet"]) == 0
+        trace = os.path.join(out, "trace_seed1.csv")
+        lines = open(trace).read().splitlines(keepends=True)
+        open(trace, "w").write("".join(lines[:-1]))  # cut at a row boundary
+        assert cli_main(["measures", "--config", path, "--out", out, "--quiet"]) == 4
+        assert trace in capsys.readouterr().err
+
     def test_measures_recompute(self, tmp_path):
         path = self._write_config(tmp_path, n_steps=500, seeds=[1],
                                   tracking={"T": 0.5, "n_windows": 1, "dt": 1e-2},

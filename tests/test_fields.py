@@ -91,10 +91,31 @@ class TestEvaluateField:
         xs = np.array(
             [[0.0, 0.5], [2.0, -0.3], [1.0, 0.0], [0.0, -1.0], [0.0, 0.0], [-1.0, 2.0]]
         )
-        for fld in (example1, _quadrant_field(), _disc_field(1.0), dl.builtin_field("linear", 2)):
-            batch = fld.evaluate_batch(xs)
-            for i, x in enumerate(xs):
-                assert np.array_equal(batch[i], fld.evaluate(x))
+        cases = [
+            (fld, xs)
+            for fld in (example1, _quadrant_field(), _disc_field(1.0), dl.builtin_field("linear", 2))
+        ]
+        # rows placed on random planes and circles, where the guard value is
+        # a rounding error away from 0: the two evaluators must round alike
+        rng = np.random.default_rng(7)
+        for d in (2, 3, 5):
+            a, b = rng.normal(size=d), rng.normal()
+            pts = rng.normal(size=(500, d)) * 3.0
+            pts -= np.outer((pts @ a + b) / (a @ a), a)
+            plane = PiecewiseField(
+                d, [AffineGuard(a, b)],
+                {"+": ConstantPiece(np.ones(d)), "-": ConstantPiece(-np.ones(d))},
+                {"0": np.zeros(d)},
+            )
+            cases.append((plane, pts))
+        theta = rng.uniform(0.0, 2.0 * np.pi, 2000)
+        circle = np.column_stack([np.cos(theta), np.sin(theta)])
+        cases.append((_disc_field(1.0), circle))
+        cases.append((_disc_field(2.5), 2.5 * circle))
+        for fld, points in cases:
+            batch = fld.evaluate_batch(points)
+            pointwise = np.array([fld.evaluate(x) for x in points])
+            assert np.array_equal(batch, pointwise)
 
 
 class TestFilippovMap:

@@ -1,13 +1,16 @@
-"""Every driftlab attribute the benchmark traces must exist.
+"""Every driftlab name the benchmark relies on must exist.
 
-perfbench/tracing.py resolves its ENTRY_POINTS only in a traced run, and
-the benchmark's own tests are not part of this suite, so a rename inside
-driftlab would otherwise break only the traced benchmark.  The file is
-parsed, not imported.
+perfbench/tracing.py resolves its ENTRY_POINTS, and its hooks read their
+arguments by name, only in a traced run; perfbench/workloads.py closes a
+stage per seed by replacing experiments.run_single_seed.  The benchmark's
+own tests are not part of this suite, so a rename inside driftlab would
+otherwise break only the benchmark.  The tracing file is parsed, not
+imported.
 """
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
@@ -34,3 +37,76 @@ def test_traced_entry_points_resolve():
         if obj is None:
             missing.append(f"driftlab.{module}.{path}")
     assert not missing, f"traced names missing: {missing}"
+
+
+def _hook_arguments():
+    """{traced prefix: names the hook reads as args["..."]} from Tracer."""
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    tracer = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Tracer")
+    methods = {n.name: n for n in tracer.body if isinstance(n, ast.FunctionDef)}
+    hooks = next(
+        node.value
+        for node in ast.walk(methods["__init__"])
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Attribute) and t.attr == "_hooks" for t in node.targets)
+    )
+    out = {}
+    for key, value in zip(hooks.keys, hooks.values):
+        method = methods[value.attr]
+        out[ast.literal_eval(key)] = {
+            node.slice.value
+            for node in ast.walk(method)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+            and isinstance(node.slice, ast.Constant)
+        }
+    return out
+
+
+def test_traced_hook_arguments_are_parameters():
+    entries = {prefix: (module, path) for prefix, module, path in _entry_points()}
+    hooks = _hook_arguments()
+    assert hooks
+    missing = []
+    for prefix, names in hooks.items():
+        module, path = entries[prefix]
+        obj = importlib.import_module(f"driftlab.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr)
+        params = inspect.signature(obj).parameters
+        missing += [f"{prefix}: {name}" for name in sorted(names) if name not in params]
+    assert not missing, f"hook arguments that are not parameters: {missing}"
+
+
+def test_run_single_seed_is_called_through_the_module(tmp_path, monkeypatch):
+    # the benchmark closes a stage per seed by replacing this module attribute
+    from driftlab import experiments
+    from driftlab.config import config_from_dict
+
+    calls = []
+    original = experiments.run_single_seed
+
+    def counting(config, field, seed, out_dir):
+        calls.append(seed)
+        return original(config, field, seed, out_dir)
+
+    monkeypatch.setattr(experiments, "run_single_seed", counting)
+    cfg = config_from_dict(
+        {
+            "field": "spurious_equilibrium",
+            "x0": [0.0],
+            "schedule": {"kind": "power", "a0": 1.0, "gamma": 0.75},
+            "noise": {"kind": "gaussian", "scale": 0.1},
+            "n_steps": 200,
+            "seeds": [1, 2],
+            "tracking": {"T": 0.5, "n_windows": 1, "dt": 1e-2},
+            "measures": {"checkpoints": [200], "eps": [0.05]},
+            "output_dir": str(tmp_path / "out"),
+        }
+    )
+    experiments.run_experiment(cfg, out_dir=str(tmp_path / "run"))
+    assert calls == [1, 2]
+    calls.clear()
+    experiments.compare_noise_study(cfg, out_dir=str(tmp_path / "study"))
+    assert calls == [1, 2, 1, 2]
