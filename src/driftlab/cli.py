@@ -3,12 +3,14 @@
 Subcommands: simulate (SA runs), integrate (inclusion only), maps (print
 F/K hulls at query points), measures (recompute diagnostics from existing
 trace CSVs), study (noise dichotomy comparison).  Exit codes: 0 ok,
-2 config error, 3 diverged iterate, 4 I/O failure.
+2 config error (also a bad maps --point or --tol), 3 diverged iterate,
+4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -94,6 +96,8 @@ def _cmd_integrate(config, args):
 
 
 def _cmd_maps(config, args):
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigInvalid(f"--tol {args.tol!r}: must be a finite number > 0")
     field = config.build_field()
     points = [_parse_point(p, field.dimension) for p in args.point] or [config.x0]
     for x in points:

@@ -94,10 +94,27 @@ def _require(data, key, path, types=None):
     return value
 
 
+def _is_number(value):
+    """A JSON number; true and false are bools, which Python counts as ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _positive(value, path):
-    if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
+    if not (_is_number(value) and value > 0 and math.isfinite(value)):
         raise ConfigInvalid(f"{path}: must be a positive finite number")
     return float(value)
+
+
+def _integer(value, path):
+    if not (_is_number(value) and isinstance(value, int)):
+        raise ConfigInvalid(f"{path}: must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, path):
+    if not isinstance(value, list):
+        raise ConfigInvalid(f"{path}: must be a list, got {type(value).__name__}")
+    return value
 
 
 def _require_finite(value, path):
@@ -127,13 +144,17 @@ def config_from_dict(data):
         _require_finite(field_spec, "field")
         try:
             PiecewiseField.from_dict(field_spec)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(f"field: invalid inline definition: {exc}") from exc
     else:
         raise ConfigInvalid("field: must be a built-in name or an inline object")
 
-    x0 = np.asarray(_require(data, "x0", "", list), dtype=float)
-    if x0.ndim != 1 or x0.size == 0 or not np.all(np.isfinite(x0)):
+    x0 = _require(data, "x0", "", list)
+    for i, value in enumerate(x0):
+        if not _is_number(value):
+            raise ConfigInvalid(f"x0[{i}]: must be a number, got {value!r}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.size == 0 or not np.all(np.isfinite(x0)):
         raise ConfigInvalid("x0: must be a non-empty finite vector")
 
     sched_data = _require(data, "schedule", "", dict)
@@ -158,32 +179,34 @@ def config_from_dict(data):
     except (ValueError, TypeError) as exc:
         raise ConfigInvalid(f"noise: {exc}") from exc
 
-    n_steps = _require(data, "n_steps", "", int)
+    n_steps = _integer(_require(data, "n_steps", ""), "n_steps")
     if n_steps < 1:
         raise ConfigInvalid("n_steps: must be >= 1")
 
     seeds = _require(data, "seeds", "", list)
-    if not seeds or not all(isinstance(s, int) for s in seeds):
+    if not seeds:
         raise ConfigInvalid("seeds: must be a non-empty list of integers")
+    seeds = [_integer(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
 
     tr = data.get("tracking", {})
     tracking = TrackingParams(
         T=_positive(tr.get("T", 1.0), "tracking.T"),
-        n_windows=int(tr.get("n_windows", 5)),
+        n_windows=_integer(tr.get("n_windows", 5), "tracking.n_windows"),
         dt=_positive(tr.get("dt", 1e-3), "tracking.dt"),
     )
     if tracking.n_windows < 1:
         raise ConfigInvalid("tracking.n_windows: must be >= 1")
 
     ms = data.get("measures", {})
-    checkpoints = [int(c) for c in ms.get("checkpoints", [max(1, n_steps // 4), n_steps])]
+    checkpoints = ms.get("checkpoints", [max(1, n_steps // 4), n_steps])
+    checkpoints = _list(checkpoints, "measures.checkpoints")
+    checkpoints = [_integer(c, f"measures.checkpoints[{i}]") for i, c in enumerate(checkpoints)]
     if any(c < 1 or c > n_steps for c in checkpoints):
         raise ConfigInvalid("measures.checkpoints: each must be in [1, n_steps]")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ConfigInvalid("measures.checkpoints: must be strictly increasing")
-    eps_list = [float(e) for e in ms.get("eps", [0.05])]
-    if any(e <= 0 for e in eps_list):
-        raise ConfigInvalid("measures.eps: each must be > 0")
+    eps_list = _list(ms.get("eps", [0.05]), "measures.eps")
+    eps_list = [_positive(e, f"measures.eps[{i}]") for i, e in enumerate(eps_list)]
     measures = MeasureParams(checkpoints=checkpoints, eps=eps_list)
 
     ig = data.get("integrate", {})
@@ -198,7 +221,7 @@ def config_from_dict(data):
         schedule=schedule,
         noise=noise,
         n_steps=n_steps,
-        seeds=[int(s) for s in seeds],
+        seeds=seeds,
         tracking=tracking,
         measures=measures,
         integrate=integrate,

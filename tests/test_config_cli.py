@@ -87,6 +87,9 @@ class TestConfigValidation:
             ("integrate", {"t_end": float("inf"), "dt": 1e-3}, "integrate.t_end"),
             ("integrate", {"t_end": 3.0, "dt": float("inf")}, "integrate.dt"),
             ("blowup_bound", float("inf"), "blowup_bound"),
+            ("measures", {"checkpoints": [500, 3000], "eps": [float("nan")]}, "measures.eps[0]"),
+            ("measures", {"checkpoints": [500, 3000], "eps": [0.01, float("inf")]},
+             "measures.eps[1]"),
         ],
     )
     def test_non_finite_numbers_rejected(self, tmp_path, key, value, path):
@@ -95,6 +98,32 @@ class TestConfigValidation:
         config_path.write_text(json.dumps(base_config(tmp_path, x0=[0.5], **{key: value})))
         with pytest.raises(dl.ConfigInvalid, match=re.escape(path)):
             load_config(str(config_path))
+
+    @pytest.mark.parametrize(
+        "key, value, path",
+        [
+            ("x0", ["a", 1.0], "x0[0]"),
+            ("x0", [0.0, True], "x0[1]"),
+            ("n_steps", True, "n_steps"),
+            ("n_steps", 3000.0, "n_steps"),
+            ("seeds", [1, True], "seeds[1]"),
+            ("seeds", [1.5], "seeds[0]"),
+            ("tracking", {"T": 1.0, "n_windows": "abc", "dt": 1e-3}, "tracking.n_windows"),
+            ("tracking", {"T": 1.0, "n_windows": 2.7, "dt": 1e-3}, "tracking.n_windows"),
+            ("tracking", {"T": True, "n_windows": 3, "dt": 1e-3}, "tracking.T"),
+            ("measures", {"checkpoints": ["a"], "eps": [0.05]}, "measures.checkpoints[0]"),
+            ("measures", {"checkpoints": [500, 2500.5], "eps": [0.05]}, "measures.checkpoints[1]"),
+            ("measures", {"checkpoints": 3000, "eps": [0.05]}, "measures.checkpoints"),
+            ("measures", {"checkpoints": [3000], "eps": ["abc"]}, "measures.eps[0]"),
+            ("measures", {"checkpoints": [3000], "eps": [0.05, 0]}, "measures.eps[1]"),
+            ("measures", {"checkpoints": [3000], "eps": "abc"}, "measures.eps"),
+            ("field", {"dimension": None}, "field"),
+        ],
+    )
+    def test_wrong_types_rejected(self, tmp_path, key, value, path):
+        # each used to load (truncated or coerced) or raise a bare ValueError
+        with pytest.raises(dl.ConfigInvalid, match=f"^{re.escape(path)}:"):
+            config_from_dict(base_config(tmp_path, **{key: value}))
 
     def test_hash_matches_recomputation(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
@@ -332,6 +361,12 @@ class TestCli:
         path = self._write_config(tmp_path)
         assert cli_main(["maps", "--config", path, "--point", point]) == 2
         assert "--point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_maps_bad_tol_is_config_error(self, tmp_path, capsys, tol):
+        path = self._write_config(tmp_path)
+        assert cli_main(["maps", "--config", path, "--point", "0,0", f"--tol={tol}"]) == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_measures_on_truncated_trace_is_io_error(self, tmp_path, capsys):
         path = self._write_config(tmp_path, n_steps=200, seeds=[1],

@@ -1,17 +1,23 @@
-"""Every driftlab name a demo script uses must exist.
+"""Every demo script runs, and every driftlab name it uses exists.
 
-The demos are not run here (together they take tens of seconds); their
-sources are parsed, so removing or renaming a public name cannot silently
-break one.
+Each demo is run to completion from a copy in a temporary directory (demo
+02 writes `out/` beside its file), so a change that breaks one fails here.
+Their sources are parsed too, so a removed or renamed public name is
+reported by name.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _driftlab_uses(tree):
@@ -46,3 +52,15 @@ def test_demo_names_resolve(demo):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"{demo.name} uses missing names: {missing}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    script = tmp_path / demo.name
+    shutil.copy(demo, script)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, f"{demo.name} exited {proc.returncode}:\n{proc.stderr}"

@@ -1,9 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import driftlab as dl
-from driftlab.fields import AffinePiece, PiecewiseField
+from driftlab.fields import (
+    AffineGuard,
+    AffinePiece,
+    ConstantPiece,
+    CoordinateGuard,
+    NormGuard,
+    PiecewiseField,
+    QuadraticPiece,
+)
+from driftlab.sa import _BLOCK_ROWS, DEFAULT_BLOWUP_BOUND
 
 
 class TestStepsize:
@@ -315,3 +326,195 @@ class TestReplayProperty:
             seed=seed,
         )
         assert trace.replay_residual() == 0.0
+
+
+def _run_sa_oracle(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWUP_BOUND):
+    """The per-step numpy loop that run_sa replaced, kept as its reference:
+    (states, drifts, noises, steps, times)."""
+    rng = dl.make_rng(seed)
+    steps = schedule.values(n_steps)
+    noises = noise.sample_batch(n_steps, field.dimension, rng)
+    states = np.empty((n_steps + 1, field.dimension))
+    drifts = np.empty((n_steps, field.dimension))
+    states[0] = x = np.asarray(x0, dtype=float)
+    for n in range(n_steps):
+        z = field.evaluate(x)
+        drifts[n] = z
+        x = x + steps[n] * (z + noises[n])
+        states[n + 1] = x
+        if not float(x @ x) <= blowup_bound * blowup_bound:
+            if not np.all(np.isfinite(x)):
+                raise dl.DivergedIterate(f"x({n + 1}) is not finite: {x.tolist()}")
+            raise dl.DivergedIterate(f"|x({n + 1})| exceeded the blow-up bound {blowup_bound:g}")
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    return states, drifts, noises, steps, times
+
+
+def _assert_matches_oracle(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWUP_BOUND):
+    """run_sa gives the oracle's arrays byte for byte, or its exception."""
+    args = (field, x0, schedule, noise, n_steps, seed, blowup_bound)
+    try:
+        expected = _run_sa_oracle(*args)
+    except Exception as exc:  # any failure of the oracle must be reproduced
+        with pytest.raises(type(exc)) as info:
+            dl.run_sa(*args)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    trace = dl.run_sa(*args)
+    got = (trace.states, trace.drifts, trace.noises, trace.steps, trace.times)
+    for name, a, b in zip(("states", "drifts", "noises", "steps", "times"), got, expected):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+_N_STEPS = st.sampled_from(
+    [1, 2, 3, 40, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5]
+)
+_NOISES = st.builds(
+    dl.NoiseModel,
+    st.sampled_from(["gaussian", "uniform_ball", "rademacher", "zero"]),
+    st.sampled_from([0.0, 0.1, 0.5]),
+)
+_GRID = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])  # dyadic values land on guards
+_COEFFS = _GRID | st.floats(min_value=-2.0, max_value=2.0)
+
+
+def _schedules(n_steps):
+    return st.one_of(
+        st.builds(
+            lambda a0, gamma: dl.StepsizeSchedule("power", a0=a0, gamma=gamma),
+            st.floats(min_value=0.01, max_value=1.0),
+            st.floats(min_value=0.5, max_value=1.0),
+        ),
+        st.sampled_from([0.5, 0.25, 0.1]).map(lambda a0: dl.StepsizeSchedule("constant", a0=a0)),
+        # a repeated pattern with zero stepsizes in it
+        st.lists(st.sampled_from([0.0, 0.5, 0.125, 0.3]), min_size=1, max_size=6).map(
+            lambda seq: dl.StepsizeSchedule("custom", sequence=np.resize(seq, n_steps))
+        ),
+    )
+
+
+def _vectors(size, elements=_COEFFS):
+    return st.lists(elements, min_size=size, max_size=size)
+
+
+@st.composite
+def _random_fields(draw, x0):
+    """Coordinate, affine and norm guards; constant, affine and quadratic
+    pieces; boundary values on a random subset of the boundary patterns."""
+    d = len(x0)
+    guards = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["coordinate", "affine", "norm"]))
+        if kind == "coordinate":
+            guards.append(CoordinateGuard(draw(st.integers(min_value=0, max_value=d - 1)), d))
+        elif kind == "affine":
+            guards.append(AffineGuard(draw(_vectors(d, _GRID).filter(any)), draw(_GRID)))
+        else:
+            center = draw(st.just(x0) | _vectors(d, _GRID))
+            guards.append(NormGuard(center, draw(st.sampled_from([0.0, 0.5, 1.0]))))
+    small = st.floats(min_value=-0.5, max_value=0.5) | _GRID
+    piece = st.one_of(
+        _vectors(d).map(ConstantPiece),
+        st.tuples(_vectors(d * d, small), _vectors(d)).map(
+            lambda t: AffinePiece(np.reshape(t[0], (d, d)), t[1])
+        ),
+        _vectors(d * d * d, small).map(lambda q: QuadraticPiece(np.reshape(q, (d, d, d)))),
+    )
+    signs = len(guards)
+    pieces = {"".join(p): draw(piece) for p in itertools.product("+-", repeat=signs)}
+    boundary_values = {
+        "".join(p): draw(_vectors(d))
+        for p in itertools.product("+-0", repeat=signs)
+        if "0" in p and draw(st.booleans())
+    }
+    return PiecewiseField(d, guards, pieces, boundary_values, name="random")
+
+
+class TestRunSAOracle:
+    """run_sa steps on Python floats; the numpy loop it replaced is the oracle."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_builtin_fields_match_oracle(self, data):
+        name = data.draw(st.sampled_from(dl.BUILTIN_FIELDS))
+        field = dl.builtin_field(name)
+        n_steps = data.draw(_N_STEPS)
+        _assert_matches_oracle(
+            field,
+            data.draw(_vectors(field.dimension, _GRID)),
+            data.draw(_schedules(n_steps)),
+            data.draw(_NOISES),
+            n_steps,
+            data.draw(st.integers(min_value=0, max_value=2**31)),
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_fields_match_oracle(self, data):
+        x0 = data.draw(_vectors(data.draw(st.integers(min_value=1, max_value=3)), _GRID))
+        n_steps = data.draw(_N_STEPS)
+        _assert_matches_oracle(
+            data.draw(_random_fields(x0)),
+            x0,
+            data.draw(_schedules(n_steps)),
+            data.draw(_NOISES),
+            n_steps,
+            data.draw(st.integers(min_value=0, max_value=2**31)),
+            data.draw(st.sampled_from([DEFAULT_BLOWUP_BOUND, 10.0, 2.0])),
+        )
+
+    @pytest.mark.parametrize(
+        "piece",
+        [ConstantPiece([1.0, 0.0]), AffinePiece([[0.0, 0.0], [0.0, -1.0]], [1.0, 0.0])],
+        ids=["constant", "affine"],
+    )
+    def test_surface_without_value_matches_oracle(self, piece):
+        # the iterate slides along y = 0, so every step takes the pattern '0',
+        # which has no value and so gets the piece of '+'
+        field = PiecewiseField(2, [CoordinateGuard(1, 2)], {"+": piece, "-": ConstantPiece([-1.0, 0.0])})
+        schedule = dl.StepsizeSchedule("power", a0=0.5, gamma=0.75)
+        _assert_matches_oracle(field, [0.0, 0.0], schedule, dl.NoiseModel("zero", 0.0), _BLOCK_ROWS + 1, 0)
+        trace = dl.run_sa(field, [0.0, 0.0], schedule, dl.NoiseModel("zero", 0.0), 10, 0)
+        assert np.all(trace.states[:, 1] == 0.0) and np.all(trace.drifts[:, 0] == 1.0)
+
+    @pytest.mark.parametrize("value", [[0.5], 0.5], ids=["size-1", "scalar"])
+    def test_size_one_piece_broadcasts_like_oracle(self, value):
+        # nothing checks a piece's size against the field's dimension, and the
+        # numpy loop broadcast a size-1 drift over every component
+        field = PiecewiseField(2, [CoordinateGuard(0, 2)], {"+": ConstantPiece(value),
+                                                            "-": AffinePiece([[1.0, 0.0]])})
+        schedule = dl.StepsizeSchedule("constant", a0=0.25)
+        _assert_matches_oracle(field, [-1.0, 0.5], schedule, dl.NoiseModel("gaussian", 0.1), 60, 3)
+        trace = dl.run_sa(field, [1.0, 0.5], schedule, dl.NoiseModel("zero", 0.0), 1, 0)
+        assert np.array_equal(trace.drifts, [[0.5, 0.5]])
+
+    def test_nan_iterate_matches_oracle(self):
+        nan_field = PiecewiseField(2, [], {"": AffinePiece([[np.nan, 0.0], [0.0, 1.0]])}, name="nan")
+        schedule = dl.StepsizeSchedule("constant", a0=0.1)
+        _assert_matches_oracle(nan_field, [1.0, 1.0], schedule, dl.NoiseModel("zero", 0.0), 50, 0)
+
+    def test_exceeded_bound_matches_oracle(self):
+        expanding = PiecewiseField(1, [], {"": AffinePiece([[2.0]])}, name="expanding")
+        schedule = dl.StepsizeSchedule("constant", a0=1.0)
+        _assert_matches_oracle(expanding, [1.0], schedule, dl.NoiseModel("zero", 0.0), 100, 0, 1e3)
+
+    def test_subnormal_bound_matches_oracle(self):
+        # |x(1)| is below the bound, but x @ x rounds in the subnormal range
+        # to above bound * bound, so the iterate exceeds the bound
+        bound = 2.2825593149915024e-161
+        drift = ConstantPiece([7.233125606015e-162, 2.163317639899709e-161])
+        field = PiecewiseField(2, [], {"": drift}, name="tiny")
+        schedule = dl.StepsizeSchedule("constant", a0=1.0)
+        with pytest.raises(dl.DivergedIterate, match="blow-up bound"):
+            dl.run_sa(field, [0.0, 0.0], schedule, dl.NoiseModel("zero", 0.0), 1, 0, bound)
+        _assert_matches_oracle(field, [0.0, 0.0], schedule, dl.NoiseModel("zero", 0.0), 1, 0, bound)
+
+    def test_iterate_on_the_bound_passes(self):
+        # x(n) = n: x(3) lies exactly on the bound 3, which passes; x(4) does not
+        unit = PiecewiseField(1, [], {"": ConstantPiece([1.0])}, name="unit")
+        schedule = dl.StepsizeSchedule("constant", a0=1.0)
+        noise = dl.NoiseModel("zero", 0.0)
+        assert dl.run_sa(unit, [0.0], schedule, noise, 3, 0, blowup_bound=3.0).states[-1, 0] == 3.0
+        _assert_matches_oracle(unit, [0.0], schedule, noise, 4, 0, 3.0)
+        with pytest.raises(dl.DivergedIterate, match="blow-up bound 3"):
+            dl.run_sa(unit, [0.0], schedule, noise, 4, 0, blowup_bound=3.0)
