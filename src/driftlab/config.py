@@ -117,6 +117,13 @@ def _list(value, path):
     return value
 
 
+def _section(data, key):
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"{key}: must be an object, got {type(value).__name__}")
+    return value
+
+
 def _require_finite(value, path):
     """Reject NaN and infinite numbers anywhere inside value; json.load
     parses the NaN, Infinity and -Infinity tokens."""
@@ -188,7 +195,7 @@ def config_from_dict(data):
         raise ConfigInvalid("seeds: must be a non-empty list of integers")
     seeds = [_integer(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
 
-    tr = data.get("tracking", {})
+    tr = _section(data, "tracking")
     tracking = TrackingParams(
         T=_positive(tr.get("T", 1.0), "tracking.T"),
         n_windows=_integer(tr.get("n_windows", 5), "tracking.n_windows"),
@@ -197,7 +204,7 @@ def config_from_dict(data):
     if tracking.n_windows < 1:
         raise ConfigInvalid("tracking.n_windows: must be >= 1")
 
-    ms = data.get("measures", {})
+    ms = _section(data, "measures")
     checkpoints = ms.get("checkpoints", [max(1, n_steps // 4), n_steps])
     checkpoints = _list(checkpoints, "measures.checkpoints")
     checkpoints = [_integer(c, f"measures.checkpoints[{i}]") for i, c in enumerate(checkpoints)]
@@ -209,11 +216,15 @@ def config_from_dict(data):
     eps_list = [_positive(e, f"measures.eps[{i}]") for i, e in enumerate(eps_list)]
     measures = MeasureParams(checkpoints=checkpoints, eps=eps_list)
 
-    ig = data.get("integrate", {})
+    ig = _section(data, "integrate")
     integrate = IntegrateParams(
         t_end=_positive(ig.get("t_end", 1.0), "integrate.t_end"),
         dt=_positive(ig.get("dt", 1e-3), "integrate.dt"),
     )
+
+    output_dir = data.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigInvalid(f"output_dir: must be a string, got {type(output_dir).__name__}")
 
     config = ExperimentConfig(
         field_spec=field_spec,
@@ -225,7 +236,7 @@ def config_from_dict(data):
         tracking=tracking,
         measures=measures,
         integrate=integrate,
-        output_dir=str(data.get("output_dir", "out")),
+        output_dir=output_dir,
         blowup_bound=_positive(data.get("blowup_bound", DEFAULT_BLOWUP_BOUND), "blowup_bound"),
     )
     # dimension consistency between field and x0

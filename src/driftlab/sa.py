@@ -3,11 +3,22 @@
 Runs x(n+1) = x(n) + a(n) (h(x(n)) + M(n+1)) for a piecewise field h,
 records the full trace, and exposes the algorithmic timescale
 t(n) = sum_{m<n} a(m) together with the linearly interpolated path.
+
+run_sa takes one of two paths, picked by the field's structure alone; both
+give traces bit-identical to the numpy loop x = x + a * (evaluate(x) + M).
+When every guard is a CoordinateGuard and every piece a ConstantPiece
+(relay, example1, spurious_equilibrium), the drift is a constant row per
+sign pattern: only the guarded coordinates step in Python, to pick each
+step's pattern, and the states are one sequential np.add.accumulate of the
+increments a * (z + M) of the picked rows, a block at a time. These are
+the same IEEE operations in the same order. Every other field steps all
+coordinates on Python floats, one sign_pattern and piece_for per step.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +29,7 @@ from .errors import (
     OutOfDomain,
     WindowExceedsTrace,
 )
-from .fields import ConstantPiece
+from .fields import ConstantPiece, CoordinateGuard
 
 DEFAULT_BLOWUP_BOUND = 1e6
 _BLOCK_ROWS = 4096  # steps and noises are read, states and drifts written, per block
@@ -252,17 +263,51 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
     states = np.empty((n_steps + 1, d))
     drifts = np.empty((n_steps, d))
     states[0] = x0
+    columns = _guard_columns(field)
+    if columns is None:
+        _step_loop(field, states, drifts, steps, noises, blowup_bound)
+    else:
+        _step_table(field, columns, states, drifts, steps, noises, blowup_bound)
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    return IterateTrace(
+        states=states,
+        drifts=drifts,
+        noises=noises,
+        steps=steps,
+        times=times,
+        seed=int(seed),
+        field_name=field.name,
+    )
+
+
+def _sure_bound(blowup_bound):
+    """|x| up to this passes the exact test of _check_blowup, which then need
+    not run: the margin covers the rounding of |x| and of x @ x, except near
+    the subnormal range, where the exact test always runs."""
+    return blowup_bound * (1.0 - 1e-12) if blowup_bound * blowup_bound > 1e-280 else 0.0
+
+
+def _check_blowup(x, n, blowup_bound):
+    """Raise DivergedIterate unless x(n), a float array, has
+    float(x @ x) <= blowup_bound^2."""
+    # written as not-<= so that a NaN iterate fails the test too
+    if not float(x @ x) <= blowup_bound * blowup_bound:
+        if not np.all(np.isfinite(x)):
+            raise DivergedIterate(f"x({n}) is not finite: {x.tolist()}")
+        raise DivergedIterate(f"|x({n})| exceeded the blow-up bound {blowup_bound:g}")
+
+
+def _step_loop(field, states, drifts, steps, noises, blowup_bound):
+    """Any field: one sign_pattern and piece_for per step."""
+    d = states.shape[1]
+    n_steps = steps.size
     # the recursion runs on Python floats: xi + a * (zi + mi) per component
     # is the same IEEE operations, in the same order, as the array update
     # x + a * (z + m), and a float op costs far less than a small-array ufunc
-    x = x0.tolist()
+    x = states[0].tolist()
     sign_pattern, piece_for = field.sign_pattern, field.piece_for
     constant_rows = {}  # pattern -> drift row of a ConstantPiece, for this call only
-    bound_sq = blowup_bound * blowup_bound
-    # |x| up to this passes the exact test float(x @ x) <= bound_sq, which
-    # then need not run: the margin covers the rounding of hypot and of x @ x,
-    # except near the subnormal range, where the exact test always runs
-    sure_bound = blowup_bound * (1.0 - 1e-12) if bound_sq > 1e-280 else 0.0
+    sure_bound = _sure_bound(blowup_bound)
     for start in range(0, n_steps, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_steps)
         block_states, block_drifts = [], []
@@ -279,26 +324,116 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
             block_drifts.append(z)
             block_states.append(x)
             if not math.hypot(*x) <= sure_bound:
-                xa = np.array(x)
-                # written as not-<= so that a NaN iterate fails the test too
-                if not float(xa @ xa) <= bound_sq:
-                    if not all(map(math.isfinite, x)):
-                        raise DivergedIterate(f"x({n + 1}) is not finite: {x}")
-                    raise DivergedIterate(
-                        f"|x({n + 1})| exceeded the blow-up bound {blowup_bound:g}"
-                    )
+                _check_blowup(np.array(x), n + 1, blowup_bound)
         states[start + 1:stop + 1] = block_states
         drifts[start:stop] = block_drifts
-    times = np.concatenate([[0.0], np.cumsum(steps)])
-    return IterateTrace(
-        states=states,
-        drifts=drifts,
-        noises=noises,
-        steps=steps,
-        times=times,
-        seed=int(seed),
-        field_name=field.name,
-    )
+
+
+# ---------------------------------------------------------------------------
+# the table path: constant pieces behind coordinate guards
+
+_SIGNS = "+0-"  # the sign label of code 0, 1 and 2 of one guarded coordinate
+
+
+def _guard_columns(field):
+    """The coordinate each guard reads, when every guard is a CoordinateGuard
+    and every piece a ConstantPiece, so that the drift is one of a few
+    constants picked by the signs of those coordinates; None otherwise.
+    Boundary values are ConstantPieces already."""
+    d = field.dimension
+    if not all(type(p) is ConstantPiece for p in field.pieces.values()):
+        return None
+    if not all(type(g) is CoordinateGuard and -d <= g.index < d for g in field.guards):
+        return None
+    return [g.index % d for g in field.guards]
+
+
+def _walk_one(v, zs, a, m, codes, n, stop):
+    """Step the one guarded coordinate v over local steps n..stop-1, as
+    v + a * (z + m) with z the drift of v's sign code: 0, 1 or 2 for '+', '0'
+    and '-' by sign_pattern's rule (abs(v) <= 0 is '0', NaN is '-').
+    Returns (n, code, v) at the first code not in zs, else (stop, None, v)."""
+    for n in range(n, stop):
+        code = 0 if v > 0.0 else 1 if v == 0.0 else 2
+        z = zs.get(code)
+        if z is None:
+            return n, code, v
+        v += a[n] * (z + m[n])
+        codes[n] = code
+    return stop, None, v
+
+
+def _walk_many(vals, zs, a, m, codes, n, stop):
+    """_walk_one for a list of guarded coordinates; coordinate j weighs 3^j
+    in the code."""
+    weights = [3**j for j in range(len(vals))]
+    for n in range(n, stop):
+        code = 0
+        for v, w in zip(vals, weights):
+            if not v > 0.0:
+                code += w if v == 0.0 else w + w
+        z = zs.get(code)
+        if z is None:
+            return n, code, vals
+        an = a[n]
+        vals = [v + an * (zi + mi) for v, zi, mi in zip(vals, z, m[n])]
+        codes[n] = code
+    return stop, None, vals
+
+
+def _step_table(field, columns, states, drifts, steps, noises, blowup_bound):
+    """Constant pieces behind coordinate guards: only the guarded
+    coordinates step in Python, to pick each step's sign pattern; the states
+    are then one sequential np.add.accumulate over the increments
+    a * (z + m) of the picked drift rows, a block at a time."""
+    d = states.shape[1]
+    n_steps = steps.size
+    guarded = sorted(set(columns))
+    slot = [guarded.index(c) for c in columns]  # guard k reads guarded[slot[k]]
+    walk = _walk_one if len(guarded) == 1 else _walk_many
+    rows = {}  # code -> drift row, resolved with piece_for on its first visit
+    guarded_rows = {}  # code -> the row's guarded coordinates, as walk reads them
+
+    def resolve(code):
+        labels = [_SIGNS[code // 3**j % 3] for j in range(len(guarded))]
+        piece = field.piece_for("".join(labels[j] for j in slot))
+        # a ConstantPiece's value does not depend on x
+        z = rows[code] = _drift_row(piece.value(None), d)
+        zg = [z[c] for c in guarded]
+        guarded_rows[code] = zg[0] if walk is _walk_one else zg
+
+    sure_bound = _sure_bound(blowup_bound)
+    codes = array("q", bytes(8 * _BLOCK_ROWS))
+    for start in range(0, n_steps, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n_steps)
+        a, m = steps[start:stop], noises[start:stop]
+        state, mg = states[start, guarded].tolist(), m[:, guarded]
+        if walk is _walk_one:
+            state, mg = state[0], mg[:, 0]
+        a_list, mg = a.tolist(), mg.tolist()
+        n, failure = 0, None
+        while n < stop - start:
+            n, code, state = walk(state, guarded_rows, a_list, mg, codes, n, stop - start)
+            if code is None:
+                break
+            try:
+                resolve(code)
+            except Exception as exc:  # raised below, once the rows before it pass
+                failure = exc
+                break
+        # rows start+1 .. start+n are stepped; a failure waits for their test
+        visited, inverse = np.unique(np.frombuffer(codes, np.int64, n), return_inverse=True)
+        zs = np.array([rows[c] for c in visited.tolist()]).reshape(-1, d)[inverse]
+        block = states[start:start + n + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(a[:n, None], zs + m[:n], out=block[1:])
+            np.add.accumulate(block, axis=0, out=block)
+            sure = np.sqrt((block[1:] * block[1:]).sum(axis=1)) <= sure_bound
+        for i in np.flatnonzero(~sure).tolist():
+            _check_blowup(block[1 + i], start + i + 1, blowup_bound)
+        if failure is not None:
+            raise failure
+        drifts[start:stop] = zs
 
 
 def algorithmic_time(trace, n):

@@ -118,6 +118,11 @@ class TestConfigValidation:
             ("measures", {"checkpoints": [3000], "eps": [0.05, 0]}, "measures.eps[1]"),
             ("measures", {"checkpoints": [3000], "eps": "abc"}, "measures.eps"),
             ("field", {"dimension": None}, "field"),
+            ("tracking", [1], "tracking"),
+            ("measures", "abc", "measures"),
+            ("integrate", None, "integrate"),
+            ("output_dir", None, "output_dir"),
+            ("output_dir", 3, "output_dir"),
         ],
     )
     def test_wrong_types_rejected(self, tmp_path, key, value, path):

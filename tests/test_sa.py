@@ -14,7 +14,7 @@ from driftlab.fields import (
     PiecewiseField,
     QuadraticPiece,
 )
-from driftlab.sa import _BLOCK_ROWS, DEFAULT_BLOWUP_BOUND
+from driftlab.sa import _BLOCK_ROWS, DEFAULT_BLOWUP_BOUND, _guard_columns
 
 
 class TestStepsize:
@@ -430,8 +430,34 @@ def _random_fields(draw, x0):
     return PiecewiseField(d, guards, pieces, boundary_values, name="random")
 
 
+@st.composite
+def _table_fields(draw, x0):
+    """Fields that take run_sa's table path: coordinate guards (indices may
+    repeat) and constant pieces, some full patterns without a piece, boundary
+    values on a random subset; values of size d, size 1, scalars, and [inf],
+    which diverges at the first step that takes it."""
+    d = len(x0)
+    guards = [
+        CoordinateGuard(draw(st.integers(min_value=0, max_value=d - 1)), d)
+        for _ in range(draw(st.integers(min_value=0, max_value=3)))
+    ]
+    value = st.one_of(_vectors(d), _vectors(d), _vectors(1), _COEFFS, st.just([np.inf]))
+    signs = len(guards)
+    pieces = {
+        "".join(p): ConstantPiece(draw(value))
+        for p in itertools.product("+-", repeat=signs)
+        if draw(st.integers(min_value=0, max_value=4))  # one in five has no piece
+    }
+    boundary_values = {
+        "".join(p): draw(value)
+        for p in itertools.product("+-0", repeat=signs)
+        if "0" in p and draw(st.booleans())
+    }
+    return PiecewiseField(d, guards, pieces, boundary_values, name="table")
+
+
 class TestRunSAOracle:
-    """run_sa steps on Python floats; the numpy loop it replaced is the oracle."""
+    """Both paths of run_sa against the per-step numpy loop they replaced."""
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -462,6 +488,56 @@ class TestRunSAOracle:
             data.draw(st.integers(min_value=0, max_value=2**31)),
             data.draw(st.sampled_from([DEFAULT_BLOWUP_BOUND, 10.0, 2.0])),
         )
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_table_fields_match_oracle(self, data):
+        x0 = data.draw(_vectors(data.draw(st.integers(min_value=1, max_value=3)), _GRID))
+        field = data.draw(_table_fields(x0))
+        assert _guard_columns(field) is not None
+        n_steps = data.draw(_N_STEPS)
+        _assert_matches_oracle(
+            field,
+            x0,
+            data.draw(_schedules(n_steps)),
+            data.draw(_NOISES),
+            n_steps,
+            data.draw(st.integers(min_value=0, max_value=2**31)),
+            data.draw(st.sampled_from([DEFAULT_BLOWUP_BOUND, 10.0, 2.0])),
+        )
+
+    @pytest.mark.parametrize("minus", [{"-": ConstantPiece([np.inf])}, {}], ids=["inf", "unassigned"])
+    @pytest.mark.parametrize("scale", [0.0, 0.01])
+    def test_table_failure_mid_block_matches_oracle(self, minus, scale):
+        # x drifts down from 0.5 and reaches the '-' region after about 2000
+        # steps: a non-finite iterate, or a pattern without a piece
+        field = PiecewiseField(1, [CoordinateGuard(0, 1)], {"+": ConstantPiece([-1.0]), **minus})
+        schedule = dl.StepsizeSchedule("constant", a0=1.0 / _BLOCK_ROWS)
+        with pytest.raises((dl.DivergedIterate, dl.UnassignedPattern)):
+            dl.run_sa(field, [0.5], schedule, dl.NoiseModel("gaussian", scale), 2 * _BLOCK_ROWS, 0)
+        _assert_matches_oracle(field, [0.5], schedule, dl.NoiseModel("gaussian", scale), 2 * _BLOCK_ROWS, 0)
+
+    @pytest.mark.parametrize(
+        "name, x0, noise",
+        [
+            ("relay", [0.5], dl.NoiseModel("gaussian", 0.1)),
+            ("example1", [0.0, 1.0], dl.NoiseModel("gaussian", 0.1)),
+            ("spurious_equilibrium", [0.0], dl.NoiseModel("zero", 0.0)),
+        ],
+    )
+    def test_constant_fields_take_the_table_path(self, monkeypatch, name, x0, noise):
+        # the table path resolves each pattern once per call and labels no
+        # iterate with sign_pattern; the per-step loop labels every one
+        field = dl.builtin_field(name)
+        values, labels = [], []
+        value, sign_pattern = ConstantPiece.value, field.sign_pattern
+        monkeypatch.setattr(ConstantPiece, "value", lambda piece, x: values.append(piece) or value(piece, x))
+        monkeypatch.setattr(field, "sign_pattern", lambda x: labels.append(x) or sign_pattern(x))
+        schedule = dl.StepsizeSchedule("power", a0=1.0, gamma=0.75)
+        trace = dl.run_sa(field, x0, schedule, noise, 3 * _BLOCK_ROWS + 7, seed=11)
+        assert labels == []
+        patterns = {sign_pattern(x) for x in trace.states[:-1]}
+        assert 1 <= len(values) <= len(patterns)
 
     @pytest.mark.parametrize(
         "piece",
