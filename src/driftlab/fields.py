@@ -20,6 +20,7 @@ from .errors import DegenerateGeometry, EmptySet, UnassignedPattern
 DEFAULT_RADIUS_TOL = 1e-9
 
 _SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
+_CODE_LABELS = "+0-"
 _PATTERN_ALIASES = {"−": "-", "–": "-"}  # unicode minus/en-dash in configs
 
 
@@ -28,6 +29,12 @@ def normalize_pattern(pattern):
     for bad, good in _PATTERN_ALIASES.items():
         pattern = pattern.replace(bad, good)
     return pattern
+
+
+def label_of_code(code):
+    """sign_pattern's label of one guard value v, from its number: 0 for
+    v > 0, 1 for abs(v) <= 0 and 2 otherwise, NaN included."""
+    return _CODE_LABELS[code]
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +222,8 @@ class PiecewiseField:
 
     def sign_pattern(self, x, zero_tol=0.0):
         """Sign pattern of x; guards within zero_tol of 0 are labeled '0'."""
+        # sa._walk numbers this rule inline for one guard at zero_tol 0, and
+        # label_of_code decodes it; a change to the rule must update both
         chars = []
         for g in self.guards:
             v = g.value(x)

@@ -6,13 +6,14 @@ t(n) = sum_{m<n} a(m) together with the linearly interpolated path.
 
 run_sa takes one of two paths, picked by the field's structure alone; both
 give traces bit-identical to the numpy loop x = x + a * (evaluate(x) + M).
-When every guard is a CoordinateGuard and every piece a ConstantPiece
-(relay, example1, spurious_equilibrium), the drift is a constant row per
-sign pattern: only the guarded coordinates step in Python, to pick each
-step's pattern, and the states are one sequential np.add.accumulate of the
-increments a * (z + M) of the picked rows, a block at a time. These are
-the same IEEE operations in the same order. Every other field steps all
-coordinates on Python floats, one sign_pattern and piece_for per step.
+When the field has exactly one guard, a CoordinateGuard, and every piece is
+a ConstantPiece (relay, example1, spurious_equilibrium), the drift is one of
+three constant rows picked by the sign of one coordinate: only that
+coordinate steps in Python, to pick each step's pattern, and the states are
+one sequential np.add.accumulate of the increments a * (z + M) of the picked
+rows, a block at a time. These are the same IEEE operations in the same
+order. Every other field steps all coordinates on Python floats, one
+sign_pattern and piece_for per step.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     OutOfDomain,
     WindowExceedsTrace,
 )
-from .fields import ConstantPiece, CoordinateGuard
+from .fields import ConstantPiece, CoordinateGuard, label_of_code
 
 DEFAULT_BLOWUP_BOUND = 1e6
 _BLOCK_ROWS = 4096  # steps and noises are read, states and drifts written, per block
@@ -263,11 +264,11 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
     states = np.empty((n_steps + 1, d))
     drifts = np.empty((n_steps, d))
     states[0] = x0
-    columns = _guard_columns(field)
-    if columns is None:
+    column = _guard_column(field)
+    if column is None:
         _step_loop(field, states, drifts, steps, noises, blowup_bound)
     else:
-        _step_table(field, columns, states, drifts, steps, noises, blowup_bound)
+        _step_table(field, column, states, drifts, steps, noises, blowup_bound)
     times = np.concatenate([[0.0], np.cumsum(steps)])
     return IterateTrace(
         states=states,
@@ -330,29 +331,28 @@ def _step_loop(field, states, drifts, steps, noises, blowup_bound):
 
 
 # ---------------------------------------------------------------------------
-# the table path: constant pieces behind coordinate guards
-
-_SIGNS = "+0-"  # the sign label of code 0, 1 and 2 of one guarded coordinate
+# the table path: constant pieces behind one coordinate guard
 
 
-def _guard_columns(field):
-    """The coordinate each guard reads, when every guard is a CoordinateGuard
-    and every piece a ConstantPiece, so that the drift is one of a few
-    constants picked by the signs of those coordinates; None otherwise.
+def _guard_column(field):
+    """The coordinate the field's one guard reads, when that guard is a
+    CoordinateGuard and every piece a ConstantPiece, so that the drift is one
+    of three constants picked by the sign of that coordinate; None otherwise.
     Boundary values are ConstantPieces already."""
     d = field.dimension
-    if not all(type(p) is ConstantPiece for p in field.pieces.values()):
+    if len(field.guards) != 1 or not all(type(p) is ConstantPiece for p in field.pieces.values()):
         return None
-    if not all(type(g) is CoordinateGuard and -d <= g.index < d for g in field.guards):
+    (guard,) = field.guards
+    if type(guard) is not CoordinateGuard or not -d <= guard.index < d:
         return None
-    return [g.index % d for g in field.guards]
+    return guard.index % d
 
 
-def _walk_one(v, zs, a, m, codes, n, stop):
-    """Step the one guarded coordinate v over local steps n..stop-1, as
-    v + a * (z + m) with z the drift of v's sign code: 0, 1 or 2 for '+', '0'
-    and '-' by sign_pattern's rule (abs(v) <= 0 is '0', NaN is '-').
-    Returns (n, code, v) at the first code not in zs, else (stop, None, v)."""
+def _walk(v, zs, a, m, codes, n, stop):
+    """Step the guarded coordinate v over local steps n..stop-1, as
+    v + a * (z + m) with z the drift of v's sign code, numbered as
+    fields.label_of_code decodes it. Returns (n, code, v) at the first code
+    not in zs, else (stop, None, v)."""
     for n in range(n, stop):
         code = 0 if v > 0.0 else 1 if v == 0.0 else 2
         z = zs.get(code)
@@ -363,57 +363,31 @@ def _walk_one(v, zs, a, m, codes, n, stop):
     return stop, None, v
 
 
-def _walk_many(vals, zs, a, m, codes, n, stop):
-    """_walk_one for a list of guarded coordinates; coordinate j weighs 3^j
-    in the code."""
-    weights = [3**j for j in range(len(vals))]
-    for n in range(n, stop):
-        code = 0
-        for v, w in zip(vals, weights):
-            if not v > 0.0:
-                code += w if v == 0.0 else w + w
-        z = zs.get(code)
-        if z is None:
-            return n, code, vals
-        an = a[n]
-        vals = [v + an * (zi + mi) for v, zi, mi in zip(vals, z, m[n])]
-        codes[n] = code
-    return stop, None, vals
-
-
-def _step_table(field, columns, states, drifts, steps, noises, blowup_bound):
-    """Constant pieces behind coordinate guards: only the guarded
-    coordinates step in Python, to pick each step's sign pattern; the states
-    are then one sequential np.add.accumulate over the increments
-    a * (z + m) of the picked drift rows, a block at a time."""
+def _step_table(field, column, states, drifts, steps, noises, blowup_bound):
+    """Constant pieces behind one coordinate guard: only the guarded
+    coordinate steps in Python, to pick each step's sign pattern; the states
+    are then one sequential np.add.accumulate over the increments a * (z + m)
+    of the picked drift rows, a block at a time."""
     d = states.shape[1]
     n_steps = steps.size
-    guarded = sorted(set(columns))
-    slot = [guarded.index(c) for c in columns]  # guard k reads guarded[slot[k]]
-    walk = _walk_one if len(guarded) == 1 else _walk_many
     rows = {}  # code -> drift row, resolved with piece_for on its first visit
-    guarded_rows = {}  # code -> the row's guarded coordinates, as walk reads them
+    guarded_rows = {}  # code -> the row's guarded coordinate, as _walk reads it
 
     def resolve(code):
-        labels = [_SIGNS[code // 3**j % 3] for j in range(len(guarded))]
-        piece = field.piece_for("".join(labels[j] for j in slot))
+        piece = field.piece_for(label_of_code(code))
         # a ConstantPiece's value does not depend on x
         z = rows[code] = _drift_row(piece.value(None), d)
-        zg = [z[c] for c in guarded]
-        guarded_rows[code] = zg[0] if walk is _walk_one else zg
+        guarded_rows[code] = z[column]
 
     sure_bound = _sure_bound(blowup_bound)
     codes = array("q", bytes(8 * _BLOCK_ROWS))
     for start in range(0, n_steps, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_steps)
         a, m = steps[start:stop], noises[start:stop]
-        state, mg = states[start, guarded].tolist(), m[:, guarded]
-        if walk is _walk_one:
-            state, mg = state[0], mg[:, 0]
-        a_list, mg = a.tolist(), mg.tolist()
+        v, a_list, mg = float(states[start, column]), a.tolist(), m[:, column].tolist()
         n, failure = 0, None
         while n < stop - start:
-            n, code, state = walk(state, guarded_rows, a_list, mg, codes, n, stop - start)
+            n, code, v = _walk(v, guarded_rows, a_list, mg, codes, n, stop - start)
             if code is None:
                 break
             try:

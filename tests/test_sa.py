@@ -14,7 +14,7 @@ from driftlab.fields import (
     PiecewiseField,
     QuadraticPiece,
 )
-from driftlab.sa import _BLOCK_ROWS, DEFAULT_BLOWUP_BOUND, _guard_columns
+from driftlab.sa import _BLOCK_ROWS, DEFAULT_BLOWUP_BOUND, _guard_column
 
 
 class TestStepsize:
@@ -432,28 +432,20 @@ def _random_fields(draw, x0):
 
 @st.composite
 def _table_fields(draw, x0):
-    """Fields that take run_sa's table path: coordinate guards (indices may
-    repeat) and constant pieces, some full patterns without a piece, boundary
-    values on a random subset; values of size d, size 1, scalars, and [inf],
-    which diverges at the first step that takes it."""
+    """Fields that take run_sa's table path: one coordinate guard and
+    constant pieces, one full pattern in five without a piece, a boundary
+    value or not; values of size d, size 1, scalars, and [inf], which
+    diverges at the first step that takes it."""
     d = len(x0)
-    guards = [
-        CoordinateGuard(draw(st.integers(min_value=0, max_value=d - 1)), d)
-        for _ in range(draw(st.integers(min_value=0, max_value=3)))
-    ]
+    guard = CoordinateGuard(draw(st.integers(min_value=-d, max_value=d - 1)), d)
     value = st.one_of(_vectors(d), _vectors(d), _vectors(1), _COEFFS, st.just([np.inf]))
-    signs = len(guards)
     pieces = {
-        "".join(p): ConstantPiece(draw(value))
-        for p in itertools.product("+-", repeat=signs)
+        p: ConstantPiece(draw(value))
+        for p in "+-"
         if draw(st.integers(min_value=0, max_value=4))  # one in five has no piece
     }
-    boundary_values = {
-        "".join(p): draw(value)
-        for p in itertools.product("+-0", repeat=signs)
-        if "0" in p and draw(st.booleans())
-    }
-    return PiecewiseField(d, guards, pieces, boundary_values, name="table")
+    boundary_values = {"0": draw(value)} if draw(st.booleans()) else {}
+    return PiecewiseField(d, [guard], pieces, boundary_values, name="table")
 
 
 class TestRunSAOracle:
@@ -494,7 +486,7 @@ class TestRunSAOracle:
     def test_table_fields_match_oracle(self, data):
         x0 = data.draw(_vectors(data.draw(st.integers(min_value=1, max_value=3)), _GRID))
         field = data.draw(_table_fields(x0))
-        assert _guard_columns(field) is not None
+        assert _guard_column(field) is not None
         n_steps = data.draw(_N_STEPS)
         _assert_matches_oracle(
             field,
@@ -538,6 +530,12 @@ class TestRunSAOracle:
         assert labels == []
         patterns = {sign_pattern(x) for x in trace.states[:-1]}
         assert 1 <= len(values) <= len(patterns)
+
+    @pytest.mark.parametrize("n_guards", [0, 2])
+    def test_other_constant_fields_keep_the_loop(self, n_guards):
+        guards = [CoordinateGuard(k, 2) for k in range(n_guards)]
+        pieces = {"".join(p): ConstantPiece([-1.0, 1.0]) for p in itertools.product("+-", repeat=n_guards)}
+        assert _guard_column(PiecewiseField(2, guards, pieces)) is None
 
     @pytest.mark.parametrize(
         "piece",
