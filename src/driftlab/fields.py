@@ -20,7 +20,6 @@ from .errors import DegenerateGeometry, EmptySet, UnassignedPattern
 DEFAULT_RADIUS_TOL = 1e-9
 
 _SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
-_CODE_LABELS = "+0-"
 _PATTERN_ALIASES = {"−": "-", "–": "-"}  # unicode minus/en-dash in configs
 
 
@@ -32,9 +31,9 @@ def normalize_pattern(pattern):
 
 
 def label_of_code(code):
-    """sign_pattern's label of one guard value v, from its number: 0 for
-    v > 0, 1 for abs(v) <= 0 and 2 otherwise, NaN included."""
-    return _CODE_LABELS[code]
+    """sign_pattern's label of one guard value v, from its sign_labels code:
+    1 for v > 0, 0 for abs(v) <= 0 and -1 otherwise, NaN included."""
+    return _SIGN_CHARS[code]
 
 
 # ---------------------------------------------------------------------------

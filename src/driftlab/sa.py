@@ -354,7 +354,7 @@ def _walk(v, zs, a, m, codes, n, stop):
     fields.label_of_code decodes it. Returns (n, code, v) at the first code
     not in zs, else (stop, None, v)."""
     for n in range(n, stop):
-        code = 0 if v > 0.0 else 1 if v == 0.0 else 2
+        code = 1 if v > 0.0 else 0 if v == 0.0 else -1
         z = zs.get(code)
         if z is None:
             return n, code, v
