@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigInvalid, IoFailure
-from .fields import BUILTIN_FIELDS, PiecewiseField, builtin_field
+from .fields import BUILTIN_FIELDS, PiecewiseField, builtin_field, guard_from_dict
 from .io import canonical_json
 from .sa import DEFAULT_BLOWUP_BOUND, NoiseModel, StepsizeSchedule
 
@@ -149,10 +149,16 @@ def config_from_dict(data):
             )
     elif isinstance(field_spec, dict):
         _require_finite(field_spec, "field")
+        path = "field"
         try:
+            dimension = int(field_spec["dimension"])
+            for k, guard in enumerate(field_spec.get("guards", [])):
+                path = f"field.guards[{k}]"
+                guard_from_dict(guard, dimension)
+            path = "field"
             PiecewiseField.from_dict(field_spec)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"field: invalid inline definition: {exc}") from exc
+            raise ConfigInvalid(f"{path}: invalid inline definition: {exc}") from exc
     else:
         raise ConfigInvalid("field: must be a built-in name or an inline object")
 

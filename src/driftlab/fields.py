@@ -10,7 +10,9 @@ assigned within the adjacency ball.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -67,6 +69,9 @@ class CoordinateGuard(AffineGuard):
     """g(x) = x[index]; a named special case of the affine guard."""
 
     def __init__(self, index, dimension):
+        index = operator.index(index)
+        if not -dimension <= index < dimension:
+            raise ValueError(f"coordinate index {index} is outside dimension {dimension}")
         a = np.zeros(dimension)
         a[index] = 1.0
         super().__init__(a, 0.0)
@@ -260,6 +265,11 @@ class PiecewiseField:
                 return piece
         raise UnassignedPattern(f"no piece assigned to sign pattern {pattern!r}")
 
+    def is_piecewise_constant(self):
+        """Is every piece a ConstantPiece? Boundary values always are, so the
+        value then depends on x through its sign pattern alone."""
+        return all(type(p) is ConstantPiece for p in self.pieces.values())
+
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, x):
@@ -403,7 +413,8 @@ def _strict_cone_feasible(vectors):
 
 @dataclass
 class ConvexVelocitySet:
-    """Convex hull of finitely many velocity vectors (vertices may be redundant)."""
+    """Convex hull of finitely many velocity vectors (vertices may be
+    redundant); the vertices are not changed after construction."""
 
     vertices: np.ndarray
 
@@ -416,9 +427,18 @@ class ConvexVelocitySet:
     def dimension(self):
         return self.vertices.shape[1]
 
+    @functools.cached_property
+    def _distinct(self):
+        return _dedupe_rows(self.vertices)
+
+    @functools.cached_property
+    def least_norm(self):
+        """The hull's element of least norm."""
+        return self.project(np.zeros(self.dimension))[0]
+
     def project(self, v):
         """Nearest point of the hull to v and its distance."""
-        return _hull_project(self.vertices, np.asarray(v, dtype=float))
+        return _hull_project(self._distinct, np.asarray(v, dtype=float))
 
     def distance(self, v):
         return self.project(v)[1]
@@ -444,15 +464,14 @@ def _dedupe_rows(rows, tol=1e-12):
     return np.array(kept)
 
 
-def _hull_project(vertices, v):
-    """Exact projection onto conv(vertices) by face enumeration.
+def _hull_project(verts, v):
+    """Exact projection onto conv(verts), distinct rows, by face enumeration.
 
     The nearest point lies on a face spanned by at most d+1 affinely
     independent vertices, so enumerating vertex subsets of that size and
     keeping feasible affine projections is exact up to linear-algebra
     roundoff.  Vertex counts here are small (pieces adjacent to a point).
     """
-    verts = _dedupe_rows(vertices)
     m, d = verts.shape
     if m == 1:
         return verts[0].copy(), float(np.linalg.norm(v - verts[0]))
@@ -511,6 +530,53 @@ def krasovskii_map(field, x, radius_tol=DEFAULT_RADIUS_TOL):
     if not extra:
         return fil
     return ConvexVelocitySet(np.vstack([fil.vertices, np.array(extra)]))
+
+
+def maps_follow_pattern(field):
+    """Do filippov_map and krasovskii_map depend on x only through
+    sign_pattern(x, radius_tol)? They do when every guard is affine, whose
+    unit normal is the same everywhere, so that adjacency follows from the
+    pattern alone, and every piece is constant."""
+    return field.is_piecewise_constant() and all(
+        type(g) in (AffineGuard, CoordinateGuard) for g in field.guards
+    )
+
+
+class PatternMaps:
+    """filippov_map and krasovskii_map over one loop of points of a field.
+
+    Where maps_follow_pattern(field) holds, each map is decided at the first
+    point of each sign_pattern(x, radius_tol) and that same set, vertices in
+    the same order, is returned at every later point with the pattern; its
+    vertex dedupe and least_norm then run once too.  Any other field gets a
+    fresh map call at every point.  Nothing is stored on the field.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.by_pattern = maps_follow_pattern(field)
+        self._filippov, self._krasovskii = {}, {}
+
+    def filippov(self, x, radius_tol=DEFAULT_RADIUS_TOL, pattern=None):
+        """filippov_map(field, x, radius_tol); a given pattern must be
+        sign_pattern(x, radius_tol)."""
+        return self._lookup(self._filippov, filippov_map, x, radius_tol, pattern)
+
+    def krasovskii(self, x, radius_tol=DEFAULT_RADIUS_TOL, pattern=None):
+        """krasovskii_map(field, x, radius_tol); pattern as in filippov."""
+        return self._lookup(self._krasovskii, krasovskii_map, x, radius_tol, pattern)
+
+    def _lookup(self, sets, set_map, x, radius_tol, pattern):
+        if not self.by_pattern:
+            return set_map(self.field, x, radius_tol)
+        if radius_tol <= 0:
+            raise ValueError("radius_tol must be > 0")
+        if pattern is None:
+            pattern = self.field.sign_pattern(x, radius_tol)
+        found = sets.get(pattern)
+        if found is None:
+            found = sets[pattern] = set_map(self.field, x, radius_tol)
+        return found
 
 
 def mollify(field, x, delta, samples, rng):

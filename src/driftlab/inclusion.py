@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, OutOfDomain, StepTooLarge
-from .fields import DEFAULT_RADIUS_TOL, filippov_map
+from .fields import DEFAULT_RADIUS_TOL, PatternMaps
 
 DEFAULT_SURFACE_TOL = 1e-10
 _ALPHA_EXIT_LO = 0.001  # hysteresis band against chattering re-entry
@@ -134,6 +134,7 @@ class _FilippovStepper:
         self.dt = dt
         self.surface_tol = surface_tol
         self.radius_tol = radius_tol
+        self.maps = PatternMaps(field)
         self.x = np.asarray(x0, dtype=float).copy()
         self.t = 0.0
         self.times = [0.0]
@@ -287,10 +288,8 @@ class _FilippovStepper:
 
     def _corner_step(self, h):
         # least-norm hull element for one step, then re-classify
-        hull = filippov_map(self.field, self.x, max(self.radius_tol, self.surface_tol))
-        v, _ = hull.project(np.zeros(self.field.dimension))
-        label = self.mode[1]
-        self._record(self.t + h, self.x + h * v, label)
+        hull = self.maps.filippov(self.x, max(self.radius_tol, self.surface_tol))
+        self._record(self.t + h, self.x + h * hull.least_norm, self.mode[1])
         self._resolve_mode()
 
     # -- driver -------------------------------------------------------------
@@ -351,9 +350,12 @@ def integrate_tracking_selection(
 
     At each node the velocity is the hull projection of the reference's
     local slope onto the Filippov set at the current point, so the output is
-    the member of the solution set pulled toward the reference.  The step
-    grid is the union of the uniform dt grid and the reference's own nodes,
-    which keeps exact reference trajectories reproducible.
+    the member of the solution set pulled toward the reference; each node is
+    labeled with its sign pattern at radius_tol, and on a field where
+    fields.maps_follow_pattern holds that label also picks the Filippov set,
+    decided once per pattern.  The step grid is the union of the uniform dt
+    grid and the reference's own nodes, which keeps exact reference
+    trajectories reproducible.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -374,12 +376,13 @@ def integrate_tracking_selection(
     points = [y.copy()]
     labels = []
     ref_pts = reference.value_at(grid)
+    maps = PatternMaps(field)
     for i in range(grid.size - 1):
         span = grid[i + 1] - grid[i]
         slope = (ref_pts[i + 1] - ref_pts[i]) / span
-        hull = filippov_map(field, y, radius_tol)
-        v, _ = hull.project(slope)
-        labels.append(field.sign_pattern(y, zero_tol=radius_tol))
+        label = field.sign_pattern(y, zero_tol=radius_tol)
+        v, _ = maps.filippov(y, radius_tol, label).project(slope)
+        labels.append(label)
         y = y + span * v
         points.append(y.copy())
     return Trajectory(grid, np.array(points), labels)
@@ -390,11 +393,12 @@ def max_slope_residual(field, trajectory, radius_tol=DEFAULT_RADIUS_TOL):
     of the finite-difference slope from the Filippov set at the segment
     midpoint, with the adjacency ball widened by half the segment chord."""
     slopes = trajectory.segment_slopes()
+    maps = PatternMaps(field)
     worst = 0.0
     for i in range(slopes.shape[0]):
         a, b = trajectory.points[i], trajectory.points[i + 1]
         mid = 0.5 * (a + b)
         band = radius_tol + 0.5 * float(np.linalg.norm(b - a))
-        hull = filippov_map(field, mid, band)
+        hull = maps.filippov(mid, band)
         worst = max(worst, hull.distance(slopes[i]))
     return worst

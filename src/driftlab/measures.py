@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrace
-from .fields import DEFAULT_RADIUS_TOL, filippov_map, krasovskii_map
+from .fields import DEFAULT_RADIUS_TOL, PatternMaps
 
 _MERGE_ATOL = 1e-15
 _BOX_PAD = 0.1
@@ -250,7 +250,10 @@ class GraphSupport:
 def graph_support_fraction(measure, field, eps, radius_tol=DEFAULT_RADIUS_TOL):
     """Total weight with dist(z, F(x)) <= eps, and the companion Krasovskii
     fraction.  Atoms strictly interior to a region take the vectorized
-    singleton path; atoms near a guard surface fall back to full hulls."""
+    singleton path.  Atoms within radius_tol of a guard surface get the
+    Filippov and Krasovskii sets at their point, through fields.PatternMaps:
+    once per sign pattern on a field where maps_follow_pattern holds, once
+    per atom on any other."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
     xs, zs, ws = measure.xs, measure.zs, measure.weights
@@ -263,9 +266,11 @@ def graph_support_fraction(measure, field, eps, radius_tol=DEFAULT_RADIUS_TOL):
         ok = dist <= eps
         fil_ok[interior] = ok
         kra_ok[interior] = ok
+    maps = PatternMaps(field)
     for i in np.nonzero(~interior)[0]:
-        fil_ok[i] = filippov_map(field, xs[i], radius_tol).distance(zs[i]) <= eps
-        kra_ok[i] = krasovskii_map(field, xs[i], radius_tol).distance(zs[i]) <= eps
+        pattern = field.sign_pattern(xs[i], radius_tol)
+        fil_ok[i] = maps.filippov(xs[i], radius_tol, pattern).distance(zs[i]) <= eps
+        kra_ok[i] = maps.krasovskii(xs[i], radius_tol, pattern).distance(zs[i]) <= eps
     return GraphSupport(
         filippov=float(ws[fil_ok].sum()),
         krasovskii=float(ws[kra_ok].sum()),

@@ -340,7 +340,7 @@ def _guard_column(field):
     of three constants picked by the sign of that coordinate; None otherwise.
     Boundary values are ConstantPieces already."""
     d = field.dimension
-    if len(field.guards) != 1 or not all(type(p) is ConstantPiece for p in field.pieces.values()):
+    if len(field.guards) != 1 or not field.is_piecewise_constant():
         return None
     (guard,) = field.guards
     if type(guard) is not CoordinateGuard or not -d <= guard.index < d:
