@@ -118,13 +118,13 @@ class TestConfigValidation:
             ("measures", {"checkpoints": [3000], "eps": [0.05, 0]}, "measures.eps[1]"),
             ("measures", {"checkpoints": [3000], "eps": "abc"}, "measures.eps"),
             ("field", {"dimension": None}, "field"),
-            ("field", {"dimension": 1, "guards": [{"type": "coordinate", "index": 2, "dimension": 3}],
-                       "pieces": {"+": {"type": "constant", "value": [1.0]}}}, "field.guards[0]"),
             ("tracking", [1], "tracking"),
             ("measures", "abc", "measures"),
             ("integrate", None, "integrate"),
             ("output_dir", None, "output_dir"),
             ("output_dir", 3, "output_dir"),
+            ("field", {"dimension": 1, "guards": [{"type": "coordinate", "index": 2, "dimension": 3}],
+                       "pieces": {"+": {"type": "constant", "value": [1.0]}}}, "field.guards[0]"),
         ],
     )
     def test_wrong_types_rejected(self, tmp_path, key, value, path):
