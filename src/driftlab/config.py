@@ -157,7 +157,7 @@ def config_from_dict(data):
                 guard_from_dict(guard, dimension)
             path = "field"
             PiecewiseField.from_dict(field_spec)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(f"{path}: invalid inline definition: {exc}") from exc
     else:
         raise ConfigInvalid("field: must be a built-in name or an inline object")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DegenerateGeometry, OutOfDomain, StepTooLarge
 from .fields import DEFAULT_RADIUS_TOL, PatternMaps
+from .sa import interpolate_path
 
 DEFAULT_SURFACE_TOL = 1e-10
 _ALPHA_EXIT_LO = 0.001  # hysteresis band against chattering re-entry
@@ -45,17 +46,7 @@ class Trajectory:
 
     def value_at(self, t):
         """Affine interpolation; exact at the grid nodes."""
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        if np.any(t_arr < self.times[0] - 1e-12) or np.any(t_arr > self.times[-1] + 1e-12):
-            raise OutOfDomain(f"t outside [{self.times[0]:g}, {self.times[-1]:g}]")
-        t_arr = np.clip(t_arr, self.times[0], self.times[-1])
-        idx = np.clip(np.searchsorted(self.times, t_arr, side="right") - 1, 0, self.times.size - 2)
-        span = self.times[idx + 1] - self.times[idx]
-        w = (t_arr - self.times[idx]) / span
-        out = self.points[idx] + w[:, None] * (self.points[idx + 1] - self.points[idx])
-        return out[0] if scalar else out
+        return interpolate_path(self.times, self.points, t)
 
     def segment_slopes(self):
         dt = np.diff(self.times)[:, None]
@@ -182,7 +173,41 @@ class _FilippovStepper:
         else:
             self.mode = ("region", _with_slot(pattern, k, dec.side))
 
-    # -- region stepping ----------------------------------------------------
+    # -- stepping along a path ----------------------------------------------
+
+    def _step_along(self, path, pattern, h, label):
+        """Advance along path(s), s in [0, h], from self.x (path(0)) to the
+        first guard it reaches: record the path up to that event, then go to
+        a corner when several guards are reached at once or when the path
+        already keeps a surface ('0' in pattern), else classify the surface
+        that was reached."""
+        x_try = path(h)
+        crossed = self._crossed(pattern, x_try)
+        if not crossed:
+            self._record(self.t + h, x_try, label)
+            return
+        events = []
+        for k in crossed:
+            guard = self.field.guards[k]
+            sigma = 1.0 if pattern[k] == "+" else -1.0
+            if sigma * guard.value(self.x) <= self.surface_tol:
+                events.append((0.0, k))
+                continue
+            s_star = _bisect(lambda s: sigma * guard.value(path(s)), h, self.surface_tol)
+            if abs(sigma * guard.value(path(s_star))) > self.surface_tol:
+                raise StepTooLarge(
+                    f"could not bisect guard {k} onto the surface within tolerance"
+                )
+            events.append((s_star, k))
+        events.sort()
+        s_star, k_star = events[0]
+        simultaneous = [k for s, k in events if s <= s_star + 1e-12 * max(h, 1.0)]
+        if s_star > 0.0:
+            self._record(self.t + s_star, path(s_star), label)
+        if len(simultaneous) > 1 or "0" in pattern:
+            self.mode = ("corner", self.field.sign_pattern(self.x, zero_tol=self.surface_tol))
+            return
+        self._classify_surface(k_star, _with_slot(pattern, k_star, "0"))
 
     def _region_step(self, h):
         pattern = self.mode[1]
@@ -193,35 +218,7 @@ class _FilippovStepper:
             mid = x + 0.5 * s * piece.value(x)
             return x + s * piece.value(mid)
 
-        x_try = advance(h)
-        crossed = self._crossed(pattern, x_try)
-        if not crossed:
-            self._record(self.t + h, x_try, pattern)
-            return
-        events = []
-        for k in crossed:
-            guard = self.field.guards[k]
-            sigma = 1.0 if pattern[k] == "+" else -1.0
-            e0 = sigma * guard.value(x)
-            if e0 <= self.surface_tol:
-                events.append((0.0, k))
-                continue
-            s_star = _bisect(lambda s: sigma * guard.value(advance(s)), h, self.surface_tol)
-            if abs(sigma * guard.value(advance(s_star))) > self.surface_tol:
-                raise StepTooLarge(
-                    f"could not bisect guard {k} onto the surface within tolerance"
-                )
-            events.append((s_star, k))
-        events.sort()
-        s_star, k_star = events[0]
-        simultaneous = [k for s, k in events if s <= s_star + 1e-12 * max(h, 1.0)]
-        if s_star > 0.0:
-            self._record(self.t + s_star, advance(s_star), pattern)
-        if len(simultaneous) > 1:
-            self.mode = ("corner", self.field.sign_pattern(self.x, zero_tol=self.surface_tol))
-            return
-        surf_pattern = _with_slot(pattern, k_star, "0")
-        self._classify_surface(k_star, surf_pattern)
+        self._step_along(advance, pattern, h, pattern)
 
     # -- sliding ------------------------------------------------------------
 
@@ -262,27 +259,11 @@ class _FilippovStepper:
         dec_mid = self._sliding_decision(mid, k, pattern0)
         if dec_mid.kind == "sliding":
             v = dec_mid.velocity
-        x_try = self._project_to_surface(self.x + h * v, k)
+        x = self.x
         # other guards may be hit while sliding
-        crossed = self._crossed(pattern0, x_try)
-        if crossed:
-            j = crossed[0]
-            guard = self.field.guards[j]
-            sigma = 1.0 if pattern0[j] == "+" else -1.0
-            s_star = _bisect(
-                lambda s: sigma * guard.value(self._project_to_surface(self.x + s * v, k)),
-                h,
-                self.surface_tol,
-            )
-            if s_star > 0:
-                self._record(
-                    self.t + s_star,
-                    self._project_to_surface(self.x + s_star * v, k),
-                    f"slide:{k}",
-                )
-            self.mode = ("corner", self.field.sign_pattern(self.x, zero_tol=self.surface_tol))
-            return
-        self._record(self.t + h, x_try, f"slide:{k}")
+        self._step_along(
+            lambda s: self._project_to_surface(x + s * v, k), pattern0, h, f"slide:{k}"
+        )
 
     # -- corner fallback ----------------------------------------------------
 

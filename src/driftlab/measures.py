@@ -121,9 +121,6 @@ class GaussianMonomial:
         mono = np.prod(y ** np.array(self.beta))
         return float(mono * np.exp(-(y @ y) / (2.0 * self.sigma**2)))
 
-    def gradient(self, x):
-        return self.gradient_batch(np.atleast_2d(x))[0]
-
     def gradient_batch(self, xs):
         """d/dx_j of the member: (beta_j / y_j - y_j / sigma^2) * f, handled
         without dividing by zero via explicit monomial factors."""

@@ -60,18 +60,6 @@ class StepsizeSchedule:
             if np.any(self.sequence < 0):
                 raise ValueError("custom stepsizes must be >= 0")
 
-    def value(self, n):
-        if n < 0:
-            raise IndexOutOfRange("stepsize index must be >= 0")
-        if self.kind == "power":
-            # numpy scalar pow so value(n) == values(N)[n] bit-exactly
-            return float(self.a0 / np.float64(n + 1) ** np.float64(self.gamma))
-        if self.kind == "constant":
-            return self.a0
-        if n >= self.sequence.size:
-            raise IndexOutOfRange("custom schedule exhausted")
-        return float(self.sequence[n])
-
     def values(self, n_steps):
         if self.kind == "power":
             return self.a0 / (np.arange(1, n_steps + 1, dtype=float)) ** self.gamma
@@ -417,20 +405,27 @@ def algorithmic_time(trace, n):
     return float(trace.times[n])
 
 
-def interpolate(trace, t):
-    """The interpolated path: exact at grid times, affine in between."""
-    times, states = trace.times, trace.states
+def interpolate_path(times, points, t):
+    """The piecewise-affine path through (times[k], points[k]) at t: exact at
+    the nodes, constant across an empty span, and OutOfDomain more than 1e-12
+    outside [times[0], times[-1]]."""
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
-    if np.any(t_arr < times[0]) or np.any(t_arr > times[-1]):
+    if np.any(t_arr < times[0] - 1e-12) or np.any(t_arr > times[-1] + 1e-12):
         raise OutOfDomain(f"t outside [{times[0]:g}, {times[-1]:g}]")
+    t_arr = np.clip(t_arr, times[0], times[-1])
     idx = np.clip(np.searchsorted(times, t_arr, side="right") - 1, 0, times.size - 2)
     span = times[idx + 1] - times[idx]
     safe = np.where(span > 0, span, 1.0)
     w = np.where(span > 0, (t_arr - times[idx]) / safe, 0.0)
-    out = states[idx] + w[:, None] * (states[idx + 1] - states[idx])
+    out = points[idx] + w[:, None] * (points[idx + 1] - points[idx])
     return out[0] if scalar else out
+
+
+def interpolate(trace, t):
+    """The interpolated iterate path at t."""
+    return interpolate_path(trace.times, trace.states, t)
 
 
 _WINDOW_SLACK = 1e-9

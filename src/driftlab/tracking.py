@@ -42,10 +42,11 @@ class TrackingReport:
 
 
 def window_reference(trace, n, m):
-    """The interpolated iterate path restricted to [t(n), t(m)]."""
+    """The interpolated iterate path restricted to [t(n), t(m)], keeping the
+    last node of each time: a zero step repeats t(k) and leaves x(k) as is."""
     times = trace.times[n : m + 1]
-    points = trace.states[n : m + 1]
-    return Trajectory(times, points, ["interp"] * (times.size - 1))
+    last = np.append(np.diff(times) > 0, True)
+    return Trajectory(times[last], trace.states[n : m + 1][last], ["interp"] * (last.sum() - 1))
 
 
 def tracking_error(trace, field, n, T, dt):

@@ -125,6 +125,9 @@ class TestConfigValidation:
             ("output_dir", 3, "output_dir"),
             ("field", {"dimension": 1, "guards": [{"type": "coordinate", "index": 2, "dimension": 3}],
                        "pieces": {"+": {"type": "constant", "value": [1.0]}}}, "field.guards[0]"),
+            ("field", {"dimension": 1, "guards": [1], "pieces": {}}, "field.guards[0]"),
+            ("field", {"dimension": 1, "guards": [{"type": "coordinate", "index": 0}],
+                       "pieces": {"+": 1}}, "field"),
         ],
     )
     def test_wrong_types_rejected(self, tmp_path, key, value, path):
@@ -424,6 +427,22 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(base_config(tmp_path, noise={"kind": "purple"})))
         assert cli_main(["simulate", "--config", str(path)]) == 2
+
+    def test_malformed_inline_field_exit_code(self, tmp_path):
+        for field in (
+            {"dimension": 1, "guards": [1], "pieces": {}},
+            {"dimension": 1, "guards": [{"type": "coordinate", "index": 0}], "pieces": {"+": 1}},
+        ):
+            path = self._write_config(tmp_path, field=field, x0=[0.5])
+            assert cli_main(["simulate", "--config", path]) == 2
+
+    def test_zero_stepsizes_simulate(self, tmp_path):
+        # a zero step repeats t(n); the tracking windows used to reject that
+        path = self._write_config(tmp_path, field="relay", x0=[0.5], n_steps=600, seeds=[1],
+                                  schedule={"kind": "custom", "sequence": [0.1, 0.0, 0.1] * 200},
+                                  tracking={"T": 1.0, "n_windows": 3, "dt": 1e-2},
+                                  measures={"checkpoints": [600], "eps": [0.05]})
+        assert cli_main(["simulate", "--config", path, "--out", str(tmp_path / "z"), "--quiet"]) == 0
 
     def test_io_error_exit_code(self, tmp_path):
         assert cli_main(["simulate", "--config", str(tmp_path / "missing.json")]) == 4

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import driftlab as dl
-from driftlab.fields import AffinePiece, ConstantPiece, CoordinateGuard, PiecewiseField
+from driftlab.fields import (
+    AffineGuard,
+    AffinePiece,
+    ConstantPiece,
+    CoordinateGuard,
+    PiecewiseField,
+)
 from driftlab.inclusion import DEFAULT_SURFACE_TOL, Trajectory
 
 
@@ -147,6 +153,18 @@ class TestIntegrateFilippov:
         traj2 = dl.integrate_filippov(fld, [0.5, 0.3], 2.0, 1e-3)
         assert np.linalg.norm(traj2.points[-1]) <= 1e-6
         assert any(lab == "slide:1" for lab in traj2.mode_labels)
+
+    def test_slide_stops_at_first_guard(self):
+        # one slide step from x = 0.999 crosses x = 0.9993 before x = 0.9998;
+        # the guard with the lower index must not win
+        guards = [AffineGuard([1.0, 0.0], -0.9998), CoordinateGuard(1, 2),
+                  AffineGuard([1.0, 0.0], -0.9993)]
+        pieces = {
+            a + b + c: ConstantPiece([1.0, -1.0] if b == "+" else [1.0, 1.0])
+            for a in "+-" for b in "+-" for c in "+-"
+        }
+        traj = dl.integrate_filippov(PiecewiseField(2, guards, pieces), [0.99, 0.0], 0.02, 1e-3)
+        assert np.min(np.abs(traj.points[:, 0] - 0.9993)) <= DEFAULT_SURFACE_TOL
 
     def test_parameter_validation(self):
         lin = dl.builtin_field("linear")

@@ -2,18 +2,25 @@
 
 perfbench/tracing.py resolves its ENTRY_POINTS, and its hooks read their
 arguments by name, only in a traced run; perfbench/workloads.py closes a
-stage per seed by replacing experiments.run_single_seed.  The benchmark's
-own tests are not part of this suite, so a rename inside driftlab would
-otherwise break only the benchmark.  The tracing file is parsed, not
-imported.
+stage per seed by replacing experiments.run_single_seed, and the benchmark
+scripts reach the package as `dl.<name>`.  The benchmark's own tests are not
+part of this suite, so a rename inside driftlab would otherwise break only
+the benchmark.  The benchmark files are parsed; only tracing.py, which
+imports nothing from perfbench, is loaded, to run its guard_hits counter.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 
-TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
+import numpy as np
+
+import driftlab as dl
+
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _entry_points():
@@ -110,3 +117,43 @@ def test_run_single_seed_is_called_through_the_module(tmp_path, monkeypatch):
     calls.clear()
     experiments.compare_noise_study(cfg, out_dir=str(tmp_path / "study"))
     assert calls == [1, 2, 1, 2]
+
+
+def _dl_chains():
+    """Every attribute chain rooted at the name dl in perfbench/*.py, e.g.
+    "TestFunctionFamily.from_box" for dl.TestFunctionFamily.from_box."""
+    chains = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            if parts and isinstance(node, ast.Name) and node.id == "dl":
+                chains.add(".".join(reversed(parts)))
+    return chains
+
+
+def test_dl_attribute_chains_resolve():
+    chains = _dl_chains()
+    assert {"TestFunctionFamily.from_box", "io.read_trace_csv", "run_sa"} <= chains
+    missing = []
+    for chain in sorted(chains):
+        obj = dl
+        for attr in chain.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(f"dl.{chain}")
+    assert not missing, f"names perfbench uses that driftlab lacks: {missing}"
+
+
+def test_guard_hits_runs_on_a_relay_trace():
+    # the untraced study_spurious output check counts guard hits with it
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    relay = dl.builtin_field("relay")
+    trace = dl.run_sa(relay, [0.0], dl.StepsizeSchedule("constant", a0=0.25),
+                      dl.NoiseModel("rademacher", 0.25), 50, seed=1)
+    hits = tracing.guard_hits(relay, trace.states)
+    assert hits == np.count_nonzero(trace.states[:-1, 0] == 0.0) > 0

@@ -19,24 +19,17 @@ from driftlab.sa import _BLOCK_ROWS, DEFAULT_BLOWUP_BOUND, _guard_column
 
 class TestStepsize:
     def test_power_examples(self):
-        assert dl.StepsizeSchedule("power", a0=1.0, gamma=1.0).value(3) == 0.25
-        assert dl.StepsizeSchedule("power", a0=0.1, gamma=0.75).value(0) == 0.1
+        assert dl.StepsizeSchedule("power", a0=1.0, gamma=1.0).values(4)[3] == 0.25
+        assert dl.StepsizeSchedule("power", a0=0.1, gamma=0.75).values(1)[0] == 0.1
 
     def test_constant(self):
-        assert dl.StepsizeSchedule("constant", a0=0.5).value(7) == 0.5
+        assert dl.StepsizeSchedule("constant", a0=0.5).values(8)[7] == 0.5
 
     def test_custom_sequence(self):
         sched = dl.StepsizeSchedule("custom", sequence=[0.5, 0.25])
-        assert sched.value(1) == 0.25
+        assert sched.values(2)[1] == 0.25
         with pytest.raises(dl.IndexOutOfRange):
-            sched.value(2)
-
-    def test_values_match_scalar(self):
-        # batch and scalar paths may differ by one ulp (simd pow), no more
-        sched = dl.StepsizeSchedule("power", a0=0.3, gamma=0.6)
-        vals = sched.values(50)
-        scalars = np.array([sched.value(n) for n in range(50)])
-        assert np.allclose(vals, scalars, rtol=1e-15, atol=0.0)
+            sched.values(3)
 
 
 class TestValidateSchedule:
@@ -264,6 +257,16 @@ class TestTimescale:
         assert np.array_equal(dl.interpolate(trace, trace.times[-1]), trace.states[-1])
         with pytest.raises(dl.OutOfDomain):
             dl.interpolate(trace, 2.5)
+
+    def test_interpolate_end_slack_and_empty_span(self):
+        # a zero step repeats t(1): the path is constant across the empty span
+        trace = self._tiny_trace([1.0, 0.0, 1.0], x=[0.0, 2.0, 2.0, 4.0])
+        assert np.array_equal(dl.interpolate(trace, [1.0, 1.5]), [[2.0], [3.0]])
+        assert np.array_equal(dl.interpolate(trace, -1e-13), [0.0])
+        assert np.array_equal(dl.interpolate(trace, 2.0 + 1e-13), [4.0])
+        for t in (-1e-11, 2.0 + 1e-11):
+            with pytest.raises(dl.OutOfDomain):
+                dl.interpolate(trace, t)
 
     def test_window_index_examples(self):
         trace = self._tiny_trace([0.5, 0.25, 0.125, 0.125])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import driftlab as dl
+from driftlab import tracking
 from driftlab.fields import ConstantPiece, PiecewiseField
 
 
@@ -75,6 +76,19 @@ class TestTrackingProfile:
                                      noise_flag=True)
         assert report.noise_flag is True
         assert report.errors.size == report.window_starts.size == 2
+
+    def test_zero_stepsizes_keep_the_last_node(self):
+        # a zero step repeats t(n); the window reference keeps one node per time
+        relay = dl.builtin_field("relay")
+        sequence = np.tile([0.1, 0.0, 0.1], 200)
+        trace = dl.run_sa(relay, [0.5], dl.StepsizeSchedule("custom", sequence=sequence),
+                          dl.NoiseModel("gaussian", 0.1), sequence.size, seed=1)
+        report = dl.tracking_profile(trace, relay, T=1.0, n_windows=3, dt=1e-2)
+        assert np.all(np.isfinite(report.errors))
+        ref = tracking.window_reference(trace, 0, 30)
+        assert np.all(np.diff(ref.times) > 0)
+        nodes = trace.times[:31]
+        assert np.array_equal(ref.value_at(nodes), dl.interpolate(trace, nodes))
 
     def test_too_short_trace_raises(self):
         lin = dl.builtin_field("linear")
