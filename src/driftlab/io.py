@@ -2,7 +2,10 @@
 
 Every CSV cell is rendered by one rule, `_cell`; floats get 17 significant
 digits, so they read back bit-exactly and reruns with identical configs and
-seeds produce byte-identical files.
+seeds produce byte-identical files.  The trace and trajectory bodies are
+all-number columns (plus a text label column for trajectories), so they apply
+that rule through one %-template per row, `_BLOCK_ROWS` rows per `%`
+operation: "%d" is the integer rule, "%.17g" the float rule, "%s" the text rule.
 """
 
 from __future__ import annotations
@@ -58,26 +61,43 @@ def write_table(path, header, rows):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+_BLOCK_ROWS = 4096
+
+
+def _render_rows(row_format, table):
+    """The rows of the 2-d array `table`, each through the %-template
+    `row_format`, with one `%` operation per block of _BLOCK_ROWS rows."""
+    blocks = (table[i : i + _BLOCK_ROWS] for i in range(0, len(table), _BLOCK_ROWS))
+    return "".join((row_format * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
+
+
 def _trace_header(d):
     return ["n", "t"] + [f"{name}_{i + 1}" for name in "xzM" for i in range(d)] + ["a"]
 
 
 def write_trace_csv(path, trace):
     """One row per step n < N (n, t, x, z, M, a) and a final-state row
-    (N, t, x) whose 2d+1 remaining cells are empty."""
-    d = trace.dimension
+    (N, t, x) whose 2d+1 remaining cells are empty.  The body is rendered by
+    the template "%d,%.17g,...,%.17g": `_cell`'s rule on its all-number
+    columns, so the file is the one `write_table` would write."""
+    d, n = trace.dimension, trace.n_steps
     body = np.column_stack(
-        [trace.times[:-1], trace.states[:-1], trace.drifts, trace.noises, trace.steps]
-    ).tolist()
-    rows = [[n, *row] for n, row in enumerate(body)]
-    rows.append([trace.n_steps, trace.times[-1], *trace.states[-1]] + [""] * (2 * d + 1))
-    write_table(path, _trace_header(d), rows)
+        [np.arange(n), trace.times[:-1], trace.states[:-1], trace.drifts, trace.noises, trace.steps]
+    )
+    final = [n, trace.times[-1], *trace.states[-1]] + [""] * (2 * d + 1)
+    atomic_write_text(
+        path,
+        ",".join(_trace_header(d)) + "\n"
+        + _render_rows("%d," + ",".join(["%.17g"] * (3 * d + 2)) + "\n", body)
+        + ",".join(map(_cell, final)) + "\n",
+    )
 
 
 def read_trace_csv(path, seed=0, field_name=""):
     """The trace write_trace_csv wrote, bit-exactly.  Anything else (another
-    header, a row with missing or non-numeric cells, no final-state row, an
-    n column that does not run 0..N) raises IoFailure naming the path."""
+    header, a row with missing, extra, non-numeric or non-finite cells, no
+    final-state row, an n column that does not run 0..N) raises IoFailure
+    naming the path."""
     try:
         with open(path) as handle:
             lines = handle.read().splitlines()
@@ -90,36 +110,46 @@ def read_trace_csv(path, seed=0, field_name=""):
     if d < 1 or rem or header != _trace_header(d):
         raise IoFailure(f"{path}: not a trace CSV header: {lines[0]!r}")
     width = 3 * d + 3
-    rows = [line.split(",") for line in lines[1:]]
-    if not rows or len(rows[-1]) != width or any(rows[-1][2 + d :]):
+    final = lines[-1].split(",") if len(lines) > 1 else []
+    if len(final) != width or any(final[2 + d :]):
         raise IoFailure(f"{path}: no final-state row with {2 * d + 1} empty cells (truncated?)")
-    try:  # a ragged body cannot take the shape (rows, width)
-        body = np.array(rows[:-1], dtype=float).reshape(len(rows) - 1, width)
-        final = np.array(rows[-1][: 2 + d], dtype=float)
+    body = lines[1:-1]
+    if any(line.count(",") != width - 1 for line in body):
+        raise IoFailure(f"{path}: a row is not {width} numeric cells")
+    try:  # the body's cells, then the final row's numeric ones, in one flat parse
+        cells = np.array(",".join(body + final[: 2 + d]).split(","), dtype=float)
     except ValueError as exc:
         raise IoFailure(f"{path}: a row is not {width} numeric cells: {exc}") from exc
-    n_steps = body.shape[0]
-    if not (np.array_equal(body[:, 0], np.arange(n_steps)) and final[0] == n_steps):
+    if not np.isfinite(cells).all():
+        raise IoFailure(f"{path}: a cell is not finite; write_trace_csv writes none")
+    n_steps = len(body)
+    table, final = cells[: n_steps * width].reshape(n_steps, width), cells[n_steps * width :]
+    if not (np.array_equal(table[:, 0], np.arange(n_steps)) and final[0] == n_steps):
         raise IoFailure(f"{path}: the n column does not run 0..{n_steps}")
     return IterateTrace(
-        states=np.vstack([body[:, 2 : 2 + d], final[2:]]),
-        drifts=body[:, 2 + d : 2 + 2 * d],
-        noises=body[:, 2 + 2 * d : 2 + 3 * d],
-        steps=body[:, 2 + 3 * d],
-        times=np.append(body[:, 1], final[1]),
+        states=np.vstack([table[:, 2 : 2 + d], final[2:]]),
+        drifts=table[:, 2 + d : 2 + 2 * d],
+        noises=table[:, 2 + 2 * d : 2 + 3 * d],
+        steps=table[:, 2 + 3 * d],
+        times=np.append(table[:, 1], final[1]),
         seed=seed,
         field_name=field_name,
     )
 
 
 def write_trajectory_csv(path, trajectory):
-    d = trajectory.dimension
+    """One row per point (t, x, mode); point i carries mode label i, and the
+    points past the last label reuse it ("" when there is none)."""
+    d, n = trajectory.dimension, len(trajectory.times)
     labels = list(trajectory.mode_labels)
-    rows = [
-        [t, *x, labels[min(i, len(labels) - 1)] if labels else ""]
-        for i, (t, x) in enumerate(zip(trajectory.times.tolist(), trajectory.points.tolist()))
-    ]
-    write_table(path, ["t"] + [f"x_{i + 1}" for i in range(d)] + ["mode"], rows)
+    modes = np.array((labels + (labels[-1:] or [""]) * n)[:n], dtype=object)
+    header = ["t"] + [f"x_{i + 1}" for i in range(d)] + ["mode"]
+    row_format = ",".join(["%.17g"] * (d + 1)) + ",%s\n"
+    atomic_write_text(
+        path,
+        ",".join(header) + "\n"
+        + _render_rows(row_format, np.column_stack([trajectory.times, trajectory.points, modes])),
+    )
 
 
 def write_tracking_csv(path, rows):

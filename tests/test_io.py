@@ -74,20 +74,36 @@ def _fixed_trace(d, values, steps):
     )
 
 
+def _assert_round_trip(path, trace):
+    dio.write_trace_csv(str(path), trace)
+    assert path.read_text() == _oracle_trace_text(trace)
+    back = dio.read_trace_csv(str(path))
+    for name in ("states", "drifts", "noises", "steps", "times"):
+        mine, theirs = getattr(back, name), getattr(trace, name)
+        assert mine.shape == theirs.shape, name
+        assert mine.tobytes() == theirs.tobytes(), name
+
+
+_B = dio._BLOCK_ROWS
+
+
 class TestTraceCsv:
     @given(trace=_traces())
     @settings(max_examples=80, deadline=None)
     @example(trace=_fixed_trace(1, [-0.0, 5e-324, 1e308, -1e308], [0.0, 0.0, 0.5]))
     @example(trace=_fixed_trace(3, [-0.0, -5e-324, 1.7976931348623157e308, 0.1], [0.0, 1e-300]))
     def test_matches_oracle_and_reads_back_bit_exactly(self, tmp_path_factory, trace):
-        path = tmp_path_factory.mktemp("trace") / "trace.csv"
-        dio.write_trace_csv(str(path), trace)
-        assert path.read_text() == _oracle_trace_text(trace)
-        back = dio.read_trace_csv(str(path))
-        for name in ("states", "drifts", "noises", "steps", "times"):
-            mine, theirs = getattr(back, name), getattr(trace, name)
-            assert mine.shape == theirs.shape, name
-            assert mine.tobytes() == theirs.tobytes(), name
+        _assert_round_trip(tmp_path_factory.mktemp("trace") / "trace.csv", trace)
+
+    @pytest.mark.parametrize("n", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+    def test_block_boundaries(self, tmp_path, n):
+        """The body is rendered _BLOCK_ROWS rows at a time; the hypothesis
+        traces above are far shorter than one block."""
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(97) * 10.0 ** rng.integers(-300, 300, 97)
+        values[:6] = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0]
+        steps = np.resize([0.0, 5e-324, 0.5, 1e-300, 0.1], n)
+        _assert_round_trip(tmp_path / "trace.csv", _fixed_trace(2, values, steps))
 
 
 def test_record_writers_match_oracle(tmp_path):
@@ -124,6 +140,29 @@ def test_record_writers_match_oracle(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == (
         "window_index,n_start,t_start,T,error,noise_flag\n"
     )
+
+
+@pytest.mark.parametrize(
+    "n_points, labels",
+    [
+        (5, ["+", "-", "slide:0", "corner"]),  # the last point reuses the last label
+        (4, ["+", "-", "+", "-"]),
+        (3, []),
+        (1, []),
+        (_B + 2, ["+", "-"] * (_B // 2) + ["slide:0"]),
+    ],
+)
+def test_trajectory_writer_matches_cell_oracle(tmp_path, n_points, labels):
+    times = np.concatenate([[-0.0, 5e-324], np.arange(1, n_points - 2) * 0.1, [1e308]])[-n_points:]
+    points = np.resize(np.array([0.1, -0.0, 5e-324, 1e308, -1e308, 1.0 / 3.0]), (n_points, 2))
+    path = tmp_path / "trajectory.csv"
+    dio.write_trajectory_csv(str(path), dl.Trajectory(times, points, labels))
+    rows = [
+        [t, *x, labels[min(i, len(labels) - 1)] if labels else ""]
+        for i, (t, x) in enumerate(zip(times, points))
+    ]
+    expected = ["t,x_1,x_2,mode"] + [",".join(map(dio._cell, row)) for row in rows]
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 class TestMalformedTrace:
@@ -176,6 +215,40 @@ class TestMalformedTrace:
         cells = lines[3].split(",")
         cells[2] = "x"
         lines[3] = ",".join(cells)
+        self._rejects(tmp_path, "\n".join(lines) + "\n", "not 6 numeric cells")
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [(3, 2, "nan"), (7, 4, "inf")],
+            [(5, 5, "-Infinity")],
+            [(-1, 2, "inf")],  # the final-state row's x
+        ],
+        ids=["nan-and-inf", "minus-infinity", "final-row"],
+    )
+    def test_non_finite_cell(self, tmp_path, text, edits):
+        lines = text.splitlines()
+        for line, cell, value in edits:
+            cells = lines[line].split(",")
+            cells[cell] = value
+            lines[line] = ",".join(cells)
+        self._rejects(tmp_path, "\n".join(lines) + "\n", "not finite")
+
+    def test_blank_line_in_body(self, tmp_path, text):
+        lines = text.splitlines()
+        lines.insert(6, "")
+        self._rejects(tmp_path, "\n".join(lines) + "\n", "not 6 numeric cells")
+
+    def test_short_row_beside_long_row(self, tmp_path, text):
+        """The total cell count is unchanged, so only a per-row count sees it."""
+        lines = text.splitlines()
+        lines[5], moved = lines[5].rsplit(",", 1)
+        lines[6] += "," + moved
+        self._rejects(tmp_path, "\n".join(lines) + "\n", "not 6 numeric cells")
+
+    def test_trailing_comma(self, tmp_path, text):
+        lines = text.splitlines()
+        lines[8] += ","
         self._rejects(tmp_path, "\n".join(lines) + "\n", "not 6 numeric cells")
 
     def test_n_column_not_consecutive(self, tmp_path, text):
