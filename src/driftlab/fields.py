@@ -428,7 +428,9 @@ class ConvexVelocitySet:
         return self.vertices.shape[1]
 
     @functools.cached_property
-    def _distinct(self):
+    def distinct_vertices(self):
+        """The vertices less any row within 1e-12 of an earlier one; project
+        works on these, and one row means the set is that single point."""
         return _dedupe_rows(self.vertices)
 
     @functools.cached_property
@@ -438,7 +440,7 @@ class ConvexVelocitySet:
 
     def project(self, v):
         """Nearest point of the hull to v and its distance."""
-        return _hull_project(self._distinct, np.asarray(v, dtype=float))
+        return _hull_project(self.distinct_vertices, np.asarray(v, dtype=float))
 
     def distance(self, v):
         return self.project(v)[1]

@@ -21,6 +21,11 @@ DEFAULT_SURFACE_TOL = 1e-10
 _ALPHA_EXIT_LO = 0.001  # hysteresis band against chattering re-entry
 _ALPHA_EXIT_HI = 0.999
 _MAX_BISECT = 200
+# tracking comparator: one-vertex nodes of one label before _run_nodes takes
+# over, and its first and largest block of nodes
+_STREAK_NODES = 8
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 4096
 
 
 @dataclass
@@ -331,12 +336,15 @@ def integrate_tracking_selection(
 
     At each node the velocity is the hull projection of the reference's
     local slope onto the Filippov set at the current point, so the output is
-    the member of the solution set pulled toward the reference; each node is
-    labeled with its sign pattern at radius_tol, and on a field where
-    fields.maps_follow_pattern holds that label also picks the Filippov set,
-    decided once per pattern.  The step grid is the union of the uniform dt
-    grid and the reference's own nodes, which keeps exact reference
-    trajectories reproducible.
+    the member of the solution set pulled toward the reference; where that
+    set is a single vertex, the velocity is the vertex and nothing is
+    projected.  Each node is labeled with its sign pattern at radius_tol, and
+    on a field where fields.maps_follow_pattern holds that label also picks
+    the Filippov set, decided once per pattern; there, once _STREAK_NODES
+    nodes in a row share a label with a one-vertex set, the nodes that follow
+    are stepped in blocks (_run_nodes) until the label changes.  The step
+    grid is the union of the uniform dt grid and the reference's own nodes,
+    which keeps exact reference trajectories reproducible.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -353,20 +361,55 @@ def integrate_tracking_selection(
     if grid[-1] < t1:
         grid[-1] = t1
 
-    y = np.asarray(reference.value_at(t0), dtype=float).copy()
-    points = [y.copy()]
-    labels = []
     ref_pts = reference.value_at(grid)
+    spans = np.diff(grid)
+    points = np.empty((grid.size, ref_pts.shape[1]))
+    points[0] = reference.value_at(t0)
+    labels = []
     maps = PatternMaps(field)
-    for i in range(grid.size - 1):
-        span = grid[i + 1] - grid[i]
-        slope = (ref_pts[i + 1] - ref_pts[i]) / span
+    i = streak = 0
+    while i < spans.size:
+        y = points[i]
         label = field.sign_pattern(y, zero_tol=radius_tol)
-        v, _ = maps.filippov(y, radius_tol, label).project(slope)
+        hull = maps.filippov(y, radius_tol, label)
+        if hull.distinct_vertices.shape[0] > 1:
+            streak = 0
+            v, _ = hull.project((ref_pts[i + 1] - ref_pts[i]) / spans[i])
+        else:
+            v = hull.distinct_vertices[0]
+            streak = streak + 1 if labels and labels[-1] == label else 1
+            if maps.by_pattern and streak >= _STREAK_NODES:
+                stepped = _run_nodes(field, points, spans, i, v, radius_tol)
+                labels += [label] * stepped
+                i += stepped
+                continue
         labels.append(label)
-        y = y + span * v
-        points.append(y.copy())
-    return Trajectory(grid, np.array(points), labels)
+        points[i + 1] = y + spans[i] * v
+        i += 1
+    return Trajectory(grid, points, labels)
+
+
+def _run_nodes(field, points, spans, i, v, radius_tol):
+    """Step node i, whose sign pattern L has the one-vertex Filippov set {v},
+    and the nodes after it at velocity v while they keep the label L; fill
+    their points and return how many nodes were stepped.  Blocks of
+    _FIRST_BLOCK nodes, doubling up to _MAX_BLOCK, are each one
+    np.add.accumulate, which adds left to right as the one-node step
+    y + span * v does; sign_labels then finds the first node of the block
+    whose label is not L."""
+    start, size = i, _FIRST_BLOCK
+    while i < spans.size:
+        stop = min(i + size, spans.size)
+        ys = np.add.accumulate(np.vstack([points[i], spans[i:stop, None] * v]))
+        codes = field.sign_labels(ys, radius_tol)
+        changed = np.flatnonzero((codes[1:] != codes[0]).any(axis=1))
+        kept = int(changed[0]) + 1 if changed.size else stop - i
+        points[i + 1 : i + kept + 1] = ys[1 : kept + 1]
+        i += kept
+        if changed.size:
+            break
+        size = min(2 * size, _MAX_BLOCK)
+    return i - start
 
 
 def max_slope_residual(field, trajectory, radius_tol=DEFAULT_RADIUS_TOL):

@@ -93,16 +93,37 @@ def write_trace_csv(path, trace):
     )
 
 
-def read_trace_csv(path, seed=0, field_name=""):
-    """The trace write_trace_csv wrote, bit-exactly.  Anything else (another
-    header, a row with missing, extra, non-numeric or non-finite cells, no
-    final-state row, an n column that does not run 0..N) raises IoFailure
-    naming the path."""
+_NOT_IN_ROWS = (" ", "\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "_")
+
+
+def _trace_lines(path):
+    """The lines of the file at path, which must be ASCII and hold none of
+    _NOT_IN_ROWS after its first line (the header).  Python's float parsing
+    takes whitespace around a number and '_' between digits, so a
+    hand-edited " 4" or "+0_5" cell would load; one C-speed substring search
+    per character refuses them.  The text is dropped on return, so it does
+    not add to the peak memory of the parse."""
     try:
-        with open(path) as handle:
-            lines = handle.read().splitlines()
+        with open(path, encoding="ascii") as handle:
+            text = handle.read()
     except OSError as exc:
         raise IoFailure(f"could not read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"{path}: not ASCII text, which write_trace_csv writes: {exc}") from exc
+    lines = text.splitlines()
+    rows_start = len(lines[0]) if lines else 0
+    if any(text.find(c, rows_start) >= 0 for c in _NOT_IN_ROWS):
+        raise IoFailure(f"{path}: a row holds whitespace or '_', which write_trace_csv never writes")
+    return lines
+
+
+def read_trace_csv(path, seed=0, field_name=""):
+    """The trace write_trace_csv wrote, bit-exactly.  Anything else (another
+    header, text that is not ASCII, whitespace or '_' inside a row, a row
+    with missing, extra, non-numeric or non-finite cells, no final-state
+    row, an n column that does not run 0..N) raises IoFailure naming the
+    path."""
+    lines = _trace_lines(path)
     if not lines:
         raise IoFailure(f"{path}: empty file, not a trace CSV")
     header = lines[0].split(",")

@@ -181,7 +181,7 @@ class TestMalformedTrace:
 
     def _rejects(self, tmp_path, content, match):
         path = tmp_path / "bad.csv"
-        path.write_text(content)
+        path.write_text(content, encoding="utf-8")
         with pytest.raises(dl.IoFailure, match=match) as info:
             dio.read_trace_csv(str(path))
         assert str(path) in str(info.value)
@@ -233,6 +233,46 @@ class TestMalformedTrace:
             cells[cell] = value
             lines[line] = ",".join(cells)
         self._rejects(tmp_path, "\n".join(lines) + "\n", "not finite")
+
+    @staticmethod
+    def _edited(text, line, cell, value):
+        lines = text.splitlines()
+        cells = lines[line].split(",")
+        cells[cell] = value
+        lines[line] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+
+    # float() strips whitespace around a number; each of these cells reads
+    # back as the number the writer wrote there, or as another one
+    @pytest.mark.parametrize(
+        "line, cell, value",
+        [(5, 0, " 4"), (5, 0, "4 "), (6, 0, "\t5"), (7, 3, "\x1f0.25"), (-1, 0, "20\x0c")],
+        ids=["space-before-n", "space-after-n", "tab", "unit-separator", "form-feed-final-row"],
+    )
+    def test_whitespace_in_row(self, tmp_path, text, line, cell, value):
+        self._rejects(tmp_path, self._edited(text, line, cell, value), "whitespace or '_'")
+
+    @pytest.mark.parametrize(
+        "line, cell, value", [(5, 3, "+0_5"), (4, 1, "1_000e-3"), (-1, 2, "0_0.5")],
+        ids=["z-cell", "t-cell", "final-row"],
+    )
+    def test_underscore_in_cell(self, tmp_path, text, line, cell, value):
+        self._rejects(tmp_path, self._edited(text, line, cell, value), "whitespace or '_'")
+
+    @pytest.mark.parametrize(
+        "line, cell, value",
+        [(5, 0, "\u0664"), (6, 0, "\uff15"), (-1, 2, "\uff10.\uff15")],
+        ids=["arabic-indic-n", "fullwidth-n", "fullwidth-final-row"],
+    )
+    def test_non_ascii_digit(self, tmp_path, text, line, cell, value):
+        self._rejects(tmp_path, self._edited(text, line, cell, value), "not ASCII")
+
+    def test_undecodable_byte(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode().replace(b"\n", b"\xff\n", 3))
+        with pytest.raises(dl.IoFailure, match="not ASCII") as info:
+            dio.read_trace_csv(str(path))
+        assert str(path) in str(info.value)
 
     def test_blank_line_in_body(self, tmp_path, text):
         lines = text.splitlines()

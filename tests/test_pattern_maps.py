@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import driftlab as dl
 import driftlab.fields as fields_module
+from driftlab import inclusion
 from driftlab.fields import (
     AffineGuard,
     AffinePiece,
     ConstantPiece,
+    ConvexVelocitySet,
     CoordinateGuard,
     NormGuard,
     PatternMaps,
@@ -67,6 +69,40 @@ def _counting_filippov(monkeypatch, field):
     return calls
 
 
+def _counting_calls(monkeypatch, cls, name):
+    """Patch cls.name to record one entry per call."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(name)
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def _per_node(field, run):
+    """run() with the per-pattern maps switched off: every node of a tracking
+    comparator then takes the per-node loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields_module, "maps_follow_pattern", lambda fld: False)
+        assert not PatternMaps(field).by_pattern
+        return run()
+
+
+def _tracking(field, reference, t_span, dt):
+    """The comparator's times and points as bytes, and its labels."""
+    out = integrate_tracking_selection(field, reference, t_span, dt)
+    return out.times.tobytes(), out.points.tobytes(), out.mode_labels
+
+
+def _sa_window(name, x0, noise, n, m):
+    schedule = dl.StepsizeSchedule("power", a0=1.0, gamma=0.75)
+    trace = dl.run_sa(dl.builtin_field(name), x0, schedule, noise, m, seed=1)
+    return window_reference(trace, n, m)
+
+
 class TestFastPathTaken:
     def test_corner_steps_map_once_per_pattern(self, monkeypatch):
         field = _corner_field()
@@ -86,6 +122,28 @@ class TestFastPathTaken:
         assert len(out.mode_labels) > 1000
         assert {"+", "-"} <= set(out.mode_labels)
         assert 1 <= len(calls) == len(set(calls)) <= len(set(out.mode_labels))
+
+    def test_tracking_run_is_stepped_in_blocks(self, monkeypatch):
+        """Zero noise keeps the iterates at the spurious rest point x = 0; the
+        comparator leaves it at velocity 1 and keeps the label '+'."""
+        field = dl.builtin_field("spurious_equilibrium")
+        ref = _sa_window("spurious_equilibrium", [0.0], dl.NoiseModel("zero", 0.0), 1000, 3000)
+        projected = _counting_calls(monkeypatch, ConvexVelocitySet, "project")
+        labelled = _counting_calls(monkeypatch, PiecewiseField, "sign_pattern")
+        out = integrate_tracking_selection(field, ref, (ref.times[0], ref.times[-1]), 1e-3)
+        nodes = len(out.mode_labels)
+        assert nodes > 1000
+        assert out.mode_labels[0] == "0" and set(out.mode_labels[1:]) == {"+"}
+        assert projected == []
+        assert 0 < len(labelled) < 0.05 * nodes
+
+    def test_chattering_window_matches_per_node_loop(self):
+        field = dl.builtin_field("example1")
+        ref = _sa_window("example1", [0.0, 1.0], dl.NoiseModel("gaussian", 0.1), 1000, 3000)
+        run = lambda: _tracking(field, ref, (ref.times[0], ref.times[-1]), 1e-3)
+        memo = run()
+        assert {"+", "-"} <= set(memo[2])
+        assert memo == _per_node(field, run)
 
 
 # ---------------------------------------------------------------------------
@@ -199,3 +257,66 @@ class TestAgainstPerPointMaps:
             oracle = [_outcome(run) for run in runs]
         for m, o in zip(memo, oracle):
             _assert_same(m, o)
+
+
+# ---------------------------------------------------------------------------
+# block-stepped tracking runs against the per-node loop
+
+def _block_edges():
+    """The node where a comparator run's first block starts (after the
+    streak) and the next three block ends, each with its two neighbours:
+    6..8, 70..72, 198..200 and 454..456 at the module's constants."""
+    edge, size, nodes = inclusion._STREAK_NODES - 1, inclusion._FIRST_BLOCK, []
+    for _ in range(4):
+        nodes += [edge - 1, edge, edge + 1]
+        edge, size = edge + size, 2 * size
+    return nodes
+
+
+class TestTrackingBlocks:
+    @pytest.mark.parametrize("k", _block_edges() + [599, 600, 10_000])
+    @pytest.mark.parametrize("second_guard", [False, True], ids=["one-guard", "second-guard"])
+    def test_label_change_at_node(self, k, second_guard):
+        """On a grid of 1/128 the comparator from x0 = -(k - 1/2)/128 at
+        velocity 1 reaches x > 0 exactly at node k: around the ends of the
+        first blocks, at the last node and never (10_000).  With
+        second_guard, x is x_1 in 2-d, read by an affine guard behind a
+        coordinate guard on x_2 that keeps its sign."""
+        x0 = -(k - 0.5) / 128
+        if second_guard:
+            field = PiecewiseField(
+                2, [CoordinateGuard(1, 2), AffineGuard([1.0, 0.0])],
+                {"++": ConstantPiece([0.5, 0.0]), "+-": ConstantPiece([1.0, 0.0]),
+                 "-+": ConstantPiece([0.0, 1.0]), "--": ConstantPiece([0.0, 1.0])},
+            )
+            reference = Trajectory([0.0, 600 / 128], [[x0, 1.0], [x0 + 1.0, 1.0]], ["ref"])
+            before, after = "+-", "++"
+        else:
+            field = PiecewiseField(
+                1, [CoordinateGuard(0, 1)], {"+": ConstantPiece([0.5]), "-": ConstantPiece([1.0])}
+            )
+            reference = Trajectory([0.0, 600 / 128], [[x0], [x0 + 1.0]], ["ref"])
+            before, after = "-", "+"
+        run = lambda: _tracking(field, reference, (0.0, 600 / 128), 1 / 128)
+        memo = run()
+        labels, cut = memo[2], min(k, 600)
+        assert labels == [before] * cut + [after] * (600 - cut)
+        assert memo == _per_node(field, run)
+
+    @given(field=_fields(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_node_loop(self, field, data):
+        """Windows of hundreds of nodes from a random start, on a surface or
+        corner at times, along a random-walk reference."""
+        start = _points(data.draw, field, 1)[0]
+        span = data.draw(st.sampled_from([0.5, 2.0, 6.0]))
+        nodes = data.draw(st.integers(100, 1500))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = data.draw(st.integers(2, 400))
+        walk = rng.normal(scale=span / m, size=(m - 1, field.dimension))
+        reference = Trajectory(
+            np.linspace(0.0, span, m), start + np.vstack([0 * start, np.cumsum(walk, axis=0)]),
+            ["ref"] * (m - 1),
+        )
+        run = lambda: _tracking(field, reference, (0.0, span), span / nodes)
+        assert run() == _per_node(field, run)
