@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DegenerateGeometry, EmptySet, UnassignedPattern
 
 DEFAULT_RADIUS_TOL = 1e-9
+_CONE_TOL = 1e-12
+_MAX_WOLFE_CYCLES = 100
 
 _SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
 _PATTERN_ALIASES = {"−": "-", "–": "-"}  # unicode minus/en-dash in configs
@@ -310,9 +312,10 @@ class PiecewiseField:
 
         Decided to first order: inactive guards must keep their sign; the
         active ones must admit a direction u with n_k . u = 0 on '0' slots and
-        on the labeled side of n_k elsewhere (exact for affine guards).  Where
-        the normal vanishes (a norm guard at its center) only '+' and '0' are
-        reachable.
+        on the labeled side of n_k elsewhere (exact for affine guards), so
+        the strict ones are first projected off the span of the '0' ones.
+        Where the normal vanishes (a norm guard at its center) only '+' and
+        '0' are reachable.
         """
         equalities, strict = [], []
         for k, (c, b) in enumerate(zip(pattern, base)):
@@ -327,13 +330,11 @@ class PiecewiseField:
             else:
                 strict.append(normals[k] if c == "+" else -normals[k])
         if strict and equalities:
-            import scipy.linalg
-
-            basis = scipy.linalg.null_space(np.vstack(equalities))
-            if basis.shape[1] == 0:
-                return False
-            strict = [basis.T @ v for v in strict]
-        return _strict_cone_feasible(strict)
+            eq, strict = np.array(equalities), np.array(strict)
+            _, s, vt = np.linalg.svd(eq)
+            span = vt[: int((s > s[0] * max(eq.shape) * np.finfo(float).eps).sum())]
+            strict = strict - strict @ span.T @ span
+        return _strict_cone_feasible(np.array(strict))
 
     def adjacent_patterns(self, x, radius_tol=DEFAULT_RADIUS_TOL):
         """Full sign patterns of positive-measure regions adjacent to x."""
@@ -382,30 +383,12 @@ class PiecewiseField:
 
 
 def _strict_cone_feasible(vectors):
-    """Is there u with v . u > 0 for every v (unit vectors)?"""
-    if not vectors:
+    """Is there u with v . u > 0 for every v (rows)?  By Gordan's alternative,
+    iff there are no vectors or conv{v} keeps more than _CONE_TOL from 0
+    (a zero vector or an antiparallel pair puts 0 in it)."""
+    if len(vectors) == 0:
         return True
-    for v in vectors:
-        if np.linalg.norm(v) < 1e-14:
-            return False
-    if len(vectors) == 1:
-        return True
-    if len(vectors) == 2:
-        cos = float(vectors[0] @ vectors[1])
-        return cos > -1.0 + 1e-12
-    from scipy.optimize import linprog
-
-    dim = vectors[0].size
-    # maximize t subject to v_k . u >= t, |u_i| <= 1; feasible iff t* > 0
-    a_ub = np.hstack([-np.vstack(vectors), np.ones((len(vectors), 1))])
-    res = linprog(
-        c=np.concatenate([np.zeros(dim), [-1.0]]),
-        A_ub=a_ub,
-        b_ub=np.zeros(len(vectors)),
-        bounds=[(-1, 1)] * dim + [(None, 1)],
-        method="highs",
-    )
-    return bool(res.status == 0 and res.x[-1] > 1e-12)
+    return _hull_project(vectors, np.zeros(vectors.shape[1]))[1] > _CONE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +450,9 @@ def _dedupe_rows(rows, tol=1e-12):
 
 
 def _hull_project(verts, v):
-    """Exact projection onto conv(verts), distinct rows, by face enumeration.
-
-    The nearest point lies on a face spanned by at most d+1 affinely
-    independent vertices, so enumerating vertex subsets of that size and
-    keeping feasible affine projections is exact up to linear-algebra
-    roundoff.  Vertex counts here are small (pieces adjacent to a point).
-    """
+    """Nearest point of conv(verts) to v and its distance.  One vertex is
+    returned as it is and a 1-d hull is a clip to [min, max]; any other hull
+    goes to _min_norm_point."""
     m, d = verts.shape
     if m == 1:
         return verts[0].copy(), float(np.linalg.norm(v - verts[0]))
@@ -481,28 +460,47 @@ def _hull_project(verts, v):
         lo, hi = float(verts.min()), float(verts.max())
         p = min(max(float(v[0]), lo), hi)
         return np.array([p]), abs(float(v[0]) - p)
-    best_p, best_d = None, np.inf
-    for size in range(1, min(m, d + 1) + 1):
-        for subset in itertools.combinations(range(m), size):
-            w = verts[list(subset)]
-            if size == 1:
-                p = w[0]
-            else:
-                basis = w[1:] - w[0]
-                gram = basis @ basis.T
-                rhs = basis @ (v - w[0])
-                try:
-                    coeff = np.linalg.solve(gram, rhs)
-                except np.linalg.LinAlgError:
-                    continue
-                lam = np.concatenate([[1.0 - coeff.sum()], coeff])
-                if lam.min() < -1e-12:
-                    continue
-                p = w[0] + coeff @ basis
-            dist = float(np.linalg.norm(v - p))
-            if dist < best_d:
-                best_p, best_d = np.array(p, dtype=float), dist
-    return best_p, best_d
+    return _min_norm_point(verts, v)
+
+
+def _min_norm_point(verts, v):
+    """Nearest point of conv(verts) to v and its distance, by Wolfe's
+    minimum-norm-point algorithm (Math. Programming 11, 1976): a major cycle
+    adds the vertex that most decreases the distance to the face, a minor
+    cycle drops vertices until the face's affine nearest point has positive
+    weights.  A face keeps its vertices w in index order, and its point is
+    w[0] + coeff @ (w[1:] - w[0]) with coeff from the Gram system of
+    w[1:] - w[0], so the result depends on the optimal face alone."""
+    shifted = verts - v
+    sq = np.einsum("ij,ij->i", shifted, shifted)
+    face, lam = [int(sq.argmin())], np.ones(1)
+    p = verts[face[0]].copy()
+    for _ in range(_MAX_WOLFE_CYCLES):
+        x = p - v
+        dots = shifted @ x
+        j = int(dots.argmin())
+        if dots[j] > x @ x - 1e-12 * sq.max() or j in face:
+            break
+        face = sorted(face + [j])
+        lam = np.insert(lam, face.index(j), 0.0)
+        while len(face) > 1:
+            w = verts[face]
+            basis = w[1:] - w[0]
+            coeff = np.linalg.solve(basis @ basis.T, basis @ (v - w[0]))
+            mu = np.concatenate([[1.0 - coeff.sum()], coeff])
+            if mu.min() > 0.0:
+                lam, p = mu, w[0] + coeff @ basis
+                break
+            # step from lam toward mu until a weight reaches 0; drop it
+            out = np.flatnonzero(mu <= 0.0)
+            ratios = lam[out] / np.maximum(lam[out] - mu[out], np.finfo(float).tiny)
+            lam = lam + ratios.min() * (mu - lam)
+            keep = lam > 0.0
+            keep[out[ratios.argmin()]] = False
+            face, lam = [f for f, kept in zip(face, keep) if kept], lam[keep]
+        else:
+            lam, p = np.ones(1), verts[face[0]].copy()
+    return p, float(np.linalg.norm(v - p))
 
 
 # ---------------------------------------------------------------------------

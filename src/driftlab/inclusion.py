@@ -273,9 +273,14 @@ class _FilippovStepper:
     # -- corner fallback ----------------------------------------------------
 
     def _corner_step(self, h):
-        # least-norm hull element for one step, then re-classify
-        hull = self.maps.filippov(self.x, max(self.radius_tol, self.surface_tol))
-        self._record(self.t + h, self.x + h * hull.least_norm, self.mode[1])
+        # least-norm hull element up to the first guard reached (at rest,
+        # none is), then re-classify
+        v = self.maps.filippov(self.x, max(self.radius_tol, self.surface_tol)).least_norm
+        x, pattern = self.x, self.mode[1]
+        if any(v.tolist()):
+            self._step_along(lambda s: x + s * v, pattern, h, pattern)
+        else:
+            self._record(self.t + h, x + h * v, pattern)
         self._resolve_mode()
 
     # -- driver -------------------------------------------------------------

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
+from itertools import repeat
 
 import numpy as np
 
@@ -93,36 +95,45 @@ def write_trace_csv(path, trace):
     )
 
 
-_NOT_IN_ROWS = (" ", "\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "_")
+_NOT_IN_ROWS = (" ", "\t", "\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "_", "E")
+# an n cell, up to its comma, not spelled as a str(int): "+4", "04", "4.0", "4e0"
+_ODD_N_CELL = re.compile(r"\n(?!0,|[1-9][0-9]*,)[^,\n]*,")
 
 
 def _trace_lines(path):
-    """The lines of the file at path, which must be ASCII and hold none of
-    _NOT_IN_ROWS after its first line (the header).  Python's float parsing
-    takes whitespace around a number and '_' between digits, so a
-    hand-edited " 4" or "+0_5" cell would load; one C-speed substring search
-    per character refuses them.  The text is dropped on return, so it does
-    not add to the peak memory of the parse."""
+    """The lines of the file at path, which must be ASCII, hold none of
+    _NOT_IN_ROWS after its first line (the header) and spell each n cell as
+    str(n).  Python's float parsing takes whitespace around a number, '_'
+    between digits, a sign, leading zeros and an exponent, so a hand-edited
+    " 4", "+0_5" or "04" cell would load; C-speed searches of the text
+    refuse them, and CRLF line ends with them.  The text is dropped on
+    return, so it does not add to the peak memory of the parse."""
     try:
-        with open(path, encoding="ascii") as handle:
+        with open(path, encoding="ascii", newline="") as handle:
             text = handle.read()
     except OSError as exc:
         raise IoFailure(f"could not read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise IoFailure(f"{path}: not ASCII text, which write_trace_csv writes: {exc}") from exc
-    lines = text.splitlines()
+    lines = text.split("\n")  # splitlines' other line breaks are refused below
+    if not lines[-1]:
+        lines.pop()
     rows_start = len(lines[0]) if lines else 0
     if any(text.find(c, rows_start) >= 0 for c in _NOT_IN_ROWS):
-        raise IoFailure(f"{path}: a row holds whitespace or '_', which write_trace_csv never writes")
+        raise IoFailure(
+            f"{path}: a row holds whitespace or '_' (or 'E'), which write_trace_csv never writes"
+        )
+    if _ODD_N_CELL.search(text):
+        raise IoFailure(f"{path}: an n cell is not spelled as write_trace_csv spells its row index")
     return lines
 
 
 def read_trace_csv(path, seed=0, field_name=""):
     """The trace write_trace_csv wrote, bit-exactly.  Anything else (another
-    header, text that is not ASCII, whitespace or '_' inside a row, a row
-    with missing, extra, non-numeric or non-finite cells, no final-state
-    row, an n column that does not run 0..N) raises IoFailure naming the
-    path."""
+    header, text that is not ASCII, CRLF line ends, whitespace, '_' or 'E'
+    inside a row, a row with missing, extra, non-numeric or non-finite
+    cells, no final-state row, an n column that is not "0", "1", ..., "N")
+    raises IoFailure naming the path."""
     lines = _trace_lines(path)
     if not lines:
         raise IoFailure(f"{path}: empty file, not a trace CSV")
@@ -135,7 +146,7 @@ def read_trace_csv(path, seed=0, field_name=""):
     if len(final) != width or any(final[2 + d :]):
         raise IoFailure(f"{path}: no final-state row with {2 * d + 1} empty cells (truncated?)")
     body = lines[1:-1]
-    if any(line.count(",") != width - 1 for line in body):
+    if set(map(str.count, body, repeat(","))) - {width - 1}:
         raise IoFailure(f"{path}: a row is not {width} numeric cells")
     try:  # the body's cells, then the final row's numeric ones, in one flat parse
         cells = np.array(",".join(body + final[: 2 + d]).split(","), dtype=float)

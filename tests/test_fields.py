@@ -1,9 +1,17 @@
+import itertools
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import driftlab as dl
+from driftlab.config import load_config
 from driftlab.fields import (
+    _CONE_TOL,
     AffineGuard,
     AffinePiece,
     ConstantPiece,
@@ -11,7 +19,12 @@ from driftlab.fields import (
     CoordinateGuard,
     NormGuard,
     PiecewiseField,
+    _hull_project,
+    _min_norm_point,
+    _strict_cone_feasible,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 _QUADRANTS = {
@@ -229,6 +242,21 @@ class TestKrasovskiiMap:
         assert hull.contains([0.0], 0.0)
         assert hull.contains([1.0], 0.0)
 
+    def test_boundary_pattern_of_an_empty_set_excluded(self):
+        # on y = 0, 0.6x + 0.8y > 0 and 0.6x - 0.8y < 0 ask for x > 0 and
+        # x < 0 at once: the "0+-" carrier set is empty.  Projected off the
+        # '0' normal, its two strict normals are antiparallel but not unit.
+        fld = PiecewiseField(
+            2,
+            [CoordinateGuard(1, 2), AffineGuard([0.6, 0.8]), AffineGuard([0.6, -0.8])],
+            {"".join(p): ConstantPiece([1.0, 0.0]) for p in itertools.product("+-", repeat=3)},
+            {"0+-": [7.0, 7.0], "0++": [5.0, 5.0]},
+        )
+        assert fld.adjacent_boundary_patterns([0.0, 0.0]) == ["0++"]
+        kra = dl.krasovskii_map(fld, [0.0, 0.0], 1e-9)
+        assert not kra.contains([7.0, 7.0], 1e-6)
+        assert kra.contains([5.0, 5.0], 0.0)
+
     def test_filippov_subset_of_krasovskii(self, example1, relay, spurious):
         points = {
             "example1": [[0.0, 0.0], [0.2, 0.7], [1.0, -0.4], [3.0, 1e-12]],
@@ -380,3 +408,224 @@ class TestSetValuedProperties:
             return
         hull = dl.filippov_map(fld, x, 1e-9)
         assert hull.contains(fld.evaluate(x), 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the min-norm-point routine against exhaustive face enumeration
+
+def _enumerate_project(verts, v):
+    """Nearest point of conv(verts) to v by enumeration: the nearest point
+    lies on a face spanned by at most d+1 affinely independent vertices, so
+    the best feasible affine projection onto the vertex subsets of that size
+    is exact up to roundoff.  Exponential in the vertex count; the oracle
+    for _min_norm_point."""
+    m, d = verts.shape
+    best_p, best_d = None, np.inf
+    for size in range(1, min(m, d + 1) + 1):
+        for subset in itertools.combinations(range(m), size):
+            w = verts[list(subset)]
+            if size == 1:
+                p = w[0]
+            else:
+                basis = w[1:] - w[0]
+                try:
+                    coeff = np.linalg.solve(basis @ basis.T, basis @ (v - w[0]))
+                except np.linalg.LinAlgError:
+                    continue
+                if min(1.0 - coeff.sum(), coeff.min()) < -1e-12:
+                    continue
+                p = w[0] + coeff @ basis
+            dist = float(np.linalg.norm(v - p))
+            if dist < best_d:
+                best_p, best_d = np.array(p, dtype=float), dist
+    return best_p, best_d
+
+
+@st.composite
+def _point_sets(draw):
+    """(verts, v): 1-6 vertices in R^1..R^4, either seeded normal draws or
+    small integers, whose exact ties, repeats and collinear vertices are
+    the degenerate cases."""
+    m, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return 2.0 * rng.standard_normal((m, d)), 2.0 * rng.standard_normal(d)
+    ints = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    verts = np.array(draw(st.lists(ints, min_size=m, max_size=m)), dtype=float)
+    return verts, np.array(draw(ints), dtype=float)
+
+
+@st.composite
+def _unit_normal_sets(draw):
+    """1-6 unit vectors in R^1..R^4: signed axes, normalized vectors with
+    entries in {-1, 0, 1} (diagonals), or seeded random directions."""
+    m, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["axis", "diagonal", "random"]))
+    if kind == "axis":
+        rows = np.zeros((m, d))
+        for row in rows:
+            row[draw(st.integers(0, d - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+        return rows
+    if kind == "diagonal":
+        entries = st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=d, max_size=d).filter(any)
+        rows = np.array(draw(st.lists(entries, min_size=m, max_size=m)))
+    else:
+        rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((m, d))
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+class TestMinNormPoint:
+    @given(case=_point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumeration(self, case):
+        verts, v = case
+        p, dist = _min_norm_point(verts, v)
+        assert dist == pytest.approx(_enumerate_project(verts, v)[1], abs=1e-12)
+        assert dist == float(np.linalg.norm(v - p))
+        assert _enumerate_project(verts, p)[1] <= 1e-12  # p is in the hull
+
+    @given(normals=_unit_normal_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_cone_test_is_the_hull_distance_from_zero(self, normals):
+        oracle = _enumerate_project(normals, np.zeros(normals.shape[1]))[1] > _CONE_TOL
+        assert _strict_cone_feasible(normals) == oracle
+
+    def test_cone_test_cases(self):
+        assert _strict_cone_feasible(np.zeros((0, 2)))
+        assert _strict_cone_feasible(np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]))
+        assert not _strict_cone_feasible(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        assert not _strict_cone_feasible(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        assert not _strict_cone_feasible(np.array([[1.0, 0.0], [-0.5, 0.6], [-0.5, -0.6]]))
+
+    def test_segment_point_is_the_enumerated_one(self):
+        # example1's surface set, bit for bit: the point comes from the face
+        seg = np.array([[1.0, -1.0], [1.0, 1.0]])
+        for v in 2.0 * np.random.default_rng(5).standard_normal((2000, 2)):
+            p, dist = _hull_project(seg, v)
+            q, expected = _enumerate_project(seg, v)
+            assert p.tobytes() == q.tobytes() and dist == expected
+
+    def test_corner_least_norm_in_every_vertex_order(self):
+        corner = np.array(list(_QUADRANTS.values()))
+        for order in itertools.permutations(range(4)):
+            hull = ConvexVelocitySet(corner[list(order)])
+            assert hull.least_norm.tobytes() == np.zeros(2).tobytes()
+            assert hull.distance([0.0, 0.0]) == 0.0
+
+    def test_five_guard_corner(self):
+        # the corner of five coordinate guards in R^5 with 2^5 random
+        # constant pieces: 32 vertices, and over a million sets of up to 6
+        rng = np.random.default_rng(3)
+        fld = PiecewiseField(
+            5,
+            [CoordinateGuard(k, 5) for k in range(5)],
+            {"".join(p): ConstantPiece(rng.standard_normal(5))
+             for p in itertools.product("+-", repeat=5)},
+        )
+        hull = dl.filippov_map(fld, np.zeros(5), 1e-9)
+        assert hull.vertices.shape == (32, 5)
+        v = rng.standard_normal(5)
+        p, dist = hull.project(v)
+        # optimality: no vertex lies beyond the plane through p normal to v - p
+        assert np.max((hull.vertices - p) @ (v - p)) <= 1e-12
+        assert dist == pytest.approx(np.linalg.norm(v - p), abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# maps where every guard is a coordinate guard of its own coordinate
+
+def _coordinate_maps(field, x, tol):
+    """The Filippov and Krasovskii vertices that adjacency must give when
+    each guard is a coordinate guard of its own coordinate: every fill of
+    the '0' slots of sign_pattern(x, tol) with '+' and '-' (lexicographic),
+    then every boundary value whose pattern keeps the other slots."""
+    base = field.sign_pattern(x, tol)
+    zeros = [k for k, c in enumerate(base) if c == "0"]
+    full = []
+    for fill in itertools.product("+-", repeat=len(zeros)):
+        cand = list(base)
+        for k, c in zip(zeros, fill):
+            cand[k] = c
+        full.append(field.piece_for("".join(cand)).value(x))
+    extra = [
+        v for p, v in field.boundary_values.items()
+        if all(c == b for c, b in zip(p, base) if b != "0")
+    ]
+    return np.array(full), np.array(full + extra)
+
+
+def _sign_corner(d):
+    """h(x) = -sign(x) in R^d, a value at the corner and one on a surface."""
+    pieces = {
+        "".join(p): ConstantPiece([-1.0 if c == "+" else 1.0 for c in p])
+        for p in itertools.product("+-", repeat=d)
+    }
+    boundary = {"0" * d: [0.0] * d, "0" + "+" * (d - 1): [0.5] * d}
+    return PiecewiseField(d, [CoordinateGuard(k, d) for k in range(d)], pieces, boundary)
+
+
+_SHIPPED = sorted((ROOT / "configs").glob("*.json"))
+_COORD = st.sampled_from([0.0, 0.0, 4e-10, -4e-10, 0.3, -0.3, 1.5, -1.5])
+
+
+class TestMapsOnCoordinateGuards:
+    @pytest.mark.parametrize(
+        "field",
+        [_sign_corner(2), _sign_corner(3)] + [load_config(str(p)).build_field() for p in _SHIPPED],
+        ids=["sign-corner-2d", "sign-corner-3d"] + [p.stem for p in _SHIPPED],
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_maps_are_the_adjacent_fills(self, field, data):
+        x = np.array([data.draw(_COORD) for _ in range(field.dimension)])
+        fil, kra = _coordinate_maps(field, x, 1e-9)
+        assert np.array_equal(dl.filippov_map(field, x, 1e-9).vertices, fil)
+        assert np.array_equal(dl.krasovskii_map(field, x, 1e-9).vertices, kra)
+
+    def test_sign_corner_least_norm(self):
+        for d in (2, 3):
+            hull = dl.filippov_map(_sign_corner(d), np.zeros(d), 1e-9)
+            assert hull.least_norm.tobytes() == np.zeros(d).tobytes()
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import itertools
+import numpy as np
+import driftlab as dl
+from driftlab.fields import AffineGuard, ConstantPiece, CoordinateGuard, PiecewiseField
+
+signs = list(itertools.product("+-", repeat=3))
+corner = PiecewiseField(
+    3, [CoordinateGuard(k, 3) for k in range(3)],
+    {"".join(p): ConstantPiece([-1.0 if c == "+" else 1.0 for c in p]) for p in signs},
+    {"000": [0.0, 0.0, 0.0], "0+-": [0.5, 0.5, 0.5]},
+)
+assert dl.filippov_map(corner, [0.0, 0.0, 0.0]).vertices.shape == (8, 3)
+assert dl.krasovskii_map(corner, [0.0, 0.0, 0.0]).vertices.shape == (10, 3)
+slanted = PiecewiseField(
+    2, [CoordinateGuard(1, 2), AffineGuard([0.6, 0.8]), AffineGuard([0.6, -0.8])],
+    {"".join(p): ConstantPiece([1.0, 0.0]) for p in signs},
+    {"0+-": [7.0, 7.0], "0++": [5.0, 5.0]},
+)
+assert slanted.adjacent_boundary_patterns([0.0, 0.0]) == ["0++"]
+square = PiecewiseField(
+    2, [CoordinateGuard(0, 2), CoordinateGuard(1, 2)],
+    {p: ConstantPiece([-1.0 if p[0] == "+" else 1.0, -1.0 if p[1] == "+" else 1.0])
+     for p in ("++", "+-", "-+", "--")},
+)
+traj = dl.integrate_filippov(square, [0.5, 0.3], 2.0, 1e-3)
+assert np.linalg.norm(traj.points[-1]) <= 1e-6
+assert sys.modules["scipy"] is None
+print("ok")
+"""
+
+
+def test_runs_without_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr

@@ -156,15 +156,17 @@ class TestIntegrateFilippov:
 
     def test_slide_stops_at_first_guard(self):
         # one slide step from x = 0.999 crosses x = 0.9993 before x = 0.9998;
-        # the guard with the lower index must not win
+        # the guard with the lower index must not win.  The corner step from
+        # x = 0.9993 must stop at x = 0.9998 too, past which the speed doubles.
         guards = [AffineGuard([1.0, 0.0], -0.9998), CoordinateGuard(1, 2),
                   AffineGuard([1.0, 0.0], -0.9993)]
         pieces = {
-            a + b + c: ConstantPiece([1.0, -1.0] if b == "+" else [1.0, 1.0])
+            a + b + c: ConstantPiece([1.0 + (a == "+"), -1.0 if b == "+" else 1.0])
             for a in "+-" for b in "+-" for c in "+-"
         }
         traj = dl.integrate_filippov(PiecewiseField(2, guards, pieces), [0.99, 0.0], 0.02, 1e-3)
         assert np.min(np.abs(traj.points[:, 0] - 0.9993)) <= DEFAULT_SURFACE_TOL
+        assert np.min(np.abs(traj.points[:, 0] - 0.9998)) <= DEFAULT_SURFACE_TOL
 
     def test_parameter_validation(self):
         lin = dl.builtin_field("linear")

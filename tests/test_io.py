@@ -274,6 +274,26 @@ class TestMalformedTrace:
             dio.read_trace_csv(str(path))
         assert str(path) in str(info.value)
 
+    # each reads back as the row's index, but the writer spells n as str(n)
+    @pytest.mark.parametrize(
+        "line, value",
+        [(5, "+4"), (5, "04"), (5, "4.0"), (5, "4."), (5, "4e0"), (1, "-0"),
+         (-1, "2e1"), (-1, "+20")],
+        ids=["plus", "leading-zero", "point-zero", "trailing-point", "exponent", "minus-zero",
+             "final-row-exponent", "final-row-plus"],
+    )
+    def test_n_cell_not_str_of_index(self, tmp_path, text, line, value):
+        self._rejects(tmp_path, self._edited(text, line, 0, value), "n cell is not spelled")
+
+    @pytest.mark.parametrize(
+        "line, cell, value", [(5, 0, "4E0"), (6, 3, "2.5E-1")], ids=["n-cell", "z-cell"]
+    )
+    def test_capital_exponent(self, tmp_path, text, line, cell, value):
+        self._rejects(tmp_path, self._edited(text, line, cell, value), r"\(or 'E'\)")
+
+    def test_crlf_line_ends(self, tmp_path, text):
+        self._rejects(tmp_path, text.replace("\n", "\r\n"), "whitespace or '_'")
+
     def test_blank_line_in_body(self, tmp_path, text):
         lines = text.splitlines()
         lines.insert(6, "")

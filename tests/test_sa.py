@@ -343,9 +343,12 @@ def _run_sa_oracle(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAU
     for n in range(n_steps):
         z = field.evaluate(x)
         drifts[n] = z
-        x = x + steps[n] * (z + noises[n])
+        # a diverging draw overflows here; the check below raises for it
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x + steps[n] * (z + noises[n])
+            sq_norm = float(x @ x)
         states[n + 1] = x
-        if not float(x @ x) <= blowup_bound * blowup_bound:
+        if not sq_norm <= blowup_bound * blowup_bound:
             if not np.all(np.isfinite(x)):
                 raise dl.DivergedIterate(f"x({n + 1}) is not finite: {x.tolist()}")
             raise dl.DivergedIterate(f"|x({n + 1})| exceeded the blow-up bound {blowup_bound:g}")
