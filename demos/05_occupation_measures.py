@@ -34,8 +34,9 @@ def main():
               f"(C/t envelope {row['envelope']:.4f})")
 
     print("\ngraph support of the final measure (seed 0):")
+    distances = dl.graph_distances(full, relay)
     for eps in (0.01, 0.05, 0.1):
-        support = dl.graph_support_fraction(full, relay, eps)
+        support = distances.support(eps)
         print(f"  eps = {eps:<5} F-fraction {support.filippov:.4f}  "
               f"K-fraction {support.krasovskii:.4f}")
 

@@ -61,6 +61,7 @@ from .measures import (
     TestFunctionFamily,
     averaged_measure,
     checkpoint_residuals,
+    graph_distances,
     graph_support_fraction,
     martingale_diagnostic,
     residual_decay_study,

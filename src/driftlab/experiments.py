@@ -19,7 +19,7 @@ from .measures import (
     TestFunctionFamily,
     averaged_measure,
     checkpoint_residuals,
-    graph_support_fraction,
+    graph_distances,
 )
 from .sa import NoiseModel, run_sa, validate_schedule
 from .tracking import tracking_profile
@@ -53,9 +53,9 @@ def seed_paths(out_dir, seed):
 
 def write_seed_diagnostics(trace, field, checkpoints, eps_list, paths):
     """Stationarity residuals at the checkpoints and graph-support fractions
-    per eps of one trace, with the test family and the support taken from
-    one full-trace measure.  Writes paths["residuals"] and paths["support"]
-    and returns the support rows."""
+    per eps of one trace, with the test family and one graph_distances pass,
+    thresholded at every eps, taken from one full-trace measure.  Writes
+    paths["residuals"] and paths["support"] and returns the support rows."""
     measure = averaged_measure(trace, trace.n_steps)
     family = TestFunctionFamily.from_box(measure.box_states)
     residual_rows = []
@@ -74,9 +74,10 @@ def write_seed_diagnostics(trace, field, checkpoints, eps_list, paths):
                     "envelope": c_anchor / t_n,
                 }
             )
+    distances = graph_distances(measure, field)
     support_rows = []
     for eps in eps_list:
-        support = graph_support_fraction(measure, field, eps)
+        support = distances.support(eps)
         support_rows.append(
             {
                 "eps": float(eps),

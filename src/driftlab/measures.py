@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrace
-from .fields import DEFAULT_RADIUS_TOL, PatternMaps
+from .fields import DEFAULT_RADIUS_TOL, PatternMaps, label_of_code
 
 _MERGE_ATOL = 1e-15
 _BOX_PAD = 0.1
@@ -244,34 +244,70 @@ class GraphSupport:
     krasovskii: float
 
 
+@dataclass
+class GraphDistances:
+    """Each atom's distance to the Filippov and to the Krasovskii set at its
+    state, with the atoms' weights; where no atom is near a guard surface
+    the two distance arrays are one array."""
+
+    filippov: np.ndarray  # (m,)
+    krasovskii: np.ndarray  # (m,)
+    weights: np.ndarray  # (m,)
+
+    def support(self, eps):
+        """Total weight within eps of each graph."""
+        if eps <= 0:
+            raise ValueError("eps must be > 0")
+        return GraphSupport(
+            filippov=float(self.weights[self.filippov <= eps].sum()),
+            krasovskii=float(self.weights[self.krasovskii <= eps].sum()),
+        )
+
+
+def graph_distances(measure, field, radius_tol=DEFAULT_RADIUS_TOL):
+    """dist(z, F(x)) and dist(z, K(x)) of every atom (x, z), in one pass.
+
+    Atoms strictly interior to a region take the vectorized singleton path,
+    where F(x) = K(x) = {h(x)}.  Atoms within radius_tol of a guard surface
+    get their sets through fields.PatternMaps.  On a field where
+    maps_follow_pattern holds both sets follow the sign pattern, so each
+    distinct (pattern, z) pair, z compared bit for bit, is projected once
+    and its two distances go to every atom with that pair; on any other
+    field each atom is projected."""
+    xs, zs = measure.xs, measure.zs
+    labels = field.sign_labels(xs, radius_tol)
+    interior = np.all(labels != 0, axis=1)
+    surface = np.flatnonzero(~interior)
+    if surface.size == 0:
+        interior = slice(None)  # indexes by a view, not a copy
+    dist_f = np.empty(measure.n_atoms)
+    dist_f[interior] = np.linalg.norm(field.evaluate_batch(xs[interior]) - zs[interior], axis=1)
+    if surface.size == 0:
+        return GraphDistances(dist_f, dist_f, measure.weights)
+    dist_k = dist_f.copy()
+    maps = PatternMaps(field)
+    if maps.by_pattern:
+        bits = np.asarray(zs[surface], dtype=float).view(np.int64)
+        _, first, inverse = np.unique(
+            np.hstack([labels[surface], bits]), axis=0, return_index=True, return_inverse=True
+        )
+        rows = surface[first]
+    else:
+        rows, inverse = surface, np.arange(surface.size)
+    fil, kra = np.empty(rows.size), np.empty(rows.size)
+    for j, i in enumerate(rows.tolist()):
+        pattern = "".join(map(label_of_code, labels[i].tolist()))
+        fil[j] = maps.filippov(xs[i], radius_tol, pattern).distance(zs[i])
+        kra[j] = maps.krasovskii(xs[i], radius_tol, pattern).distance(zs[i])
+    dist_f[surface] = fil[inverse]
+    dist_k[surface] = kra[inverse]
+    return GraphDistances(dist_f, dist_k, measure.weights)
+
+
 def graph_support_fraction(measure, field, eps, radius_tol=DEFAULT_RADIUS_TOL):
     """Total weight with dist(z, F(x)) <= eps, and the companion Krasovskii
-    fraction.  Atoms strictly interior to a region take the vectorized
-    singleton path.  Atoms within radius_tol of a guard surface get the
-    Filippov and Krasovskii sets at their point, through fields.PatternMaps:
-    once per sign pattern on a field where maps_follow_pattern holds, once
-    per atom on any other."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    xs, zs, ws = measure.xs, measure.zs, measure.weights
-    fil_ok = np.zeros(measure.n_atoms, dtype=bool)
-    kra_ok = np.zeros(measure.n_atoms, dtype=bool)
-    interior = np.all(field.sign_labels(xs, radius_tol) != 0, axis=1)
-    if np.any(interior):
-        values = field.evaluate_batch(xs[interior])
-        dist = np.linalg.norm(values - zs[interior], axis=1)
-        ok = dist <= eps
-        fil_ok[interior] = ok
-        kra_ok[interior] = ok
-    maps = PatternMaps(field)
-    for i in np.nonzero(~interior)[0]:
-        pattern = field.sign_pattern(xs[i], radius_tol)
-        fil_ok[i] = maps.filippov(xs[i], radius_tol, pattern).distance(zs[i]) <= eps
-        kra_ok[i] = maps.krasovskii(xs[i], radius_tol, pattern).distance(zs[i]) <= eps
-    return GraphSupport(
-        filippov=float(ws[fil_ok].sum()),
-        krasovskii=float(ws[kra_ok].sum()),
-    )
+    fraction: graph_distances thresholded at eps."""
+    return graph_distances(measure, field, radius_tol).support(eps)
 
 
 @dataclass

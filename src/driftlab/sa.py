@@ -279,8 +279,11 @@ def _sure_bound(blowup_bound):
 def _check_blowup(x, n, blowup_bound):
     """Raise DivergedIterate unless x(n), a float array, has
     float(x @ x) <= blowup_bound^2."""
-    # written as not-<= so that a NaN iterate fails the test too
-    if not float(x @ x) <= blowup_bound * blowup_bound:
+    # a finite x above about 1.3e154 overflows x @ x to inf, which fails the
+    # test as it should; written as not-<= so that a NaN iterate fails it too
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_sq = float(x @ x)
+    if not norm_sq <= blowup_bound * blowup_bound:
         if not np.all(np.isfinite(x)):
             raise DivergedIterate(f"x({n}) is not finite: {x.tolist()}")
         raise DivergedIterate(f"|x({n})| exceeded the blow-up bound {blowup_bound:g}")

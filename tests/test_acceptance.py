@@ -150,9 +150,9 @@ def test_criterion_07_graph_support(relay_ensemble):
     ok = True
     fil_at_05 = []
     for trace in traces:
-        measure = dl.averaged_measure(trace, trace.n_steps)
+        distances = dl.graph_distances(dl.averaged_measure(trace, trace.n_steps), relay)
         for eps in (0.01, 0.05, 0.1):
-            support = dl.graph_support_fraction(measure, relay, eps)
+            support = distances.support(eps)
             ok &= support.krasovskii >= support.filippov - 1e-15
             if eps == 0.05:
                 fil_at_05.append(support.filippov)

@@ -22,7 +22,14 @@ from driftlab.fields import (
     maps_follow_pattern,
 )
 from driftlab.inclusion import Trajectory, integrate_tracking_selection, max_slope_residual
-from driftlab.measures import EmpiricalMeasure, GraphSupport, graph_support_fraction
+from driftlab.experiments import write_seed_diagnostics
+from driftlab.measures import (
+    EmpiricalMeasure,
+    GraphSupport,
+    averaged_measure,
+    graph_distances,
+    graph_support_fraction,
+)
 from driftlab.tracking import window_reference
 
 _QUADRANTS = {"++": [-1.0, -1.0], "+-": [-1.0, 1.0], "-+": [1.0, -1.0], "--": [1.0, 1.0]}
@@ -257,6 +264,141 @@ class TestAgainstPerPointMaps:
             oracle = [_outcome(run) for run in runs]
         for m, o in zip(memo, oracle):
             _assert_same(m, o)
+
+
+# ---------------------------------------------------------------------------
+# the graph distance pass against the per-atom maps
+
+_NON_PATTERN_FIELDS = [
+    # a norm guard: the unit circle, crossed by the x_2 = 0 line
+    PiecewiseField(
+        2, [NormGuard([0.0, 0.0], 1.0), CoordinateGuard(1, 2)],
+        {"++": ConstantPiece([-1.0, 0.5]), "+-": ConstantPiece([-1.0, -0.5]),
+         "-+": ConstantPiece([1.0, -1.0]), "--": ConstantPiece([0.5, 1.0])},
+        {"0+": [0.0, 0.0], "00": [0.0, 1.0]},
+    ),
+    # an affine piece behind a coordinate guard
+    PiecewiseField(
+        2, [CoordinateGuard(0, 2)],
+        {"+": AffinePiece([[-1.0, 0.0], [0.5, -1.0]]), "-": ConstantPiece([1.0, 0.0])},
+        {"0": [0.0, 0.0]},
+    ),
+]
+
+
+def _on_guards(draw, field, n):
+    """Random points, some moved onto the zero sets of a random set of guards
+    (a surface or a corner) or to within 1e-10 of them.  Each guard moves one
+    coordinate that no earlier guard moved, the one of its largest
+    coefficient when that is at least 0.1, so every coordinate stays below a
+    few hundred; a norm guard (in 2-d) puts the point on its circle, at angle
+    0, pi or a drawn one."""
+    d, k = field.dimension, len(field.guards)
+    out = []
+    for _ in range(n):
+        x = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+        moved = set()
+        for j in sorted(draw(st.sets(st.integers(0, k - 1)))):
+            guard = field.guards[j]
+            if isinstance(guard, NormGuard):
+                angle = draw(st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, 2 * np.pi)))
+                x = guard.center + guard.radius * np.array([np.cos(angle), np.sin(angle)])
+                continue
+            free = [i for i in range(d) if i not in moved]
+            i = max(free, key=lambda i: abs(guard.a[i]), default=None)
+            if i is None or abs(guard.a[i]) < 0.1:
+                continue
+            x[i] -= guard.value(x) / guard.a[i]
+            x[i] += draw(st.sampled_from([0.0, 0.0, 1e-10, -1e-10]))
+            moved.add(i)
+        out.append(x)
+    return out
+
+
+def _graph_measure(draw, field):
+    """Atoms at a few points of _on_guards, each point taken more than once,
+    with drifts drawn mostly from the field's own constant values, so that
+    atoms share their (sign pattern, drift) pair."""
+    d = field.dimension
+    points = _on_guards(draw, field, 5)
+    values = [p.c for p in field.pieces.values() if isinstance(p, ConstantPiece)]
+    values += list(field.boundary_values.values())
+    drift = st.one_of(
+        st.sampled_from(values),
+        st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d).map(np.array),
+    )
+    m = draw(st.integers(1, 24))
+    xs = np.array([points[draw(st.integers(0, len(points) - 1))] for _ in range(m)])
+    zs = np.array([draw(drift) for _ in range(m)], dtype=float)
+    ws = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    ws /= ws.sum()
+    return EmpiricalMeasure(xs, zs, ws, np.array([xs.min(0), xs.max(0)]), np.array([zs.min(0), zs.max(0)]))
+
+
+def _assert_matches_per_atom_maps(field, measure, tol):
+    """Near a surface each distance is the per-atom map's, bit for bit.  In a
+    region interior both maps are {h(x)}, and the distance is the row norm
+    of h(x) - z, which can round apart from the 1-d norm of the map's
+    projection in the last bit."""
+    distances = graph_distances(measure, field, tol)
+    fil, kra = [], []
+    for x, z in zip(measure.xs, measure.zs):
+        fil_map, kra_map = dl.filippov_map(field, x, tol), dl.krasovskii_map(field, x, tol)
+        if "0" in field.sign_pattern(x, tol):
+            fil.append(fil_map.distance(z))
+            kra.append(kra_map.distance(z))
+        else:
+            row = np.linalg.norm([field.evaluate(x) - z], axis=1)[0]
+            assert row == pytest.approx(fil_map.distance(z), rel=1e-15, abs=1e-300)
+            assert len(fil_map.vertices) == len(kra_map.vertices) == 1
+            fil.append(row)
+            kra.append(row)
+    assert np.array_equal(distances.filippov, fil)
+    assert np.array_equal(distances.krasovskii, kra)
+    for eps in (1e-12, 0.05, 0.5, 2.0):
+        support = distances.support(eps)
+        assert support == graph_support_fraction(measure, field, eps, tol)
+        assert support.filippov == float(measure.weights[np.array(fil) <= eps].sum())
+        assert support.krasovskii == float(measure.weights[np.array(kra) <= eps].sum())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestGraphDistances:
+    @given(field=_fields(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pattern_fields_match_per_atom_maps(self, field, data):
+        tol = data.draw(st.sampled_from([1e-9, 1e-6, 0.1]))
+        _assert_matches_per_atom_maps(field, _graph_measure(data.draw, field), tol)
+
+    @given(field=st.sampled_from(_NON_PATTERN_FIELDS), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_other_fields_match_per_atom_maps(self, field, data):
+        assert not maps_follow_pattern(field)
+        tol = data.draw(st.sampled_from([1e-9, 1e-6, 0.1]))
+        _assert_matches_per_atom_maps(field, _graph_measure(data.draw, field), tol)
+
+    def test_seed_diagnostics_project_once_per_pair(self, monkeypatch, tmp_path):
+        """From x0 = [0, 1] with a(0) = 1 the first step of example1 lands on
+        y = 0, and without noise every later iterate stays there at the
+        boundary value: one (pattern, drift) pair, one F and one K projection
+        for all eps."""
+        field = dl.builtin_field("example1")
+        schedule = dl.StepsizeSchedule("power", a0=1.0, gamma=0.75)
+        trace = dl.run_sa(field, [0.0, 1.0], schedule, dl.NoiseModel("zero", 0.0), 2000, seed=1)
+        assert np.all(trace.states[1:, 1] == 0.0)
+        eps_list = [0.01, 0.05, 0.1]
+        paths = {"residuals": str(tmp_path / "residuals.csv"), "support": str(tmp_path / "support.csv")}
+        projected = _counting_calls(monkeypatch, ConvexVelocitySet, "project")
+        rows = write_seed_diagnostics(trace, field, [500, 2000], eps_list, paths)
+        assert len(projected) == 2
+        measure = averaged_measure(trace, trace.n_steps)
+        for row, eps in zip(rows, eps_list):
+            support = graph_support_fraction(measure, field, eps)
+            assert (row["filippov_fraction"], row["krasovskii_fraction"]) == (
+                support.filippov, support.krasovskii)
+        # the first atom, [0, 1] at velocity h = [1, -1], is the only one on F
+        assert rows[0]["filippov_fraction"] == pytest.approx(trace.steps[0] / trace.times[-1])
+        assert rows[0]["krasovskii_fraction"] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

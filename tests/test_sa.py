@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -598,3 +599,16 @@ class TestRunSAOracle:
         _assert_matches_oracle(unit, [0.0], schedule, noise, 4, 0, 3.0)
         with pytest.raises(dl.DivergedIterate, match="blow-up bound 3"):
             dl.run_sa(unit, [0.0], schedule, noise, 4, 0, blowup_bound=3.0)
+
+    def test_huge_finite_iterate_diverges_without_warning(self):
+        # x(1) = [0.5 + 1e308, 2e200] is finite, but x @ x overflows to inf;
+        # the overflow is the test failing, not a warning to raise
+        field = PiecewiseField(
+            2, [CoordinateGuard(0, 2)],
+            {"+": ConstantPiece([1e308, 1e200]), "-": ConstantPiece([np.inf, 0.0])},
+        )
+        schedule = dl.StepsizeSchedule("constant", a0=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dl.DivergedIterate, match="blow-up bound"):
+                dl.run_sa(field, [0.5, 1e200], schedule, dl.NoiseModel("zero", 0.0), 5, 0)
