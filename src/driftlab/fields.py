@@ -22,6 +22,7 @@ from .errors import DegenerateGeometry, EmptySet, UnassignedPattern
 DEFAULT_RADIUS_TOL = 1e-9
 _CONE_TOL = 1e-12
 _MAX_WOLFE_CYCLES = 100
+_TABLE_GUARDS = 8  # evaluate_batch's code table has 3**k rows
 
 _SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
 _PATTERN_ALIASES = {"−": "-", "–": "-"}  # unicode minus/en-dash in configs
@@ -38,6 +39,12 @@ def label_of_code(code):
     """sign_pattern's label of one guard value v, from its sign_labels code:
     1 for v > 0, 0 for abs(v) <= 0 and -1 otherwise, NaN included."""
     return _SIGN_CHARS[code]
+
+
+def _pattern_of_code(code, k):
+    """The sign pattern of k guards whose base-3 digits, lowest first, are
+    their sign_labels codes plus 1."""
+    return "".join(label_of_code(code // 3**i % 3 - 1) for i in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +252,9 @@ class PiecewiseField:
         gv = np.empty((xs.shape[0], len(self.guards)))
         for k, g in enumerate(self.guards):
             gv[:, k] = g.value_batch(xs)
-        return np.where(np.abs(gv) <= zero_tol, 0, np.where(gv > 0, 1, -1)).astype(np.int8)
+        labels = 2 * (gv > 0).astype(np.int8) - 1
+        labels[np.abs(gv) <= zero_tol] = 0
+        return labels
 
     def piece_for(self, pattern):
         """The piece that carries a sign pattern: a full pattern's region
@@ -281,15 +290,29 @@ class PiecewiseField:
         return np.array(self.piece_for(self.sign_pattern(x)).value(x), dtype=float)
 
     def evaluate_batch(self, xs):
-        """evaluate() for every row of xs, one value_batch call per sign pattern."""
+        """evaluate() for every row of xs."""
         xs = np.asarray(xs, dtype=float)
+        return self._evaluate_labeled(xs, self.sign_labels(xs))
+
+    def _evaluate_labeled(self, xs, signs):
+        """evaluate_batch(xs) from signs = sign_labels(xs), or from labels at
+        any zero_tol of rows that none labels '0'.  A piecewise-constant field
+        with at most _TABLE_GUARDS guards reads each row from a table indexed
+        by sign code, whose rows are resolved only for the codes that occur;
+        any other field takes one value_batch call per sign pattern."""
+        k = len(self.guards)
+        # digits signs + 1 keep the order of signs @ 3**i, so the first
+        # unassigned pattern to raise is the same as on the per-pattern loop
+        codes = np.einsum("ij,j->i", signs + 1, 3 ** np.arange(k))
+        if k <= _TABLE_GUARDS and self.is_piecewise_constant():
+            table = np.empty((3**k, self.dimension))
+            for code in np.flatnonzero(np.bincount(codes, minlength=3**k)).tolist():
+                table[code] = self.piece_for(_pattern_of_code(code, k)).value(None)
+            return table.take(codes, axis=0)
         out = np.empty((xs.shape[0], self.dimension))
-        signs = self.sign_labels(xs)
-        codes = signs @ (3 ** np.arange(len(self.guards)))
-        for code in np.unique(codes):
+        for code in np.unique(codes).tolist():
             mask = codes == code
-            pattern = "".join(_SIGN_CHARS[int(s)] for s in signs[np.argmax(mask)])
-            out[mask] = self.piece_for(pattern).value_batch(xs[mask])
+            out[mask] = self.piece_for(_pattern_of_code(code, k)).value_batch(xs[mask])
         return out
 
     # -- adjacency ----------------------------------------------------------

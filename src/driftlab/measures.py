@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrace
+from .errors import EmptyTrace, IndexOutOfRange
 from .fields import DEFAULT_RADIUS_TOL, PatternMaps, label_of_code
 
 _MERGE_ATOL = 1e-15
@@ -43,7 +43,9 @@ class EmpiricalMeasure:
         return self.xs.shape[1]
 
     def mixture(self, other, lam):
-        """Convex combination lam*self + (1-lam)*other."""
+        """Convex combination lam*self + (1-lam)*other, 0 <= lam <= 1."""
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"lam must be in [0, 1], got {lam!r}")
         xs = np.vstack([self.xs, other.xs])
         zs = np.vstack([self.zs, other.zs])
         ws = np.concatenate([lam * self.weights, (1.0 - lam) * other.weights])
@@ -91,7 +93,18 @@ def averaged_measure(trace, up_to_n):
     zs = trace.drifts[:up_to_n]
     ws = trace.steps[:up_to_n] / t_n
     keep = ws > 0
-    xs, zs, ws = _merge_duplicate_atoms(xs[keep], zs[keep], ws[keep])
+    if not keep.all():
+        xs, zs, ws = xs[keep], zs[keep], ws[keep]
+    # one sort by x_0 proves the atoms distinct when neighbours differ in x_0
+    # by more than _MERGE_ATOL: it is then the lexsort order, nothing merges,
+    # and a lone atom's merged weight 0.0 + w is w.  A tie, a near-tie, -0.0
+    # beside 0.0 or a NaN fails the test and goes through the merge.
+    order = np.argsort(xs[:, 0])
+    sorted_xs = xs.take(order, axis=0)
+    if np.all(np.diff(sorted_xs[:, 0]) > _MERGE_ATOL):
+        xs, zs, ws = sorted_xs, zs.take(order, axis=0), ws.take(order)
+    else:
+        xs, zs, ws = _merge_duplicate_atoms(xs, zs, ws)
     return EmpiricalMeasure(
         xs=xs,
         zs=zs,
@@ -256,12 +269,12 @@ class GraphDistances:
 
     def support(self, eps):
         """Total weight within eps of each graph."""
-        if eps <= 0:
-            raise ValueError("eps must be > 0")
-        return GraphSupport(
-            filippov=float(self.weights[self.filippov <= eps].sum()),
-            krasovskii=float(self.weights[self.krasovskii <= eps].sum()),
-        )
+        if not eps > 0:
+            raise ValueError(f"eps must be > 0, got {eps!r}")
+        filippov = float(self.weights[self.filippov <= eps].sum())
+        if self.krasovskii is self.filippov:
+            return GraphSupport(filippov, filippov)
+        return GraphSupport(filippov, float(self.weights[self.krasovskii <= eps].sum()))
 
 
 def graph_distances(measure, field, radius_tol=DEFAULT_RADIUS_TOL):
@@ -274,6 +287,8 @@ def graph_distances(measure, field, radius_tol=DEFAULT_RADIUS_TOL):
     distinct (pattern, z) pair, z compared bit for bit, is projected once
     and its two distances go to every atom with that pair; on any other
     field each atom is projected."""
+    if not radius_tol > 0:
+        raise ValueError(f"radius_tol must be > 0, got {radius_tol!r}")
     xs, zs = measure.xs, measure.zs
     labels = field.sign_labels(xs, radius_tol)
     interior = np.all(labels != 0, axis=1)
@@ -281,7 +296,11 @@ def graph_distances(measure, field, radius_tol=DEFAULT_RADIUS_TOL):
     if surface.size == 0:
         interior = slice(None)  # indexes by a view, not a copy
     dist_f = np.empty(measure.n_atoms)
-    dist_f[interior] = np.linalg.norm(field.evaluate_batch(xs[interior]) - zs[interior], axis=1)
+    # labels off '0' at radius_tol are evaluate's labels at zero_tol 0
+    diff = field._evaluate_labeled(xs[interior], labels[interior])
+    diff -= zs[interior]
+    # np.linalg.norm(diff, axis=1), less its copy by the conjugate
+    dist_f[interior] = np.sqrt((diff * diff).sum(axis=1))
     if surface.size == 0:
         return GraphDistances(dist_f, dist_f, measure.weights)
     dist_k = dist_f.copy()
@@ -324,11 +343,17 @@ class MartingaleDiagnostic:
 
     def tail_oscillation(self, n0):
         """max_{n >= n0} |xi(n) - xi(n0)| per (member, coordinate)."""
+        self._check_index(n0)
         tail = self.xi[n0:] - self.xi[n0]
         return np.max(np.abs(tail), axis=0)
 
     def tail_quadratic_variation(self, n0):
+        self._check_index(n0)
         return self.quadratic_variation[-1] - self.quadratic_variation[n0]
+
+    def _check_index(self, n0):
+        if not 0 <= n0 <= self.n_steps:
+            raise IndexOutOfRange(f"n0 must be in [0, {self.n_steps}], got {n0!r}")
 
 
 def martingale_diagnostic(trace, family):
@@ -375,7 +400,11 @@ class DecayTable:
 def residual_decay_study(traces, family, checkpoints):
     """Max stationarity residual per checkpoint, median over traces, with
     the fitted C/t envelope anchored at the first checkpoint."""
+    if len(traces) == 0:
+        raise EmptyTrace("residual_decay_study needs at least one trace")
     checkpoints = np.asarray(checkpoints, dtype=int)
+    if checkpoints.size == 0:
+        raise ValueError("residual_decay_study needs at least one checkpoint")
     per_trace = np.empty((len(traces), checkpoints.size))
     for r, trace in enumerate(traces):
         per_trace[r] = np.max(np.abs(checkpoint_residuals(trace, family, checkpoints)), axis=1)

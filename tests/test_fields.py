@@ -131,6 +131,113 @@ class TestEvaluateField:
             assert np.array_equal(batch, pointwise)
 
 
+# random piecewise-constant fields, some patterns left unassigned, against
+# per-row evaluate
+
+_vals = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def _constant_fields(draw):
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3))
+    vec = st.lists(_vals, min_size=d, max_size=d)
+    guards = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["coordinate", "affine", "norm"]))
+        if kind == "coordinate":
+            guards.append(CoordinateGuard(draw(st.integers(0, d - 1)), d))
+        elif kind == "affine":
+            guards.append(AffineGuard(draw(st.lists(_vals, min_size=d, max_size=d).filter(any)),
+                                      draw(_vals)))
+        else:
+            guards.append(NormGuard(draw(vec), draw(st.sampled_from([0.5, 1.0]))))
+    full = ["".join(p) for p in itertools.product("+-", repeat=k)]
+    pieces = {p: ConstantPiece(draw(vec)) for p in full if draw(st.integers(0, 4))}
+    boundary = {
+        "".join(p): draw(vec)
+        for p in itertools.product("+-0", repeat=k)
+        if "0" in p and draw(st.booleans())
+    }
+    return PiecewiseField(d, guards, pieces, boundary)
+
+
+def _rows(draw, field, n):
+    """Rows drawn from a small grid, so that many lie on guard surfaces, some
+    with -0.0 coordinates, and on circles of the norm guards."""
+    d = field.dimension
+    coord = st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
+    rows = []
+    for _ in range(n):
+        x = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+        norms = [g for g in field.guards if isinstance(g, NormGuard)]
+        if norms and draw(st.booleans()):
+            g = draw(st.sampled_from(norms))
+            x = g.center.copy()
+            x[draw(st.integers(0, d - 1))] += g.radius
+        rows.append(x)
+    return np.array(rows).reshape(n, d)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except dl.UnassignedPattern:
+        return "unassigned"
+
+
+class TestEvaluateBatchTable:
+    @given(field=_constant_fields(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_row_evaluate(self, field, data):
+        xs = _rows(data.draw, field, data.draw(st.integers(0, 12)))
+        batch = _outcome(lambda: field.evaluate_batch(xs))
+        pointwise = _outcome(lambda: np.array([field.evaluate(x) for x in xs]).reshape(-1, field.dimension))
+        # UnassignedPattern from the batch iff some row raises it alone
+        if isinstance(pointwise, str):
+            assert batch == pointwise
+        else:
+            assert not isinstance(batch, str)
+            assert batch.dtype == np.float64 and batch.shape == pointwise.shape
+            assert np.array_equal(batch, pointwise)
+
+    def test_only_occurring_patterns_are_resolved(self, monkeypatch):
+        fld = PiecewiseField(
+            2, [CoordinateGuard(0, 2), CoordinateGuard(1, 2)],
+            {"++": ConstantPiece([1.0, 2.0]), "--": ConstantPiece([3.0, 4.0])},
+        )
+        resolved = []
+        piece_for = PiecewiseField.piece_for
+        monkeypatch.setattr(PiecewiseField, "piece_for",
+                            lambda self, p: resolved.append(p) or piece_for(self, p))
+        xs = np.array([[1.0, 1.0], [-1.0, -2.0], [2.0, 3.0]])
+        assert np.array_equal(fld.evaluate_batch(xs), [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
+        assert sorted(resolved) == ["++", "--"]
+        with pytest.raises(dl.UnassignedPattern, match="'-\\+'"):
+            fld.evaluate_batch(np.vstack([xs, [[-1.0, 1.0]]]))
+
+    def test_constant_pieces_are_read_from_the_table(self, monkeypatch):
+        monkeypatch.setattr(ConstantPiece, "value_batch", None)
+        fld = _quadrant_field()
+        xs = np.array([[1.0, 1.0], [-1.0, 0.5], [0.5, -1.0], [-1.0, -1.0]])
+        assert np.array_equal(fld.evaluate_batch(xs), [fld.evaluate(x) for x in xs])
+
+    def test_many_guards_take_the_per_pattern_loop(self, monkeypatch):
+        k = dl.fields._TABLE_GUARDS + 1
+        fld = PiecewiseField(
+            1, [AffineGuard([1.0], -0.1 * j) for j in range(k)],
+            {"+" * i + "-" * (k - i): ConstantPiece([float(i)]) for i in range(k + 1)},
+        )
+        xs = np.linspace(-0.05, 0.1 * k, 50)[:, None]
+        expected = np.array([fld.evaluate(x) for x in xs])
+        calls = []
+        value_batch = ConstantPiece.value_batch
+        monkeypatch.setattr(ConstantPiece, "value_batch",
+                            lambda self, ys: calls.append(1) or value_batch(self, ys))
+        assert np.array_equal(fld.evaluate_batch(xs), expected)
+        assert calls
+
+
 class TestFilippovMap:
     def test_example1_origin_drops_null_set_value(self, example1):
         hull = dl.filippov_map(example1, [0.0, 0.0], 1e-9)

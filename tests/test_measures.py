@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import driftlab as dl
+from driftlab import measures
 from driftlab.fields import ConstantPiece, PiecewiseField
-from driftlab.measures import velocity_mass_split
+from driftlab.measures import _merge_duplicate_atoms, _padded_box, velocity_mass_split
 
 
 def _measure(xs, zs, ws):
@@ -87,6 +88,101 @@ class TestAveragedMeasure:
             dl.averaged_measure(trace, 6)
 
 
+@st.composite
+def _duplicate_traces(draw):
+    """Traces whose states repeat exactly, tie in x_0 with a different x_1,
+    lie within 1e-15 of an earlier state, flip the sign of a zero or are
+    NaN, with drifts from a small pool and some zero stepsizes."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 30))
+    fresh = st.floats(-2.0, 2.0)
+    states = []
+    for _ in range(n + 1):
+        kind = draw(st.sampled_from(["fresh", "copy", "tie", "near", "zero", "nan"]))
+        prev = draw(st.sampled_from(states)).copy() if states else None
+        if prev is None or kind == "fresh":
+            x = np.array([draw(fresh) for _ in range(d)])
+        elif kind == "copy":
+            x = prev
+        elif kind == "tie":
+            x = prev
+            x[-1] = draw(fresh)
+        elif kind == "near":
+            x = prev
+            x[0] += draw(st.sampled_from([4e-16, -4e-16, 1e-15, -1e-15, 2e-15]))
+        elif kind == "zero":
+            x = prev
+            x[0] = draw(st.sampled_from([0.0, -0.0]))
+        else:
+            x = prev
+            x[draw(st.integers(0, d - 1))] = np.nan
+        states.append(x)
+    pool = st.sampled_from([-1.0, 0.0, -0.0, 1.0])
+    drifts = [[draw(st.one_of(pool, fresh)) for _ in range(d)] for _ in range(n)]
+    steps = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.3]), min_size=n, max_size=n)))
+    up_to = draw(st.integers(1, n))
+    if not steps[:up_to].any():
+        steps[up_to - 1] = 0.5
+    trace = dl.IterateTrace(
+        states=np.array(states), drifts=np.array(drifts, dtype=float).reshape(n, d),
+        noises=np.zeros((n, d)), steps=steps, times=np.concatenate([[0.0], np.cumsum(steps)]),
+        seed=0,
+    )
+    return trace, up_to
+
+
+def _merged_oracle(trace, n):
+    """averaged_measure's atoms through _merge_duplicate_atoms alone."""
+    ws = trace.steps[:n] / float(trace.times[n])
+    keep = ws > 0
+    xs, zs, ws = _merge_duplicate_atoms(trace.states[:n][keep], trace.drifts[:n][keep], ws[keep])
+    return xs, zs, ws, _padded_box(xs), _padded_box(zs)
+
+
+class TestDistinctAtomSort:
+    @given(case=_duplicate_traces())
+    @settings(max_examples=150, deadline=None)
+    @example(case=(dl.IterateTrace(
+        states=np.array([[0.0], [-0.0], [1.0]]), drifts=np.array([[1.0], [1.0]]),
+        noises=np.zeros((2, 1)), steps=np.array([0.5, 0.5]), times=np.array([0.0, 0.5, 1.0]),
+        seed=0), 2))
+    def test_matches_the_merge_oracle(self, case):
+        trace, n = case
+        m = dl.averaged_measure(trace, n)
+        got = (m.xs, m.zs, m.weights, m.box_states, m.box_velocities)
+        for fast, slow in zip(got, _merged_oracle(trace, n)):
+            assert fast.dtype == slow.dtype
+            assert np.array_equal(fast, slow, equal_nan=True)
+            # bit for bit, signed zeros included
+            assert np.array_equal(np.signbit(fast), np.signbit(slow))
+
+    def test_distinct_atoms_skip_the_merge(self, monkeypatch):
+        relay = dl.builtin_field("relay")
+        trace = dl.run_sa(
+            relay, [0.5], dl.StepsizeSchedule("power", a0=1.0, gamma=0.75),
+            dl.NoiseModel("gaussian", 0.1), 5000, seed=3,
+        )
+        expected = _merged_oracle(trace, trace.n_steps)
+        monkeypatch.setattr(measures, "_merge_duplicate_atoms", None)
+        m = dl.averaged_measure(trace, trace.n_steps)
+        assert np.array_equal(m.xs, expected[0]) and np.array_equal(m.zs, expected[1])
+        assert np.array_equal(m.weights, expected[2])
+        assert not np.shares_memory(m.xs, trace.states)
+
+    def test_ties_merge(self, monkeypatch):
+        lin = dl.builtin_field("linear")
+        trace = dl.run_sa(
+            lin, [0.0], dl.StepsizeSchedule("constant", a0=0.5),
+            dl.NoiseModel("zero", 0.0), 10, seed=0,
+        )
+        calls = []
+        merge = measures._merge_duplicate_atoms
+        monkeypatch.setattr(measures, "_merge_duplicate_atoms",
+                            lambda *args: calls.append(1) or merge(*args))
+        assert dl.averaged_measure(trace, 10).n_atoms == 1
+        assert calls == [1]
+
+
 class TestStationarityResidual:
     def test_zero_velocity_atom(self):
         fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
@@ -116,6 +212,15 @@ class TestStationarityResidual:
         r_mixed = dl.stationarity_residual(mixed, fam)
         r_split = lam * dl.stationarity_residual(m1, fam) + (1 - lam) * dl.stationarity_residual(m2, fam)
         assert np.allclose(r_mixed, r_split, atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.5, 2.0, float("nan")])
+    def test_mixture_weight_outside_unit_interval_raises(self, lam):
+        m1 = _measure([[0.2], [1.0]], [[1.0], [-0.5]], [0.3, 0.7])
+        m2 = _measure([[-0.4]], [[2.0]], [1.0])
+        with pytest.raises(ValueError, match="lam"):
+            m1.mixture(m2, lam)
+        for edge in (0.0, 1.0):
+            assert m1.mixture(m2, edge).weights.sum() == pytest.approx(1.0)
 
     def test_family_bounds_hold_empirically(self):
         fam = dl.TestFunctionFamily.with_scale(2, sigma=0.8)
@@ -167,6 +272,39 @@ class TestGraphSupport:
             prev = support.filippov
 
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_eps_must_be_positive(self, eps):
+        relay = dl.builtin_field("relay")
+        m = _measure([[0.5]], [[-1.0]], [1.0])
+        with pytest.raises(ValueError, match="eps"):
+            dl.graph_support_fraction(m, relay, eps)
+        with pytest.raises(ValueError, match="eps"):
+            dl.graph_distances(m, relay).support(eps)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    def test_radius_tol_must_be_positive(self, tol):
+        m = _measure([[0.5]], [[-1.0]], [1.0])
+        with pytest.raises(ValueError, match="radius_tol"):
+            dl.graph_distances(m, dl.builtin_field("relay"), tol)
+
+    @pytest.mark.parametrize("name", ["relay", "example1", "linear"])
+    def test_atoms_are_labelled_once(self, monkeypatch, name):
+        fld = dl.builtin_field(name, dimension=2)
+        rng = np.random.default_rng(5)
+        xs = rng.normal(size=(200, fld.dimension))
+        xs[::7, -1] = 0.0
+        m = _measure(xs, rng.normal(size=xs.shape), np.full(200, 1 / 200))
+        expected = dl.graph_distances(m, fld)
+        labelled = []
+        sign_labels = PiecewiseField.sign_labels
+        monkeypatch.setattr(PiecewiseField, "sign_labels",
+                            lambda self, *args: labelled.append(1) or sign_labels(self, *args))
+        got = dl.graph_distances(m, fld)
+        assert labelled == [1]
+        assert np.array_equal(got.filippov, expected.filippov)
+        assert np.array_equal(got.krasovskii, expected.krasovskii)
+
+
 class TestMartingaleDiagnostic:
     def test_zero_noise_gives_zero_paths(self):
         lin = dl.builtin_field("linear")
@@ -178,6 +316,22 @@ class TestMartingaleDiagnostic:
         diag = dl.martingale_diagnostic(trace, fam)
         assert np.all(diag.xi == 0.0)
         assert np.all(diag.tail_oscillation(0) == 0.0)
+
+    def test_tail_index_out_of_range_raises(self):
+        relay = dl.builtin_field("relay")
+        trace = dl.run_sa(
+            relay, [0.5], dl.StepsizeSchedule("constant", a0=0.1),
+            dl.NoiseModel("gaussian", 0.1), 20, seed=0,
+        )
+        diag = dl.martingale_diagnostic(trace, dl.TestFunctionFamily.with_scale(1, sigma=1.0))
+        for n0 in (-1, 21, 100):
+            with pytest.raises(dl.IndexOutOfRange):
+                diag.tail_oscillation(n0)
+            with pytest.raises(dl.IndexOutOfRange):
+                diag.tail_quadratic_variation(n0)
+        assert np.all(diag.tail_oscillation(20) == 0.0)
+        assert np.all(diag.tail_quadratic_variation(20) == 0.0)
+        assert np.all(diag.tail_oscillation(0) > 0.0)
 
     def test_invalid_constant_schedule_linear_qv_growth(self):
         relay = dl.builtin_field("relay")
@@ -226,6 +380,18 @@ class TestResidualDecay:
         fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
         table = dl.residual_decay_study([trace], fam, [100, 200, 400])
         assert np.array_equal(table.median_residuals, np.zeros(3))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_traces_or_checkpoints_raise(self):
+        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        with pytest.raises(dl.EmptyTrace):
+            dl.residual_decay_study([], fam, [1, 10])
+        trace = dl.run_sa(
+            dl.builtin_field("relay"), [0.5], dl.StepsizeSchedule("constant", a0=0.1),
+            dl.NoiseModel("gaussian", 0.1), 20, seed=0,
+        )
+        with pytest.raises(ValueError, match="checkpoint"):
+            dl.residual_decay_study([trace], fam, [])
 
     def test_linear_field_residual_small_at_horizon(self):
         # unit-scale family; box-adapted members self-normalize to the jitter
