@@ -78,7 +78,10 @@ def build_parser():
 
 def _cmd_simulate(config, args):
     seeds = _parse_seeds(args.seeds) if args.seeds else None
-    bundle = run_experiment(config, out_dir=args.out, seeds=seeds, quiet=args.quiet)
+    bundle = run_experiment(config, out_dir=args.out, seeds=seeds)
+    if not args.quiet:
+        status = "DIVERGED" if bundle.any_diverged else "ok"
+        print(f"[driftlab] wrote {bundle.out_dir} ({status})")
     return EXIT_DIVERGED if bundle.any_diverged else EXIT_OK
 
 
@@ -127,7 +130,7 @@ def _cmd_measures(config, args):
 
 def _cmd_study(config, args):
     seeds = _parse_seeds(args.seeds) if args.seeds else None
-    result = compare_noise_study(config, out_dir=args.out, seeds=seeds, quiet=args.quiet)
+    result = compare_noise_study(config, out_dir=args.out, seeds=seeds)
     if not args.quiet:
         for row in result.table:
             print(

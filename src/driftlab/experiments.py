@@ -9,7 +9,7 @@ under a density-noise arm and an atomic-noise arm side by side.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,18 +143,14 @@ def run_single_seed(config, field, seed, out_dir):
     return record
 
 
-def run_experiment(config, out_dir=None, seeds=None, quiet=True):
+def run_experiment(config, out_dir=None, seeds=None):
     """Execute all seeds of a config and write the summary bundle."""
     out_dir = out_dir or config.output_dir
     seeds = list(seeds) if seeds is not None else list(config.seeds)
     os.makedirs(out_dir, exist_ok=True)
     field = config.build_field()
     schedule_diag = validate_schedule(config.schedule, min(config.n_steps, 100_000))
-    records = []
-    for seed in seeds:
-        if not quiet:
-            print(f"[driftlab] seed {seed} ...")
-        records.append(run_single_seed(config, field, seed, out_dir))
+    records = [run_single_seed(config, field, seed, out_dir) for seed in seeds]
     summary = {
         "config": config.effective_dict(),
         "config_sha256": config.content_hash(),
@@ -165,9 +161,6 @@ def run_experiment(config, out_dir=None, seeds=None, quiet=True):
     }
     dio.write_json(os.path.join(out_dir, "summary.json"), summary)
     any_diverged = any(r["diverged"] for r in records)
-    if not quiet:
-        status = "DIVERGED" if any_diverged else "ok"
-        print(f"[driftlab] wrote {out_dir} ({status})")
     return ExperimentBundle(out_dir=out_dir, summary=summary, any_diverged=any_diverged)
 
 
@@ -189,11 +182,13 @@ class StudyResult:
     any_diverged: bool
 
 
-def compare_noise_study(config, out_dir=None, seeds=None, quiet=True):
+def _median_or_nan(values):
+    return float(np.median(values)) if values else float("nan")
+
+
+def compare_noise_study(config, out_dir=None, seeds=None):
     """The headline dichotomy experiment: identical runs under density noise
     and atomic noise, with side-by-side tracking and graph-support columns."""
-    import copy
-
     out_dir = out_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     field = config.build_field()
@@ -201,10 +196,8 @@ def compare_noise_study(config, out_dir=None, seeds=None, quiet=True):
     table = []
     any_diverged = False
     for arm_name, noise in arms.items():
-        arm_config = copy.deepcopy(config)
-        arm_config.noise = noise
         arm_dir = os.path.join(out_dir, f"arm_{arm_name}")
-        bundle = run_experiment(arm_config, out_dir=arm_dir, seeds=seeds, quiet=quiet)
+        bundle = run_experiment(replace(config, noise=noise), out_dir=arm_dir, seeds=seeds)
         any_diverged = any_diverged or bundle.any_diverged
         finals, escapes = [], []
         fil_fracs, kra_fracs = [], []
@@ -226,11 +219,11 @@ def compare_noise_study(config, out_dir=None, seeds=None, quiet=True):
                 "noise_kind": noise.kind,
                 "density_flag": noise.density_flag,
                 "escape_fraction": float(np.mean(escapes)) if escapes else float("nan"),
-                "final_norm_median": float(np.median(finals)) if finals else float("nan"),
-                "filippov_fraction_median": float(np.median(fil_fracs)) if fil_fracs else float("nan"),
-                "krasovskii_fraction_median": float(np.median(kra_fracs)) if kra_fracs else float("nan"),
-                "tracking_first_median": float(np.median(first_errs)) if first_errs else float("nan"),
-                "tracking_last_median": float(np.median(last_errs)) if last_errs else float("nan"),
+                "final_norm_median": _median_or_nan(finals),
+                "filippov_fraction_median": _median_or_nan(fil_fracs),
+                "krasovskii_fraction_median": _median_or_nan(kra_fracs),
+                "tracking_first_median": _median_or_nan(first_errs),
+                "tracking_last_median": _median_or_nan(last_errs),
             }
         )
     flags = interpretation_flags(field)

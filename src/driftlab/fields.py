@@ -70,9 +70,6 @@ class AffineGuard:
     def gradient(self, x):
         return self.a
 
-    def to_dict(self):
-        return {"type": "affine", "a": self.a.tolist(), "b": self.b}
-
 
 class CoordinateGuard(AffineGuard):
     """g(x) = x[index]; a named special case of the affine guard."""
@@ -91,9 +88,6 @@ class CoordinateGuard(AffineGuard):
 
     def value_batch(self, xs):
         return xs[:, self.index] + 0.0
-
-    def to_dict(self):
-        return {"type": "coordinate", "index": self.index, "dimension": self.a.size}
 
 
 class NormGuard:
@@ -118,9 +112,6 @@ class NormGuard:
             # non-differentiable at the center; callers special-case this
             return np.zeros_like(diff)
         return diff / nrm
-
-    def to_dict(self):
-        return {"type": "norm", "center": self.center.tolist(), "radius": self.radius}
 
 
 def guard_from_dict(spec, dimension):
@@ -147,9 +138,6 @@ class ConstantPiece:
     def value_batch(self, xs):
         return np.broadcast_to(self.c, (xs.shape[0], self.c.size)).copy()
 
-    def to_dict(self):
-        return {"type": "constant", "value": self.c.tolist()}
-
 
 class AffinePiece:
     """f(x) = A x + b."""
@@ -163,9 +151,6 @@ class AffinePiece:
 
     def value_batch(self, xs):
         return xs @ self.A.T + self.b
-
-    def to_dict(self):
-        return {"type": "affine", "A": self.A.tolist(), "b": self.b.tolist()}
 
 
 class QuadraticPiece:
@@ -183,9 +168,6 @@ class QuadraticPiece:
     def value_batch(self, xs):
         quad = np.einsum("ijk,nj,nk->ni", self.Q, xs, xs)
         return quad + xs @ self.A.T + self.b
-
-    def to_dict(self):
-        return {"type": "quadratic", "Q": self.Q.tolist(), "A": self.A.tolist(), "b": self.b.tolist()}
 
 
 def piece_from_dict(spec):
@@ -230,6 +212,14 @@ class PiecewiseField:
             if len(pat) != len(self.guards) or "0" not in pat:
                 raise ValueError(f"boundary pattern {pat!r} must contain a '0' label")
         self._boundary_pieces = {k: ConstantPiece(v) for k, v in self.boundary_values.items()}
+        # a piece's value is a (d,) vector; its shape does not depend on x
+        zero = np.zeros(self.dimension)
+        for pat, piece in {**self.pieces, **self._boundary_pieces}.items():
+            shape = np.shape(piece.value(zero))
+            if shape != (self.dimension,):
+                raise ValueError(
+                    f"pattern {pat!r} has a value of shape {shape}, not ({self.dimension},)"
+                )
 
     # -- sign patterns ------------------------------------------------------
 
@@ -380,17 +370,6 @@ class PiecewiseField:
         base, normals = self._local_geometry(np.asarray(x, dtype=float), radius_tol)
         return [p for p in self.boundary_values if self._is_adjacent(p, base, normals)]
 
-    def to_dict(self):
-        d = {
-            "dimension": self.dimension,
-            "guards": [g.to_dict() for g in self.guards],
-            "pieces": {k: p.to_dict() for k, p in self.pieces.items()},
-            "boundary_values": {k: v.tolist() for k, v in self.boundary_values.items()},
-        }
-        if self.name:
-            d["name"] = self.name
-        return d
-
     @classmethod
     def from_dict(cls, spec):
         dim = int(spec["dimension"])
@@ -478,7 +457,9 @@ def _hull_project(verts, v):
     goes to _min_norm_point."""
     m, d = verts.shape
     if m == 1:
-        return verts[0].copy(), float(np.linalg.norm(v - verts[0]))
+        # the row norm of measures.graph_distances, so both round alike
+        diff = v - verts[0]
+        return verts[0].copy(), float(np.sqrt((diff * diff).sum()))
     if d == 1:
         lo, hi = float(verts.min()), float(verts.max())
         p = min(max(float(v[0]), lo), hi)
@@ -509,7 +490,13 @@ def _min_norm_point(verts, v):
         while len(face) > 1:
             w = verts[face]
             basis = w[1:] - w[0]
-            coeff = np.linalg.solve(basis @ basis.T, basis @ (v - w[0]))
+            gram, rhs = basis @ basis.T, basis @ (v - w[0])
+            try:
+                coeff = np.linalg.solve(gram, rhs)
+            except np.linalg.LinAlgError:
+                # a face that rounding made affinely dependent: any affine
+                # minimizer will do, and the ratio step below drops a vertex
+                coeff = np.linalg.lstsq(gram, rhs, rcond=None)[0]
             mu = np.concatenate([[1.0 - coeff.sum()], coeff])
             if mu.min() > 0.0:
                 lam, p = mu, w[0] + coeff @ basis

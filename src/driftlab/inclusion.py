@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, OutOfDomain, StepTooLarge
+from .errors import DegenerateGeometry, StepTooLarge
 from .fields import DEFAULT_RADIUS_TOL, PatternMaps
 from .sa import interpolate_path
 
@@ -125,11 +125,9 @@ def _bisect(residual, h, tol):
 class _FilippovStepper:
     """Event-driven stepping state machine behind integrate_filippov."""
 
-    def __init__(self, field, x0, dt, surface_tol, radius_tol):
+    def __init__(self, field, x0, dt):
         self.field = field
         self.dt = dt
-        self.surface_tol = surface_tol
-        self.radius_tol = radius_tol
         self.maps = PatternMaps(field)
         self.x = np.asarray(x0, dtype=float).copy()
         self.t = 0.0
@@ -153,15 +151,15 @@ class _FilippovStepper:
     # -- mode resolution ----------------------------------------------------
 
     def _crossed(self, pattern, x):
-        """Guards that x lies beyond, by more than surface_tol, on the side
-        opposite to their sign in pattern ('0' slots are skipped)."""
-        labels = self.field.sign_pattern(x, zero_tol=self.surface_tol)
+        """Guards that x lies beyond, by more than DEFAULT_SURFACE_TOL, on
+        the side opposite to their sign in pattern ('0' slots are skipped)."""
+        labels = self.field.sign_pattern(x, zero_tol=DEFAULT_SURFACE_TOL)
         return [
             k for k, (c, new) in enumerate(zip(pattern, labels)) if c != new and "0" not in (c, new)
         ]
 
     def _resolve_mode(self):
-        pattern = self.field.sign_pattern(self.x, zero_tol=self.surface_tol)
+        pattern = self.field.sign_pattern(self.x, zero_tol=DEFAULT_SURFACE_TOL)
         active = [k for k, c in enumerate(pattern) if c == "0"]
         if not active:
             self.mode = ("region", pattern)
@@ -195,11 +193,11 @@ class _FilippovStepper:
         for k in crossed:
             guard = self.field.guards[k]
             sigma = 1.0 if pattern[k] == "+" else -1.0
-            if sigma * guard.value(self.x) <= self.surface_tol:
+            if sigma * guard.value(self.x) <= DEFAULT_SURFACE_TOL:
                 events.append((0.0, k))
                 continue
-            s_star = _bisect(lambda s: sigma * guard.value(path(s)), h, self.surface_tol)
-            if abs(sigma * guard.value(path(s_star))) > self.surface_tol:
+            s_star = _bisect(lambda s: sigma * guard.value(path(s)), h, DEFAULT_SURFACE_TOL)
+            if abs(sigma * guard.value(path(s_star))) > DEFAULT_SURFACE_TOL:
                 raise StepTooLarge(
                     f"could not bisect guard {k} onto the surface within tolerance"
                 )
@@ -210,7 +208,7 @@ class _FilippovStepper:
         if s_star > 0.0:
             self._record(self.t + s_star, path(s_star), label)
         if len(simultaneous) > 1 or "0" in pattern:
-            self.mode = ("corner", self.field.sign_pattern(self.x, zero_tol=self.surface_tol))
+            self.mode = ("corner", self.field.sign_pattern(self.x, zero_tol=DEFAULT_SURFACE_TOL))
             return
         self._classify_surface(k_star, _with_slot(pattern, k_star, "0"))
 
@@ -275,7 +273,7 @@ class _FilippovStepper:
     def _corner_step(self, h):
         # least-norm hull element up to the first guard reached (at rest,
         # none is), then re-classify
-        v = self.maps.filippov(self.x, max(self.radius_tol, self.surface_tol)).least_norm
+        v = self.maps.filippov(self.x, DEFAULT_RADIUS_TOL).least_norm
         x, pattern = self.x, self.mode[1]
         if any(v.tolist()):
             self._step_along(lambda s: x + s * v, pattern, h, pattern)
@@ -305,14 +303,7 @@ class _FilippovStepper:
         return Trajectory(np.array(self.times), np.array(self.points), self.labels)
 
 
-def integrate_filippov(
-    field,
-    x0,
-    t_end,
-    dt,
-    surface_tol=DEFAULT_SURFACE_TOL,
-    radius_tol=DEFAULT_RADIUS_TOL,
-):
+def integrate_filippov(field, x0, t_end, dt):
     """One canonical solution of the inclusion dx/dt in F(x) from x0.
 
     Explicit midpoint inside regions, bisection event location onto switching
@@ -326,41 +317,34 @@ def integrate_filippov(
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    stepper = _FilippovStepper(field, x0, dt, surface_tol, radius_tol)
+    stepper = _FilippovStepper(field, x0, dt)
     return stepper.run(float(t_end))
 
 
-def integrate_tracking_selection(
-    field,
-    reference,
-    t_span,
-    dt,
-    radius_tol=DEFAULT_RADIUS_TOL,
-):
-    """Approximate inclusion solution biased toward a reference path.
+def integrate_tracking_selection(field, reference, dt):
+    """Approximate inclusion solution biased toward a reference path, over
+    the reference's own span.
 
     At each node the velocity is the hull projection of the reference's
     local slope onto the Filippov set at the current point, so the output is
     the member of the solution set pulled toward the reference; where that
     set is a single vertex, the velocity is the vertex and nothing is
-    projected.  Each node is labeled with its sign pattern at radius_tol, and
-    on a field where fields.maps_follow_pattern holds that label also picks
-    the Filippov set, decided once per pattern; there, once _STREAK_NODES
-    nodes in a row share a label with a one-vertex set, the nodes that follow
-    are stepped in blocks (_run_nodes) until the label changes.  The step
-    grid is the union of the uniform dt grid and the reference's own nodes,
-    which keeps exact reference trajectories reproducible.
+    projected.  Each node is labeled with its sign pattern at
+    DEFAULT_RADIUS_TOL, and on a field where fields.maps_follow_pattern holds
+    that label also picks the Filippov set, decided once per pattern; there,
+    once _STREAK_NODES nodes in a row share a label with a one-vertex set,
+    the nodes that follow are stepped in blocks (_run_nodes) until the label
+    changes.  The step grid is the union of the uniform dt grid and the
+    reference's own nodes, which keeps exact reference trajectories
+    reproducible.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 <= t0:
-        raise ValueError("t_span must be increasing")
-    if t0 < reference.times[0] - 1e-12 or t1 > reference.times[-1] + 1e-12:
-        raise OutOfDomain("reference does not cover t_span")
+    if reference.times.size < 2:
+        raise ValueError("the reference needs at least two nodes")
+    t0, t1 = float(reference.times[0]), float(reference.times[-1])
     grid = np.arange(t0, t1, dt)
-    inside = reference.times[(reference.times > t0) & (reference.times < t1)]
-    grid = np.unique(np.concatenate([grid, inside, [t0, t1]]))
+    grid = np.unique(np.concatenate([grid, reference.times]))
     keep = np.concatenate([[True], np.diff(grid) > 1e-12 * max(1.0, t1 - t0)])
     grid = grid[keep]
     if grid[-1] < t1:
@@ -369,14 +353,14 @@ def integrate_tracking_selection(
     ref_pts = reference.value_at(grid)
     spans = np.diff(grid)
     points = np.empty((grid.size, ref_pts.shape[1]))
-    points[0] = reference.value_at(t0)
+    points[0] = reference.value_at(t0)  # not points[0]: this turns -0.0 into 0.0
     labels = []
     maps = PatternMaps(field)
     i = streak = 0
     while i < spans.size:
         y = points[i]
-        label = field.sign_pattern(y, zero_tol=radius_tol)
-        hull = maps.filippov(y, radius_tol, label)
+        label = field.sign_pattern(y, zero_tol=DEFAULT_RADIUS_TOL)
+        hull = maps.filippov(y, DEFAULT_RADIUS_TOL, label)
         if hull.distinct_vertices.shape[0] > 1:
             streak = 0
             v, _ = hull.project((ref_pts[i + 1] - ref_pts[i]) / spans[i])
@@ -384,7 +368,7 @@ def integrate_tracking_selection(
             v = hull.distinct_vertices[0]
             streak = streak + 1 if labels and labels[-1] == label else 1
             if maps.by_pattern and streak >= _STREAK_NODES:
-                stepped = _run_nodes(field, points, spans, i, v, radius_tol)
+                stepped = _run_nodes(field, points, spans, i, v)
                 labels += [label] * stepped
                 i += stepped
                 continue
@@ -394,7 +378,7 @@ def integrate_tracking_selection(
     return Trajectory(grid, points, labels)
 
 
-def _run_nodes(field, points, spans, i, v, radius_tol):
+def _run_nodes(field, points, spans, i, v):
     """Step node i, whose sign pattern L has the one-vertex Filippov set {v},
     and the nodes after it at velocity v while they keep the label L; fill
     their points and return how many nodes were stepped.  Blocks of
@@ -406,7 +390,7 @@ def _run_nodes(field, points, spans, i, v, radius_tol):
     while i < spans.size:
         stop = min(i + size, spans.size)
         ys = np.add.accumulate(np.vstack([points[i], spans[i:stop, None] * v]))
-        codes = field.sign_labels(ys, radius_tol)
+        codes = field.sign_labels(ys, DEFAULT_RADIUS_TOL)
         changed = np.flatnonzero((codes[1:] != codes[0]).any(axis=1))
         kept = int(changed[0]) + 1 if changed.size else stop - i
         points[i + 1 : i + kept + 1] = ys[1 : kept + 1]
@@ -417,7 +401,7 @@ def _run_nodes(field, points, spans, i, v, radius_tol):
     return i - start
 
 
-def max_slope_residual(field, trajectory, radius_tol=DEFAULT_RADIUS_TOL):
+def max_slope_residual(field, trajectory):
     """A-posteriori inclusion check: max over segments of the hull distance
     of the finite-difference slope from the Filippov set at the segment
     midpoint, with the adjacency ball widened by half the segment chord."""
@@ -427,7 +411,7 @@ def max_slope_residual(field, trajectory, radius_tol=DEFAULT_RADIUS_TOL):
     for i in range(slopes.shape[0]):
         a, b = trajectory.points[i], trajectory.points[i + 1]
         mid = 0.5 * (a + b)
-        band = radius_tol + 0.5 * float(np.linalg.norm(b - a))
+        band = DEFAULT_RADIUS_TOL + 0.5 * float(np.linalg.norm(b - a))
         hull = maps.filippov(mid, band)
         worst = max(worst, hull.distance(slopes[i]))
     return worst

@@ -19,6 +19,8 @@ from .fields import DEFAULT_RADIUS_TOL, PatternMaps, label_of_code
 
 _MERGE_ATOL = 1e-15
 _BOX_PAD = 0.1
+_SPLIT_TARGETS = (-1.0, 1.0)  # velocity_mass_split's two target velocities
+_SPLIT_TOL = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -41,19 +43,6 @@ class EmpiricalMeasure:
     @property
     def dimension(self):
         return self.xs.shape[1]
-
-    def mixture(self, other, lam):
-        """Convex combination lam*self + (1-lam)*other, 0 <= lam <= 1."""
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lam must be in [0, 1], got {lam!r}")
-        xs = np.vstack([self.xs, other.xs])
-        zs = np.vstack([self.zs, other.zs])
-        ws = np.concatenate([lam * self.weights, (1.0 - lam) * other.weights])
-        lo_s = np.minimum(self.box_states[0], other.box_states[0])
-        hi_s = np.maximum(self.box_states[1], other.box_states[1])
-        lo_v = np.minimum(self.box_velocities[0], other.box_velocities[0])
-        hi_v = np.maximum(self.box_velocities[1], other.box_velocities[1])
-        return EmpiricalMeasure(xs, zs, ws, np.array([lo_s, hi_s]), np.array([lo_v, hi_v]))
 
 
 def _merge_duplicate_atoms(xs, zs, ws):
@@ -431,17 +420,17 @@ class VelocitySplit:
     barycenter: np.ndarray
 
 
-def velocity_mass_split(measure, state_radius, targets=(-1.0, 1.0), target_tol=0.5):
-    """Among atoms with |x| <= state_radius: the z-mass near each target
-    velocity and the local z-barycenter."""
+def velocity_mass_split(measure, state_radius):
+    """Among atoms with |x| <= state_radius: the z-mass within _SPLIT_TOL of
+    each of the _SPLIT_TARGETS velocities and the local z-barycenter."""
     sel = np.linalg.norm(measure.xs, axis=1) <= state_radius
     ws = measure.weights[sel]
     zs = measure.zs[sel]
     if ws.sum() <= 0:
         return VelocitySplit(0.0, 0.0, float("nan"), np.full(measure.dimension, np.nan))
     z_norm_signed = zs[:, 0] if measure.dimension == 1 else np.linalg.norm(zs, axis=1)
-    mass_minus = float(ws[np.abs(z_norm_signed - targets[0]) <= target_tol].sum())
-    mass_plus = float(ws[np.abs(z_norm_signed - targets[1]) <= target_tol].sum())
+    mass_minus = float(ws[np.abs(z_norm_signed - _SPLIT_TARGETS[0]) <= _SPLIT_TOL].sum())
+    mass_plus = float(ws[np.abs(z_norm_signed - _SPLIT_TARGETS[1]) <= _SPLIT_TOL].sum())
     total = mass_minus + mass_plus
     split = mass_minus / total if total > 0 else float("nan")
     barycenter = (ws @ zs) / ws.sum()

@@ -167,9 +167,6 @@ class NoiseModel:
         every kind is a Dirac mass."""
         return self.kind in _DENSITY_KINDS and self.scale > 0
 
-    def moment_constant(self, dimension):
-        return self.scale**2 * dimension
-
     def sample_batch(self, n, dimension, rng):
         if self.kind == "zero":
             return np.zeros((n, dimension))
@@ -220,13 +217,6 @@ class IterateTrace:
         """Max norm of x(n+1) - x(n) - a(n)(z(n)+M(n+1)); zero for emitted traces."""
         recon = self.states[:-1] + self.steps[:, None] * (self.drifts + self.noises)
         return float(np.max(np.abs(recon - self.states[1:]))) if self.n_steps else 0.0
-
-
-def _drift_row(value, d):
-    """A piece value as a list of d floats, broadcast as assigning it into a
-    (d,) row of the drift array would."""
-    z = np.asarray(value, dtype=float)
-    return (z if z.shape == (d,) else np.broadcast_to(z, (d,))).tolist()
 
 
 def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWUP_BOUND):
@@ -291,7 +281,6 @@ def _check_blowup(x, n, blowup_bound):
 
 def _step_loop(field, states, drifts, steps, noises, blowup_bound):
     """Any field: one sign_pattern and piece_for per step."""
-    d = states.shape[1]
     n_steps = steps.size
     # the recursion runs on Python floats: xi + a * (zi + mi) per component
     # is the same IEEE operations, in the same order, as the array update
@@ -309,7 +298,7 @@ def _step_loop(field, states, drifts, steps, noises, blowup_bound):
             z = constant_rows.get(pattern)
             if z is None:
                 piece = piece_for(pattern)
-                z = _drift_row(piece.value(np.array(x)), d)
+                z = piece.value(np.array(x)).tolist()
                 if isinstance(piece, ConstantPiece):
                     constant_rows[pattern] = z
             x = [xi + a * (zi + mi) for xi, zi, mi in zip(x, z, m)]
@@ -367,7 +356,7 @@ def _step_table(field, column, states, drifts, steps, noises, blowup_bound):
     def resolve(code):
         piece = field.piece_for(label_of_code(code))
         # a ConstantPiece's value does not depend on x
-        z = rows[code] = _drift_row(piece.value(None), d)
+        z = rows[code] = piece.value(None).tolist()
         guarded_rows[code] = z[column]
 
     sure_bound = _sure_bound(blowup_bound)

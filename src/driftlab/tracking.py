@@ -53,9 +53,7 @@ def tracking_error(trace, field, n, T, dt):
     """max over the window grid of |interpolated path - inclusion comparator|."""
     m = window_index(trace, n, T)
     ref = window_reference(trace, n, m)
-    comparator = integrate_tracking_selection(
-        field, ref, (float(trace.times[n]), float(trace.times[m])), dt
-    )
+    comparator = integrate_tracking_selection(field, ref, dt)
     ref_on_grid = ref.value_at(comparator.times)
     return float(np.max(np.linalg.norm(ref_on_grid - comparator.points, axis=1)))
 

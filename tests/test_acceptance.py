@@ -230,8 +230,8 @@ def test_criterion_10_determinism(tmp_path):
         "measures": {"checkpoints": [10**3, 10**4], "eps": [0.05]},
         "output_dir": str(tmp_path / "a"),
     })
-    b1 = run_experiment(cfg, out_dir=str(tmp_path / "a"), quiet=True)
-    b2 = run_experiment(cfg, out_dir=str(tmp_path / "b"), quiet=True)
+    b1 = run_experiment(cfg, out_dir=str(tmp_path / "a"))
+    b2 = run_experiment(cfg, out_dir=str(tmp_path / "b"))
     ok = True
     import os
     names = [n for n in sorted(os.listdir(b1.out_dir)) if n.endswith(".csv")]

@@ -147,7 +147,7 @@ class TestRunExperiment:
             base_config(tmp_path, n_steps=2000, seeds=[3],
                         measures={"checkpoints": [500, 2000], "eps": [0.05]})
         )
-        bundle = run_experiment(cfg, quiet=True)
+        bundle = run_experiment(cfg)
         for stem in ("trace", "tracking", "residuals", "support"):
             assert os.path.exists(os.path.join(bundle.out_dir, f"{stem}_seed3.csv"))
         summary = json.load(open(os.path.join(bundle.out_dir, "summary.json")))
@@ -167,7 +167,7 @@ class TestRunExperiment:
                 measures={"checkpoints": [500], "eps": [0.05]},
             )
         )
-        bundle = run_experiment(cfg, quiet=True)
+        bundle = run_experiment(cfg)
         diag = bundle.summary["schedule_diagnostics"]
         assert diag["square_sum_finite"] is False
         assert bundle.summary["schedule_warning"] is True
@@ -176,7 +176,7 @@ class TestRunExperiment:
         cfg = config_from_dict(base_config(tmp_path, n_steps=500, seeds=[1],
                                            tracking={"T": 0.5, "n_windows": 1, "dt": 1e-2},
                                            measures={"checkpoints": [500], "eps": [0.05]}))
-        bundle = run_experiment(cfg, quiet=True)
+        bundle = run_experiment(cfg)
         flags = " ".join(bundle.summary["interpretation_flags"])
         assert "1/sqrt(2)" in flags
         assert "smallest k" in flags
@@ -186,8 +186,8 @@ class TestRunExperiment:
             base_config(tmp_path, n_steps=1500, seeds=[1, 2],
                         measures={"checkpoints": [500, 1500], "eps": [0.05]})
         )
-        b1 = run_experiment(cfg, out_dir=str(tmp_path / "a"), quiet=True)
-        b2 = run_experiment(cfg, out_dir=str(tmp_path / "b"), quiet=True)
+        b1 = run_experiment(cfg, out_dir=str(tmp_path / "a"))
+        b2 = run_experiment(cfg, out_dir=str(tmp_path / "b"))
         for name in sorted(os.listdir(b1.out_dir)):
             if name.endswith(".csv"):
                 one = open(os.path.join(b1.out_dir, name), "rb").read()
@@ -198,7 +198,7 @@ class TestRunExperiment:
         cfg = config_from_dict(base_config(tmp_path, n_steps=300, seeds=[5],
                                            tracking={"T": 0.5, "n_windows": 1, "dt": 1e-2},
                                            measures={"checkpoints": [300], "eps": [0.05]}))
-        bundle = run_experiment(cfg, quiet=True)
+        bundle = run_experiment(cfg)
         path = os.path.join(bundle.out_dir, "trace_seed5.csv")
         trace = read_trace_csv(path, seed=5)
         fresh = dl.run_sa(cfg.build_field(), cfg.x0, cfg.schedule, cfg.noise, 300, seed=5)
@@ -221,7 +221,7 @@ class TestRunExperiment:
                 measures={"checkpoints": [100], "eps": [0.05]},
             )
         )
-        bundle = run_experiment(cfg, quiet=True)
+        bundle = run_experiment(cfg)
         assert bundle.any_diverged
         assert bundle.summary["seeds"][0]["diverged"] is True
 
@@ -236,7 +236,7 @@ class TestCompareNoiseStudy:
                 measures={"checkpoints": [8000], "eps": [0.05]},
             )
         )
-        result = compare_noise_study(cfg, quiet=True)
+        result = compare_noise_study(cfg)
         by_arm = {row["arm"]: row for row in result.table}
         assert by_arm["density"]["escape_fraction"] == 1.0
         assert by_arm["atomic"]["escape_fraction"] == 0.0
@@ -257,7 +257,7 @@ class TestCompareNoiseStudy:
                 measures={"checkpoints": [20000], "eps": [0.05]},
             )
         )
-        result = compare_noise_study(cfg, quiet=True)
+        result = compare_noise_study(cfg)
         by_arm = {row["arm"]: row for row in result.table}
         assert by_arm["density"]["filippov_fraction_median"] >= 0.99
         for row in result.table:
@@ -281,7 +281,7 @@ class TestCompareNoiseStudy:
                 measures={"checkpoints": [500], "eps": [0.05]},
             )
         )
-        result = compare_noise_study(cfg, quiet=True)
+        result = compare_noise_study(cfg)
         by_arm = {row["arm"]: row for row in result.table}
         assert (by_arm["density"]["noise_kind"], by_arm["atomic"]["noise_kind"]) == kinds
         assert by_arm["density"]["density_flag"] and not by_arm["atomic"]["density_flag"]
@@ -298,7 +298,7 @@ class TestCompareNoiseStudy:
                 measures={"checkpoints": [2000], "eps": [0.05]},
             )
         )
-        result = compare_noise_study(cfg, quiet=True)
+        result = compare_noise_study(cfg)
         assert "no dichotomy (smooth field)" in result.flags
         by_arm = {row["arm"]: row for row in result.table}
         for row in result.table:
@@ -313,7 +313,7 @@ class TestShippedConfigs:
         repo_cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "example1.json")
         cfg = load_config(repo_cfg)
         out = str(tmp_path / "demo")
-        bundle = run_experiment(cfg, out_dir=out, seeds=[1], quiet=True)
+        bundle = run_experiment(cfg, out_dir=out, seeds=[1])
         for stem in ("trace", "tracking", "residuals", "support"):
             assert os.path.exists(os.path.join(out, f"{stem}_seed1.csv"))
         assert os.path.exists(os.path.join(out, "summary.json"))
@@ -435,6 +435,39 @@ class TestCli:
         ):
             path = self._write_config(tmp_path, field=field, x0=[0.5])
             assert cli_main(["simulate", "--config", path]) == 2
+
+    @pytest.mark.parametrize("where", ["pieces", "boundary_values"])
+    def test_piece_of_wrong_shape_is_config_error(self, tmp_path, capsys, where):
+        field = {
+            "dimension": 2,
+            "guards": [{"type": "coordinate", "index": 0}],
+            "pieces": {"+": {"type": "constant", "value": [1.0, 0.0]},
+                       "-": {"type": "constant", "value": [-1.0, 0.0]}},
+        }
+        if where == "pieces":
+            field["pieces"]["+"]["value"] = [0.5]
+        else:
+            field["boundary_values"] = {"0": [0.0]}
+        with pytest.raises(dl.ConfigInvalid, match=r"^field: .*shape \(1,\), not \(2,\)"):
+            config_from_dict(base_config(tmp_path, field=field))
+        path = self._write_config(tmp_path, field=field)
+        assert cli_main(["simulate", "--config", path]) == 2
+        assert "shape (1,)" in capsys.readouterr().err
+
+    def test_stdout_without_quiet(self, tmp_path, capsys):
+        small = dict(n_steps=500, seeds=[1, 2], tracking={"T": 0.5, "n_windows": 1, "dt": 1e-2},
+                     measures={"checkpoints": [500], "eps": [0.05]})
+        path = self._write_config(tmp_path, **small)
+        out = str(tmp_path / "sim")
+        assert cli_main(["simulate", "--config", path, "--out", out]) == 0
+        assert capsys.readouterr().out == f"[driftlab] wrote {out} (ok)\n"
+        path = self._write_config(tmp_path, field="spurious_equilibrium", x0=[0.0], **small)
+        assert cli_main(["study", "--config", path, "--out", str(tmp_path / "st")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines[:2]] == ["arm=density", "arm=atomic"]
+        assert all(line.startswith("[driftlab] note: ") for line in lines[2:])
+        assert cli_main(["simulate", "--config", path, "--out", out, "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_zero_stepsizes_simulate(self, tmp_path):
         # a zero step repeats t(n); the tracking windows used to reject that

@@ -597,6 +597,14 @@ class TestMinNormPoint:
         oracle = _enumerate_project(normals, np.zeros(normals.shape[1]))[1] > _CONE_TOL
         assert _strict_cone_feasible(normals) == oracle
 
+    def test_affinely_dependent_face(self):
+        # once the third of these nearly collinear vertices joins the face,
+        # its Gram matrix is singular in floating point
+        verts, v = np.array([[0.0, 1.0], [0.0, 0.5], [1e-10, 0.0]]), np.array([-1.0, 0.0])
+        p, dist = _min_norm_point(verts, v)
+        assert dist == pytest.approx(_enumerate_project(verts, v)[1], abs=1e-12)
+        assert _enumerate_project(verts, p)[1] <= 1e-12
+
     def test_cone_test_cases(self):
         assert _strict_cone_feasible(np.zeros((0, 2)))
         assert _strict_cone_feasible(np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]))

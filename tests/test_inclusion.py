@@ -192,14 +192,14 @@ class TestTrackingSelection:
     def test_reproduces_exact_filippov_trajectory(self):
         fld = dl.builtin_field("example1")
         reference = dl.integrate_filippov(fld, [0.0, 1.0], 3.0, 1e-3)
-        out = dl.integrate_tracking_selection(fld, reference, (0.0, 3.0), 1e-3)
+        out = dl.integrate_tracking_selection(fld, reference, 1e-3)
         err = np.max(np.linalg.norm(reference.value_at(out.times) - out.points, axis=1))
         assert err < 1e-6
 
     def test_constant_reference_at_equilibrium(self):
         lin = dl.builtin_field("linear")
         reference = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 1)), ["" ])
-        out = dl.integrate_tracking_selection(lin, reference, (0.0, 1.0), 1e-2)
+        out = dl.integrate_tracking_selection(lin, reference, 1e-2)
         assert np.max(np.abs(out.points)) == 0.0
 
     def test_infeasible_slope_clamps_to_hull(self):
@@ -207,7 +207,7 @@ class TestTrackingSelection:
         # the divergence grows linearly
         relay = dl.builtin_field("relay")
         reference = Trajectory(np.array([0.0, 1.0]), np.array([[0.0], [5.0]]), [""])
-        out = dl.integrate_tracking_selection(relay, reference, (0.0, 1.0), 1e-2)
+        out = dl.integrate_tracking_selection(relay, reference, 1e-2)
         slopes = out.segment_slopes()
         assert np.max(np.abs(slopes)) <= 1.0 + 1e-12
         gaps = reference.value_at(out.times)[:, 0] - out.points[:, 0]
@@ -219,5 +219,5 @@ class TestTrackingSelection:
     def test_output_satisfies_slope_membership(self):
         fld = dl.builtin_field("example1")
         reference = dl.integrate_filippov(fld, [0.0, 1.0], 2.0, 1e-3)
-        out = dl.integrate_tracking_selection(fld, reference, (0.0, 2.0), 5e-3)
+        out = dl.integrate_tracking_selection(fld, reference, 5e-3)
         assert dl.max_slope_residual(fld, out) <= 1e-9

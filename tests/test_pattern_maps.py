@@ -98,9 +98,9 @@ def _per_node(field, run):
         return run()
 
 
-def _tracking(field, reference, t_span, dt):
+def _tracking(field, reference, dt):
     """The comparator's times and points as bytes, and its labels."""
-    out = integrate_tracking_selection(field, reference, t_span, dt)
+    out = integrate_tracking_selection(field, reference, dt)
     return out.times.tobytes(), out.points.tobytes(), out.mode_labels
 
 
@@ -125,7 +125,7 @@ class TestFastPathTaken:
         trace = dl.run_sa(field, [0.0, 1.0], schedule, dl.NoiseModel("gaussian", 0.1), 3000, seed=1)
         calls = _counting_filippov(monkeypatch, field)
         ref = window_reference(trace, 1000, 3000)
-        out = integrate_tracking_selection(field, ref, (ref.times[0], ref.times[-1]), 1e-3)
+        out = integrate_tracking_selection(field, ref, 1e-3)
         assert len(out.mode_labels) > 1000
         assert {"+", "-"} <= set(out.mode_labels)
         assert 1 <= len(calls) == len(set(calls)) <= len(set(out.mode_labels))
@@ -137,7 +137,7 @@ class TestFastPathTaken:
         ref = _sa_window("spurious_equilibrium", [0.0], dl.NoiseModel("zero", 0.0), 1000, 3000)
         projected = _counting_calls(monkeypatch, ConvexVelocitySet, "project")
         labelled = _counting_calls(monkeypatch, PiecewiseField, "sign_pattern")
-        out = integrate_tracking_selection(field, ref, (ref.times[0], ref.times[-1]), 1e-3)
+        out = integrate_tracking_selection(field, ref, 1e-3)
         nodes = len(out.mode_labels)
         assert nodes > 1000
         assert out.mode_labels[0] == "0" and set(out.mode_labels[1:]) == {"+"}
@@ -147,7 +147,7 @@ class TestFastPathTaken:
     def test_chattering_window_matches_per_node_loop(self):
         field = dl.builtin_field("example1")
         ref = _sa_window("example1", [0.0, 1.0], dl.NoiseModel("gaussian", 0.1), 1000, 3000)
-        run = lambda: _tracking(field, ref, (ref.times[0], ref.times[-1]), 1e-3)
+        run = lambda: _tracking(field, ref, 1e-3)
         memo = run()
         assert {"+", "-"} <= set(memo[2])
         assert memo == _per_node(field, run)
@@ -252,7 +252,7 @@ class TestAgainstPerPointMaps:
         eps = data.draw(st.sampled_from([0.05, 0.5]))
         runs = [
             lambda: dl.integrate_filippov(field, points[0], 0.3, 0.01),
-            lambda: integrate_tracking_selection(field, reference, (0.0, 0.3), 0.02),
+            lambda: integrate_tracking_selection(field, reference, 0.02),
             lambda: max_slope_residual(field, reference),
             lambda: max_slope_residual(field, dl.integrate_filippov(field, points[1], 0.3, 0.01)),
             lambda: graph_support_fraction(measure, field, eps),
@@ -336,10 +336,9 @@ def _graph_measure(draw, field):
 
 
 def _assert_matches_per_atom_maps(field, measure, tol):
-    """Near a surface each distance is the per-atom map's, bit for bit.  In a
-    region interior both maps are {h(x)}, and the distance is the row norm
-    of h(x) - z, which can round apart from the 1-d norm of the map's
-    projection in the last bit."""
+    """Each distance is the per-atom map's, bit for bit.  In a region
+    interior both maps are {h(x)}, and the distance is the row norm of
+    h(x) - z, which the one-vertex hull also takes."""
     distances = graph_distances(measure, field, tol)
     fil, kra = [], []
     for x, z in zip(measure.xs, measure.zs):
@@ -349,7 +348,7 @@ def _assert_matches_per_atom_maps(field, measure, tol):
             kra.append(kra_map.distance(z))
         else:
             row = np.linalg.norm([field.evaluate(x) - z], axis=1)[0]
-            assert row == pytest.approx(fil_map.distance(z), rel=1e-15, abs=1e-300)
+            assert row == fil_map.distance(z)
             assert len(fil_map.vertices) == len(kra_map.vertices) == 1
             fil.append(row)
             kra.append(row)
@@ -376,6 +375,18 @@ class TestGraphDistances:
         assert not maps_follow_pattern(field)
         tol = data.draw(st.sampled_from([1e-9, 1e-6, 0.1]))
         _assert_matches_per_atom_maps(field, _graph_measure(data.draw, field), tol)
+
+    def test_interior_distance_is_the_one_vertex_distance(self):
+        """On this atom the 1-d np.linalg.norm of z - h(x), a BLAS dot, and
+        the row norm of h(x) - z round apart in the last bit; the one-vertex
+        hull and graph_distances both take the row norm."""
+        field = dl.builtin_field("example1")
+        x, z = np.array([0.3, 0.5]), np.array([-1.508, -0.035])
+        measure = EmpiricalMeasure(x[None], z[None], np.ones(1), np.array([x, x]), np.array([z, z]))
+        row = np.linalg.norm([field.evaluate(x) - z], axis=1)[0]
+        assert graph_distances(measure, field).filippov[0] == row
+        assert dl.filippov_map(field, x).distance(z) == row
+        assert dl.krasovskii_map(field, x).distance(z) == row
 
     def test_seed_diagnostics_project_once_per_pair(self, monkeypatch, tmp_path):
         """From x0 = [0, 1] with a(0) = 1 the first step of example1 lands on
@@ -439,7 +450,7 @@ class TestTrackingBlocks:
             )
             reference = Trajectory([0.0, 600 / 128], [[x0], [x0 + 1.0]], ["ref"])
             before, after = "-", "+"
-        run = lambda: _tracking(field, reference, (0.0, 600 / 128), 1 / 128)
+        run = lambda: _tracking(field, reference, 1 / 128)
         memo = run()
         labels, cut = memo[2], min(k, 600)
         assert labels == [before] * cut + [after] * (600 - cut)
@@ -460,5 +471,5 @@ class TestTrackingBlocks:
             np.linspace(0.0, span, m), start + np.vstack([0 * start, np.cumsum(walk, axis=0)]),
             ["ref"] * (m - 1),
         )
-        run = lambda: _tracking(field, reference, (0.0, span), span / nodes)
+        run = lambda: _tracking(field, reference, span / nodes)
         assert run() == _per_node(field, run)
