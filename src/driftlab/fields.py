@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field as dc_field
 
@@ -457,9 +458,12 @@ def _hull_project(verts, v):
     goes to _min_norm_point."""
     m, d = verts.shape
     if m == 1:
-        # the row norm of measures.graph_distances, so both round alike
+        # the row norm of measures.graph_distances, so both round alike,
+        # taken at a scale where the squares cannot overflow
         diff = v - verts[0]
-        return verts[0].copy(), float(np.sqrt((diff * diff).sum()))
+        e = _scale_exponent(diff)
+        diff = np.ldexp(diff, -e)
+        return verts[0].copy(), math.ldexp(float(np.sqrt((diff * diff).sum())), e)
     if d == 1:
         lo, hi = float(verts.min()), float(verts.max())
         p = min(max(float(v[0]), lo), hi)
@@ -474,7 +478,11 @@ def _min_norm_point(verts, v):
     cycle drops vertices until the face's affine nearest point has positive
     weights.  A face keeps its vertices w in index order, and its point is
     w[0] + coeff @ (w[1:] - w[0]) with coeff from the Gram system of
-    w[1:] - w[0], so the result depends on the optimal face alone."""
+    w[1:] - w[0], so the result depends on the optimal face alone.  It runs
+    on verts and v scaled by 2^-e (see _scale_exponent), so no squared norm
+    overflows, and scales the point and the distance back."""
+    e = _scale_exponent(verts, v)
+    verts, v = np.ldexp(verts, -e), np.ldexp(v, -e)
     shifted = verts - v
     sq = np.einsum("ij,ij->i", shifted, shifted)
     face, lam = [int(sq.argmin())], np.ones(1)
@@ -510,7 +518,15 @@ def _min_norm_point(verts, v):
             face, lam = [f for f, kept in zip(face, keep) if kept], lam[keep]
         else:
             lam, p = np.ones(1), verts[face[0]].copy()
-    return p, float(np.linalg.norm(v - p))
+    return np.ldexp(p, e), math.ldexp(float(np.linalg.norm(v - p)), e)
+
+
+def _scale_exponent(*arrays):
+    """The frexp exponent e of the largest |entry|, which 2^-e brings into
+    [0.5, 1); 0 for zero, inf or nan.  Scaling by a power of two is exact,
+    so a result computed on the scaled entries and scaled back is the
+    unscaled one, except where an entry far below the largest underflows."""
+    return math.frexp(max(float(np.abs(a).max()) for a in arrays))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,12 @@ class _FilippovStepper:
 
     def _classify_surface(self, k, pattern):
         dec = self._sliding_decision(self.x, k, pattern)
+        if dec.kind == "repulsive":
+            # both sides point away: the Filippov solution is not unique here
+            raise DegenerateGeometry(
+                f"surface {k} is repulsive at x = {self.x.tolist()} (pattern {pattern!r}): "
+                "the Filippov solution leaving it is not unique"
+            )
         if dec.kind == "sliding":
             # strictly attracting; the slide step handles band-edge exits
             self.mode = ("slide", k, _with_slot(pattern, k, "0"))

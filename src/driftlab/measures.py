@@ -115,31 +115,10 @@ class GaussianMonomial:
         d = len(self.beta)
         self.center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
 
-    def _shifted(self, xs):
-        return np.atleast_2d(xs) - self.center
-
     def value(self, x):
         y = np.asarray(x, dtype=float) - self.center
         mono = np.prod(y ** np.array(self.beta))
         return float(mono * np.exp(-(y @ y) / (2.0 * self.sigma**2)))
-
-    def gradient_batch(self, xs):
-        """d/dx_j of the member: (beta_j / y_j - y_j / sigma^2) * f, handled
-        without dividing by zero via explicit monomial factors."""
-        y = self._shifted(xs)
-        beta = np.array(self.beta)
-        bump = np.exp(-np.sum(y * y, axis=1) / (2.0 * self.sigma**2))
-        mono = np.prod(y ** beta, axis=1)
-        grads = np.empty_like(y)
-        for j in range(y.shape[1]):
-            if beta[j] == 0:
-                dmono = 0.0
-            else:
-                reduced = beta.copy()
-                reduced[j] -= 1
-                dmono = beta[j] * np.prod(y**reduced, axis=1)
-            grads[:, j] = (dmono - mono * y[:, j] / self.sigma**2) * bump
-        return grads
 
     def value_bound(self):
         k = sum(self.beta)
@@ -159,7 +138,26 @@ def _radial_max(k, sigma):
 
 @dataclass
 class TestFunctionFamily:
+    """Members sharing one sigma and one center, which is what lets
+    gradients compute the bump and every monomial once for the family."""
+
     members: list
+
+    def __post_init__(self):
+        if not self.members:
+            raise ValueError("a test-function family needs at least one member")
+        first = self.members[0]
+        for member in self.members[1:]:
+            if (
+                member.sigma != first.sigma
+                or len(member.beta) != len(first.beta)
+                or member.center.tobytes() != first.center.tobytes()
+            ):
+                raise ValueError(
+                    f"family members must share sigma, center and dimension: "
+                    f"beta {member.beta} has sigma {member.sigma}, center {member.center}; "
+                    f"beta {first.beta} has sigma {first.sigma}, center {first.center}"
+                )
 
     @classmethod
     def from_box(cls, box_states):
@@ -184,8 +182,50 @@ class TestFunctionFamily:
         return len(self.members)
 
     def gradients(self, xs):
-        """Every member's gradient at every point, shape (members, n, d)."""
-        return np.stack([member.gradient_batch(xs) for member in self.members])
+        """Every member's gradient at every point, shape (members, n, d), in
+        one pass over the family.
+
+        d/dx_j f = (beta_j y^(beta - e_j) - y^beta y_j / sigma^2) * bump with
+        y = x - center: the bump is computed once, and each monomial y^beta
+        once per distinct beta, as the product of its factors in coordinate
+        order."""
+        xs = np.atleast_2d(xs)
+        d = len(self.members[0].beta)
+        if xs.shape[1] != d:
+            raise ValueError(f"points have {xs.shape[1]} coordinates, the family has {d}")
+        y = xs - self.members[0].center
+        sigma2 = self.members[0].sigma ** 2
+        bump = np.exp(-np.sum(y * y, axis=1) / (2.0 * sigma2))
+        ones = np.ones(y.shape[0])
+        # y ** 2 is taken on the whole (n, d) array, the layout in which a
+        # member's y ** beta took it, so the same pow kernel rounds it: y * y,
+        # or a pow on one contiguous column, differs in the last bit
+        squares = y ** np.full(d, 2)
+        monomials = {}
+
+        def monomial(beta):
+            if beta not in monomials:
+                mono = ones
+                for j, b in enumerate(beta):
+                    if b:
+                        factor = y[:, j] if b == 1 else squares[:, j]
+                        mono = factor if mono is ones else mono * factor
+                monomials[beta] = mono
+            return monomials[beta]
+
+        out = np.empty((len(self.members), *y.shape))
+        for grads, member in zip(out, self.members):
+            beta, mono = member.beta, monomial(member.beta)
+            for j, b in enumerate(beta):
+                if b:
+                    lowered = monomial(beta[:j] + (b - 1,) + beta[j + 1:])
+                    dmono = lowered if b == 1 else b * lowered
+                else:
+                    dmono = 0.0
+                # contiguous operands, as in the per-member form: a product
+                # written to a strided column may take the other operand's NaN
+                grads[:, j] = (dmono - mono * y[:, j] / sigma2) * bump
+        return out
 
 
 def _multi_indices(dimension, max_degree):
@@ -353,11 +393,12 @@ def martingale_diagnostic(trace, family):
     xi = np.zeros((n + 1, len(family.members), d))
     qv = np.zeros((n + 1, len(family.members)))
     noise_sq = np.sum(trace.noises**2, axis=1)
+    steps_sq = trace.steps**2
     for i, grads in enumerate(family.gradients(xs)):
         terms = trace.steps[:, None] * grads * trace.noises
-        xi[1:, i, :] = np.cumsum(terms, axis=0)
-        qv_terms = trace.steps**2 * np.sum(grads**2, axis=1) * noise_sq
-        qv[1:, i] = np.cumsum(qv_terms)
+        np.cumsum(terms, axis=0, out=xi[1:, i, :])
+        qv_terms = steps_sq * np.sum(grads**2, axis=1) * noise_sq
+        np.cumsum(qv_terms, out=qv[1:, i])
     return MartingaleDiagnostic(xi=xi, quadratic_variation=qv)
 
 

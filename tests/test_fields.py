@@ -620,6 +620,26 @@ class TestMinNormPoint:
             q, expected = _enumerate_project(seg, v)
             assert p.tobytes() == q.tobytes() and dist == expected
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_entries_do_not_overflow(self):
+        one = ConvexVelocitySet([[0.0, 0.0, 2.57e283]])
+        p, dist = one.project(np.zeros(3))
+        assert p.tobytes() == one.vertices[0].tobytes() and dist == 2.57e283
+        # the segment's nearest point to 0 is about (1e270, 0, 3.9e256), found
+        # to within the stop rule's 1e-12 of the largest vertex norm
+        p, dist = _hull_project(np.array([[0.0, 0.0, 2.57e283], [1e270, 0.0, 0.0]]), np.zeros(3))
+        assert dist == pytest.approx(1e270, rel=1e-12)
+        assert p[0] == pytest.approx(1e270, rel=1e-12) and abs(p[2]) <= 1e-12 * 2.57e283
+
+    @given(case=_point_sets(), k=st.integers(-900, 900))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("error")
+    def test_projection_commutes_with_power_of_two_scaling(self, case, k):
+        verts, v = case
+        p, dist = _hull_project(verts, v)
+        p_k, dist_k = _hull_project(np.ldexp(verts, k), np.ldexp(v, k))
+        assert p_k.tobytes() == np.ldexp(p, k).tobytes() and dist_k == np.ldexp(dist, k)
+
     def test_corner_least_norm_in_every_vertex_order(self):
         corner = np.array(list(_QUADRANTS.values()))
         for order in itertools.permutations(range(4)):

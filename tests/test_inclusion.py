@@ -82,6 +82,19 @@ class TestIntegrateFilippov:
         ]
         assert np.allclose(slide_slopes, [1.0, 0.0], atol=1e-9)
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_repulsive_start_raises(self, dimension):
+        # both sides of x_0 = 0 point away from it: no unique Filippov solution
+        away = np.eye(dimension)[0]
+        fld = PiecewiseField(
+            dimension,
+            [CoordinateGuard(0, dimension)],
+            {"+": ConstantPiece(away), "-": ConstantPiece(-away)},
+        )
+        with pytest.raises(dl.DegenerateGeometry, match=r"surface 0 is repulsive at x = \[0\.0.*'0'"):
+            dl.integrate_filippov(fld, np.zeros(dimension), 0.5, 1e-3)
+        assert dl.sliding_velocity(away, -away, away).kind == "repulsive"
+
     def test_relay_reaches_and_stays(self):
         traj = dl.integrate_filippov(dl.builtin_field("relay"), [0.5], 2.0, 1e-3)
         after = traj.points[traj.times >= 1.1]

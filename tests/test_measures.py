@@ -183,6 +183,156 @@ class TestDistinctAtomSort:
         assert calls == [1]
 
 
+# ---------------------------------------------------------------------------
+# the one-pass family gradient against the per-member form it replaced
+
+def _gradient_batch(member, xs):
+    """d/dx_j of the member: (beta_j / y_j - y_j / sigma^2) * f, handled
+    without dividing by zero via explicit monomial factors.  The
+    per-member gradient TestFunctionFamily.gradients replaced, kept as its
+    oracle."""
+    y = np.atleast_2d(xs) - member.center
+    beta = np.array(member.beta)
+    bump = np.exp(-np.sum(y * y, axis=1) / (2.0 * member.sigma**2))
+    mono = np.prod(y ** beta, axis=1)
+    grads = np.empty_like(y)
+    for j in range(y.shape[1]):
+        if beta[j] == 0:
+            dmono = 0.0
+        else:
+            reduced = beta.copy()
+            reduced[j] -= 1
+            dmono = beta[j] * np.prod(y**reduced, axis=1)
+        grads[:, j] = (dmono - mono * y[:, j] / member.sigma**2) * bump
+    return grads
+
+
+def _stacked_oracle(family, xs):
+    return np.stack([_gradient_batch(member, xs) for member in family.members])
+
+
+def _martingale_oracle(trace, family):
+    """martingale_diagnostic's per-member loop before the one-pass family."""
+    n, d = trace.noises.shape
+    xs = trace.states[:n]
+    xi = np.zeros((n + 1, len(family.members), d))
+    qv = np.zeros((n + 1, len(family.members)))
+    noise_sq = np.sum(trace.noises**2, axis=1)
+    for i, grads in enumerate(_stacked_oracle(family, xs)):
+        terms = trace.steps[:, None] * grads * trace.noises
+        xi[1:, i, :] = np.cumsum(terms, axis=0)
+        qv_terms = trace.steps**2 * np.sum(grads**2, axis=1) * noise_sq
+        qv[1:, i] = np.cumsum(qv_terms)
+    return xi, qv
+
+
+def _bitwise_equal(a, b):
+    """Equal shapes, values (nan matching nan) and sign bits."""
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+def _relay_trace(n_steps=200, seed=0):
+    return dl.run_sa(
+        dl.builtin_field("relay"), [0.5], dl.StepsizeSchedule("power", a0=0.5, gamma=0.75),
+        dl.NoiseModel("gaussian", 0.1), n_steps, seed=seed,
+    )
+
+
+class TestFamilyGradients:
+    @given(
+        d=st.integers(1, 3),
+        n=st.integers(1, 10_000),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-2.0, 2.0),
+        special=st.sampled_from([0.0, -0.0, np.nan]),
+        centered=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(d=2, n=10_000, seed=1, log_scale=0.0, special=np.nan, centered=False)
+    @example(d=1, n=1, seed=0, log_scale=-2.0, special=-0.0, centered=True)
+    def test_matches_the_per_member_oracle_bit_for_bit(self, d, n, seed, log_scale, special, centered):
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((n, d)) * 10.0**log_scale
+        # whole rows and single coordinates at the special value
+        xs[rng.random(n) < 0.05] = special
+        xs[rng.random(n) < 0.05, rng.integers(d)] = special
+        center = rng.standard_normal(d) if centered else None
+        fam = dl.TestFunctionFamily.with_scale(d, 10.0 ** rng.uniform(-1.0, 1.0), center)
+        with np.errstate(invalid="ignore"):
+            assert _bitwise_equal(fam.gradients(xs), _stacked_oracle(fam, xs))
+
+    def test_empty_point_set(self):
+        fam = dl.TestFunctionFamily.with_scale(2, sigma=1.0)
+        assert fam.gradients(np.zeros((0, 2))).shape == (len(fam), 0, 2)
+
+    @pytest.mark.parametrize("name,x0,kind", [
+        ("relay", [0.5], "gaussian"),
+        ("relay", [0.0], "rademacher"),
+        ("example1", [0.0, 1.0], "gaussian"),
+        ("spurious_equilibrium", [0.0], "zero"),
+    ])
+    def test_martingale_matches_the_per_member_loop(self, name, x0, kind):
+        trace = dl.run_sa(
+            dl.builtin_field(name), x0, dl.StepsizeSchedule("power", a0=1.0, gamma=0.75),
+            dl.NoiseModel(kind, 0.0 if kind == "zero" else 0.1), 3000, seed=4,
+        )
+        fam = dl.TestFunctionFamily.from_box(dl.averaged_measure(trace, 3000).box_states)
+        diag = dl.martingale_diagnostic(trace, fam)
+        xi, qv = _martingale_oracle(trace, fam)
+        assert np.array_equal(diag.xi, xi)
+        assert np.array_equal(diag.quadratic_variation, qv)
+
+    @pytest.mark.parametrize("members", [
+        [dl.GaussianMonomial((0,), 1.0), dl.GaussianMonomial((1,), 2.0)],
+        [dl.GaussianMonomial((0,), 1.0), dl.GaussianMonomial((1,), 1.0, [0.5])],
+        [dl.GaussianMonomial((0,), 1.0, [0.0]), dl.GaussianMonomial((1,), 1.0, [-0.0])],
+        [dl.GaussianMonomial((0,), 1.0), dl.GaussianMonomial((1, 0), 1.0)],
+        [],
+    ])
+    def test_members_must_share_sigma_and_center(self, members):
+        with pytest.raises(ValueError, match="member"):
+            dl.TestFunctionFamily(members)
+
+    def test_one_family_pass_per_call_and_no_per_member_pass(self, monkeypatch):
+        assert not hasattr(dl.GaussianMonomial, "gradient_batch")
+        per_member = []
+        monkeypatch.setattr(dl.GaussianMonomial, "gradient_batch",
+                            lambda member, xs: per_member.append(1) or _gradient_batch(member, xs),
+                            raising=False)
+        passes = []
+        one_pass = dl.TestFunctionFamily.gradients
+        monkeypatch.setattr(dl.TestFunctionFamily, "gradients",
+                            lambda fam, xs: passes.append(len(xs)) or one_pass(fam, xs))
+        trace = _relay_trace()
+        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        dl.checkpoint_residuals(trace, fam, [50, 100, 200])
+        assert passes == [200]
+        dl.martingale_diagnostic(trace, fam)
+        dl.stationarity_residual(dl.averaged_measure(trace, 200), fam)
+        dl.residual_decay_study([trace, trace], fam, [100, 200])
+        assert len(passes) == 5 and per_member == []
+
+    def test_family_of_the_wrong_dimension_fails_loudly(self):
+        relay_trace = _relay_trace()
+        wide = dl.TestFunctionFamily.with_scale(2, 1.0)
+        msg = "points have 1 coordinates, the family has 2"
+        with pytest.raises(ValueError, match=msg):
+            dl.checkpoint_residuals(relay_trace, wide, [100, 200])
+        with pytest.raises(ValueError, match=msg):
+            dl.martingale_diagnostic(relay_trace, wide)
+        example1_trace = dl.run_sa(
+            dl.builtin_field("example1"), [0.0, 1.0], dl.StepsizeSchedule("power", a0=1.0, gamma=0.75),
+            dl.NoiseModel("gaussian", 0.1), 200, seed=0,
+        )
+        narrow = dl.TestFunctionFamily.with_scale(1, 1.0)
+        with pytest.raises(ValueError, match="points have 2 coordinates, the family has 1"):
+            dl.checkpoint_residuals(example1_trace, narrow, [200])
+
+
 class TestStationarityResidual:
     def test_zero_velocity_atom(self):
         fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
@@ -219,7 +369,7 @@ class TestStationarityResidual:
         xs = np.random.default_rng(0).normal(scale=2.0, size=(500, 2))
         for member in fam.members:
             vals = np.array([member.value(x) for x in xs])
-            grads = member.gradient_batch(xs)
+            grads = _gradient_batch(member, xs)
             assert np.all(np.abs(vals) <= member.value_bound() + 1e-12)
             assert np.all(np.linalg.norm(grads, axis=1) <= 2.0 * member.gradient_bound() + 1e-12)
 
