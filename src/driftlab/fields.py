@@ -458,8 +458,8 @@ def _hull_project(verts, v):
     goes to _min_norm_point."""
     m, d = verts.shape
     if m == 1:
-        # the row norm of measures.graph_distances, so both round alike,
-        # taken at a scale where the squares cannot overflow
+        # the row norm of measures._row_norms, so both round alike, taken at
+        # a scale where the squares cannot overflow
         diff = v - verts[0]
         e = _scale_exponent(diff)
         diff = np.ldexp(diff, -e)
@@ -518,7 +518,11 @@ def _min_norm_point(verts, v):
             face, lam = [f for f, kept in zip(face, keep) if kept], lam[keep]
         else:
             lam, p = np.ones(1), verts[face[0]].copy()
-    return np.ldexp(p, e), math.ldexp(float(np.linalg.norm(v - p)), e)
+    # v - p can be far below the scaled vertices, where its square
+    # underflows: its norm is taken at its own scale
+    diff = v - p
+    f = _scale_exponent(diff)
+    return np.ldexp(p, e), math.ldexp(float(np.linalg.norm(np.ldexp(diff, -f))), e + f)
 
 
 def _scale_exponent(*arrays):

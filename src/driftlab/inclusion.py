@@ -168,14 +168,19 @@ class _FilippovStepper:
         else:
             self.mode = ("corner", pattern)
 
-    def _classify_surface(self, k, pattern):
-        dec = self._sliding_decision(self.x, k, pattern)
+    def _refuse_repulsive(self, dec, k, pattern):
+        """Raise DegenerateGeometry when dec, the decision at self.x, is
+        repulsive: both sides point away, so the Filippov solution leaving
+        surface k is not unique."""
         if dec.kind == "repulsive":
-            # both sides point away: the Filippov solution is not unique here
             raise DegenerateGeometry(
                 f"surface {k} is repulsive at x = {self.x.tolist()} (pattern {pattern!r}): "
                 "the Filippov solution leaving it is not unique"
             )
+
+    def _classify_surface(self, k, pattern):
+        dec = self._sliding_decision(self.x, k, pattern)
+        self._refuse_repulsive(dec, k, pattern)
         if dec.kind == "sliding":
             # strictly attracting; the slide step handles band-edge exits
             self.mode = ("slide", k, _with_slot(pattern, k, "0"))
@@ -252,6 +257,7 @@ class _FilippovStepper:
     def _slide_step(self, h):
         _, k, pattern0 = self.mode
         dec = self._sliding_decision(self.x, k, pattern0)
+        self._refuse_repulsive(dec, k, pattern0)
         if dec.kind != "sliding":
             self.mode = ("region", _with_slot(pattern0, k, dec.side))
             return

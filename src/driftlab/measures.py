@@ -328,8 +328,7 @@ def graph_distances(measure, field, radius_tol=DEFAULT_RADIUS_TOL):
     # labels off '0' at radius_tol are evaluate's labels at zero_tol 0
     diff = field._evaluate_labeled(xs[interior], labels[interior])
     diff -= zs[interior]
-    # np.linalg.norm(diff, axis=1), less its copy by the conjugate
-    dist_f[interior] = np.sqrt((diff * diff).sum(axis=1))
+    dist_f[interior] = _row_norms(diff)
     if surface.size == 0:
         return GraphDistances(dist_f, dist_f, measure.weights)
     dist_k = dist_f.copy()
@@ -350,6 +349,26 @@ def graph_distances(measure, field, radius_tol=DEFAULT_RADIUS_TOL):
     dist_f[surface] = fil[inverse]
     dist_k[surface] = kra[inverse]
     return GraphDistances(dist_f, dist_k, measure.weights)
+
+
+_TINY_SQUARE = 2.0**-968  # a square at least this is normal, and so is a sum of them
+
+
+def _row_norms(diff):
+    """Each row's Euclidean norm, as fields._hull_project takes the distance
+    to one vertex, so both round alike: np.linalg.norm(diff, axis=1), less
+    its copy by the conjugate, unless a square underflows or a sum of
+    squares overflows; then each row is taken at its own scale (see
+    fields._scale_exponent), so that a tiny or a huge row keeps its norm."""
+    with np.errstate(over="ignore"):
+        squares = diff * diff
+        sq = squares.sum(axis=1)
+    no_underflow = np.count_nonzero(squares >= _TINY_SQUARE) == np.count_nonzero(diff != 0)
+    if no_underflow and sq.max(initial=0.0) < np.inf:
+        return np.sqrt(sq, out=sq)
+    e = np.frexp(np.abs(diff).max(axis=1))[1]
+    diff = np.ldexp(diff, -e[:, None])
+    return np.ldexp(np.sqrt((diff * diff).sum(axis=1)), e)
 
 
 def graph_support_fraction(measure, field, eps, radius_tol=DEFAULT_RADIUS_TOL):
@@ -373,8 +392,13 @@ class MartingaleDiagnostic:
     def tail_oscillation(self, n0):
         """max_{n >= n0} |xi(n) - xi(n0)| per (member, coordinate)."""
         self._check_index(n0)
-        tail = self.xi[n0:] - self.xi[n0]
-        return np.max(np.abs(tail), axis=0)
+        # one contiguous row per (member, coordinate): a reduction over axis 0
+        # of xi would run one short inner loop per step
+        rows = self.xi.shape[0] - n0
+        tail = np.ascontiguousarray(self.xi[n0:].reshape(rows, -1).T)
+        tail -= tail[:, :1]
+        np.abs(tail, out=tail)
+        return tail.max(axis=1).reshape(self.xi.shape[1:])
 
     def tail_quadratic_variation(self, n0):
         self._check_index(n0)

@@ -9,17 +9,18 @@ give traces bit-identical to the numpy loop x = x + a * (evaluate(x) + M).
 When the field has exactly one guard, a CoordinateGuard, and every piece is
 a ConstantPiece (relay, example1, spurious_equilibrium), the drift is one of
 three constant rows picked by the sign of one coordinate: only that
-coordinate steps in Python, to pick each step's pattern, and the states are
-one sequential np.add.accumulate of the increments a * (z + M) of the picked
-rows, a block at a time. These are the same IEEE operations in the same
-order. Every other field steps all coordinates on Python floats, one
-sign_pattern and piece_for per step.
+coordinate steps in Python, with the three drifts' guarded coordinates held
+in local floats and each step's sign code appended to a list; the picked
+rows are then read from a 3-row table indexed by code + 1, and the states
+are one sequential np.add.accumulate of the increments a * (z + M), a block
+at a time. These are the same IEEE operations in the same order. Every
+other field steps all coordinates on Python floats, one sign_pattern and
+piece_for per step.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,56 +329,58 @@ def _guard_column(field):
     return guard.index % d
 
 
-def _walk(v, zs, a, m, codes, n, stop):
-    """Step the guarded coordinate v over local steps n..stop-1, as
-    v + a * (z + m) with z the drift of v's sign code, numbered as
-    fields.label_of_code decodes it. Returns (n, code, v) at the first code
-    not in zs, else (stop, None, v)."""
-    for n in range(n, stop):
-        code = 1 if v > 0.0 else 0 if v == 0.0 else -1
-        z = zs.get(code)
+def _walk(v, guarded, a, m, codes, resolve):
+    """Step the guarded coordinate v as v + a * (z + m) over the pairs of the
+    lists a and m, with z the guarded coordinate of the drift of v's sign code
+    (1 for v > 0, 0 for v == 0 and -1 otherwise, NaN included, as
+    fields.label_of_code decodes it), and append each step's code to codes.
+    guarded[code + 1] is None until resolve(code) fills it, on the code's
+    first visit; an exception of resolve leaves codes at the steps taken."""
+    z_neg, z_zero, z_pos = guarded
+    append = codes.append
+    for ai, mi in zip(a, m):
+        if v > 0.0:
+            code, z = 1, z_pos
+        elif v == 0.0:
+            code, z = 0, z_zero
+        else:
+            code, z = -1, z_neg
         if z is None:
-            return n, code, v
-        v += a[n] * (z + m[n])
-        codes[n] = code
-    return stop, None, v
+            resolve(code)
+            z_neg, z_zero, z_pos = guarded
+            z = guarded[code + 1]
+        v += ai * (z + mi)
+        append(code)
 
 
 def _step_table(field, column, states, drifts, steps, noises, blowup_bound):
     """Constant pieces behind one coordinate guard: only the guarded
-    coordinate steps in Python, to pick each step's sign pattern; the states
+    coordinate steps in Python, to pick each step's sign code; the states
     are then one sequential np.add.accumulate over the increments a * (z + m)
     of the picked drift rows, a block at a time."""
-    d = states.shape[1]
     n_steps = steps.size
-    rows = {}  # code -> drift row, resolved with piece_for on its first visit
-    guarded_rows = {}  # code -> the row's guarded coordinate, as _walk reads it
+    table = np.empty((3, states.shape[1]))  # row code + 1: the drift of that code
+    guarded = [None, None, None]  # row code + 1: its guarded coordinate, once resolved
 
     def resolve(code):
         piece = field.piece_for(label_of_code(code))
         # a ConstantPiece's value does not depend on x
-        z = rows[code] = piece.value(None).tolist()
-        guarded_rows[code] = z[column]
+        table[code + 1] = piece.value(None)
+        guarded[code + 1] = float(table[code + 1, column])
 
     sure_bound = _sure_bound(blowup_bound)
-    codes = array("q", bytes(8 * _BLOCK_ROWS))
     for start in range(0, n_steps, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_steps)
         a, m = steps[start:stop], noises[start:stop]
         v, a_list, mg = float(states[start, column]), a.tolist(), m[:, column].tolist()
-        n, failure = 0, None
-        while n < stop - start:
-            n, code, v = _walk(v, guarded_rows, a_list, mg, codes, n, stop - start)
-            if code is None:
-                break
-            try:
-                resolve(code)
-            except Exception as exc:  # raised below, once the rows before it pass
-                failure = exc
-                break
+        codes, failure = [], None
+        try:
+            _walk(v, guarded, a_list, mg, codes, resolve)
+        except Exception as exc:  # raised below, once the rows before it pass
+            failure = exc
         # rows start+1 .. start+n are stepped; a failure waits for their test
-        visited, inverse = np.unique(np.frombuffer(codes, np.int64, n), return_inverse=True)
-        zs = np.array([rows[c] for c in visited.tolist()]).reshape(-1, d)[inverse]
+        n = len(codes)
+        zs = table[np.fromiter(codes, np.intp, n) + 1]
         block = states[start:start + n + 1]
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(a[:n, None], zs + m[:n], out=block[1:])

@@ -631,6 +631,12 @@ class TestMinNormPoint:
         assert dist == pytest.approx(1e270, rel=1e-12)
         assert p[0] == pytest.approx(1e270, rel=1e-12) and abs(p[2]) <= 1e-12 * 2.57e283
 
+    @pytest.mark.filterwarnings("error")
+    def test_distance_far_below_the_vertices_does_not_underflow(self):
+        # scaled by 2^-942, the distance 1 squares to 2^-1884, which is 0.0
+        p, dist = _min_norm_point(np.array([[0.0, 0.0, 2.57e283], [1.0, 0.0, 0.0]]), np.zeros(3))
+        assert p.tobytes() == np.array([1.0, 0.0, 0.0]).tobytes() and dist == 1.0
+
     @given(case=_point_sets(), k=st.integers(-900, 900))
     @settings(max_examples=300, deadline=None)
     @pytest.mark.filterwarnings("error")

@@ -95,6 +95,18 @@ class TestIntegrateFilippov:
             dl.integrate_filippov(fld, np.zeros(dimension), 0.5, 1e-3)
         assert dl.sliding_velocity(away, -away, away).kind == "repulsive"
 
+    def test_surface_turning_repulsive_mid_slide_raises(self):
+        # y = 0 attracts for x < 1 and repels for x > 1: the slide from the
+        # origin reaches x = 1, where the solution leaving it is not unique
+        fld = PiecewiseField(
+            2,
+            [CoordinateGuard(1, 2)],
+            {"+": AffinePiece([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0]),
+             "-": AffinePiece([[0.0, 0.0], [-1.0, 0.0]], [1.0, 1.0])},
+        )
+        with pytest.raises(dl.DegenerateGeometry, match=r"surface 0 is repulsive at x = \[1\.0.*'0'"):
+            dl.integrate_filippov(fld, [0.0, 0.0], 2.0, 1e-3)
+
     def test_relay_reaches_and_stays(self):
         traj = dl.integrate_filippov(dl.builtin_field("relay"), [0.5], 2.0, 1e-3)
         after = traj.points[traj.times >= 1.1]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -474,6 +476,29 @@ class TestMartingaleDiagnostic:
         assert np.all(diag.tail_oscillation(20) == 0.0)
         assert np.all(diag.tail_quadratic_variation(20) == 0.0)
         assert np.all(diag.tail_oscillation(0) > 0.0)
+
+    @pytest.mark.parametrize("name, x0", [("relay", [0.5]), ("example1", [0.0, 1.0])])
+    def test_tail_oscillation_matches_the_axis_0_reduction(self, name, x0):
+        # the reduction over axis 0 of xi that tail_oscillation replaced
+        def oracle(xi, n0):
+            return np.max(np.abs(xi[n0:] - xi[n0]), axis=0)
+
+        trace = dl.run_sa(
+            dl.builtin_field(name), x0, dl.StepsizeSchedule("power", a0=1.0, gamma=0.75),
+            dl.NoiseModel("gaussian", 0.1), 3000, seed=4,
+        )
+        fam = dl.TestFunctionFamily.from_box(dl.averaged_measure(trace, trace.n_steps).box_states)
+        diag = dl.martingale_diagnostic(trace, fam)
+        xi = diag.xi.copy()
+        xi[2000, 0, 0] = np.nan  # after n0 = 1500 only
+        xi[100, 1, -1] = np.nan  # before it
+        xi[1500, -1, 0] = np.nan  # at it: the whole row is NaN
+        nan_diag = measures.MartingaleDiagnostic(xi, diag.quadratic_variation)
+        for d, n0 in itertools.product((diag, nan_diag), (0, 1500, 2999, 3000)):
+            got = d.tail_oscillation(n0)
+            assert got.shape == d.xi.shape[1:]
+            assert np.array_equal(got, oracle(d.xi, n0), equal_nan=True)
+        assert np.isnan(nan_diag.tail_oscillation(1500)[[0, -1], 0]).all()
 
     def test_invalid_constant_schedule_linear_qv_growth(self):
         relay = dl.builtin_field("relay")

@@ -338,7 +338,7 @@ def _graph_measure(draw, field):
 def _assert_matches_per_atom_maps(field, measure, tol):
     """Each distance is the per-atom map's, bit for bit.  In a region
     interior both maps are {h(x)}, and the distance is the row norm of
-    h(x) - z, which the one-vertex hull also takes."""
+    h(x) - z taken at its own scale, which the one-vertex hull also takes."""
     distances = graph_distances(measure, field, tol)
     fil, kra = [], []
     for x, z in zip(measure.xs, measure.zs):
@@ -347,7 +347,9 @@ def _assert_matches_per_atom_maps(field, measure, tol):
             fil.append(fil_map.distance(z))
             kra.append(kra_map.distance(z))
         else:
-            row = np.linalg.norm([field.evaluate(x) - z], axis=1)[0]
+            diff = field.evaluate(x) - z
+            e = np.frexp(np.abs(diff).max())[1]
+            row = np.ldexp(np.linalg.norm([np.ldexp(diff, -e)], axis=1)[0], e)
             assert row == fil_map.distance(z)
             assert len(fil_map.vertices) == len(kra_map.vertices) == 1
             fil.append(row)
@@ -387,6 +389,21 @@ class TestGraphDistances:
         assert graph_distances(measure, field).filippov[0] == row
         assert dl.filippov_map(field, x).distance(z) == row
         assert dl.krasovskii_map(field, x).distance(z) == row
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.3737553184896947e-235, 1e-160, 1.0, 1e200])
+    def test_tiny_and_huge_interior_distances_keep_their_norm(self, scale):
+        """The row norm squared underflows below about 1e-154 and overflows
+        above about 1e154; graph_distances then takes the rows at their own
+        scale, as the one-vertex hull does."""
+        field = PiecewiseField(2, [CoordinateGuard(0, 2)], {"+": ConstantPiece([3.0 * scale, 4.0 * scale]),
+                                                           "-": ConstantPiece([0.0, 0.0])})
+        xs = np.array([[1.0, 0.0], [1.0, 1.0], [-1.0, 0.0]])
+        zs = np.zeros((3, 2))
+        measure = EmpiricalMeasure(xs, zs, np.full(3, 1 / 3), np.array([xs.min(0), xs.max(0)]),
+                                   np.array([zs.min(0), zs.max(0)]))
+        distances = graph_distances(measure, field)
+        assert distances.filippov.tolist() == [dl.filippov_map(field, x).distance(z) for x, z in zip(xs, zs)]
+        assert distances.filippov[0] == pytest.approx(5.0 * scale, rel=1e-15) and distances.filippov[2] == 0.0
 
     def test_seed_diagnostics_project_once_per_pair(self, monkeypatch, tmp_path):
         """From x0 = [0, 1] with a(0) = 1 the first step of example1 lands on

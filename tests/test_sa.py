@@ -516,6 +516,17 @@ class TestRunSAOracle:
             dl.run_sa(field, [0.5], schedule, dl.NoiseModel("gaussian", scale), 2 * _BLOCK_ROWS, 0)
         _assert_matches_oracle(field, [0.5], schedule, dl.NoiseModel("gaussian", scale), 2 * _BLOCK_ROWS, 0)
 
+    def test_first_visit_on_a_block_boundary_matches_oracle(self):
+        # x(n) = 0.5 - n / (2 * _BLOCK_ROWS) is exact: the code 0, which takes
+        # the '+' piece, is first reached at local step 0 of the second block,
+        # and the unassigned '-' one step later
+        field = PiecewiseField(1, [CoordinateGuard(0, 1)], {"+": ConstantPiece([-1.0])})
+        schedule = dl.StepsizeSchedule("constant", a0=0.5 / _BLOCK_ROWS)
+        noise = dl.NoiseModel("zero", 0.0)
+        with pytest.raises(dl.UnassignedPattern):
+            dl.run_sa(field, [0.5], schedule, noise, 2 * _BLOCK_ROWS, 0)
+        _assert_matches_oracle(field, [0.5], schedule, noise, 2 * _BLOCK_ROWS, 0)
+
     @pytest.mark.parametrize(
         "name, x0, noise",
         [
