@@ -458,12 +458,7 @@ def _hull_project(verts, v):
     goes to _min_norm_point."""
     m, d = verts.shape
     if m == 1:
-        # the row norm of measures._row_norms, so both round alike, taken at
-        # a scale where the squares cannot overflow
-        diff = v - verts[0]
-        e = _scale_exponent(diff)
-        diff = np.ldexp(diff, -e)
-        return verts[0].copy(), math.ldexp(float(np.sqrt((diff * diff).sum())), e)
+        return verts[0].copy(), float(_row_norms((v - verts[0])[None])[0])
     if d == 1:
         lo, hi = float(verts.min()), float(verts.max())
         p = min(max(float(v[0]), lo), hi)
@@ -523,6 +518,19 @@ def _min_norm_point(verts, v):
     diff = v - p
     f = _scale_exponent(diff)
     return np.ldexp(p, e), math.ldexp(float(np.linalg.norm(np.ldexp(diff, -f))), e + f)
+
+
+def _row_norms(diffs):
+    """Each row's Euclidean norm, taken on the row scaled by 2^-e with e its
+    own _scale_exponent, so that no square of a tiny row underflows and no
+    sum of a huge row's squares overflows.  It is the distance to a single
+    vertex, of one atom in _hull_project and of every region-interior atom
+    in measures.graph_distances."""
+    # the max over a contiguous (d, rows) copy: a max over the short axis 1
+    # would run one inner loop per row
+    e = np.frexp(np.abs(np.ascontiguousarray(diffs.T)).max(axis=0))[1]
+    scaled = np.ldexp(diffs, -e[:, None])
+    return np.ldexp(np.sqrt((scaled * scaled).sum(axis=1)), e)
 
 
 def _scale_exponent(*arrays):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrace, IndexOutOfRange
-from .fields import DEFAULT_RADIUS_TOL, PatternMaps, label_of_code
+from .fields import DEFAULT_RADIUS_TOL, PatternMaps, _row_norms, label_of_code
 
 _MERGE_ATOL = 1e-15
 _BOX_PAD = 0.1
@@ -349,26 +349,6 @@ def graph_distances(measure, field, radius_tol=DEFAULT_RADIUS_TOL):
     dist_f[surface] = fil[inverse]
     dist_k[surface] = kra[inverse]
     return GraphDistances(dist_f, dist_k, measure.weights)
-
-
-_TINY_SQUARE = 2.0**-968  # a square at least this is normal, and so is a sum of them
-
-
-def _row_norms(diff):
-    """Each row's Euclidean norm, as fields._hull_project takes the distance
-    to one vertex, so both round alike: np.linalg.norm(diff, axis=1), less
-    its copy by the conjugate, unless a square underflows or a sum of
-    squares overflows; then each row is taken at its own scale (see
-    fields._scale_exponent), so that a tiny or a huge row keeps its norm."""
-    with np.errstate(over="ignore"):
-        squares = diff * diff
-        sq = squares.sum(axis=1)
-    no_underflow = np.count_nonzero(squares >= _TINY_SQUARE) == np.count_nonzero(diff != 0)
-    if no_underflow and sq.max(initial=0.0) < np.inf:
-        return np.sqrt(sq, out=sq)
-    e = np.frexp(np.abs(diff).max(axis=1))[1]
-    diff = np.ldexp(diff, -e[:, None])
-    return np.ldexp(np.sqrt((diff * diff).sum(axis=1)), e)
 
 
 def graph_support_fraction(measure, field, eps, radius_tol=DEFAULT_RADIUS_TOL):

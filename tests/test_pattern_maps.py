@@ -393,8 +393,8 @@ class TestGraphDistances:
     @pytest.mark.parametrize("scale", [1e-300, 1.3737553184896947e-235, 1e-160, 1.0, 1e200])
     def test_tiny_and_huge_interior_distances_keep_their_norm(self, scale):
         """The row norm squared underflows below about 1e-154 and overflows
-        above about 1e154; graph_distances then takes the rows at their own
-        scale, as the one-vertex hull does."""
+        above about 1e154; graph_distances takes each row at its own scale,
+        as the one-vertex hull does."""
         field = PiecewiseField(2, [CoordinateGuard(0, 2)], {"+": ConstantPiece([3.0 * scale, 4.0 * scale]),
                                                            "-": ConstantPiece([0.0, 0.0])})
         xs = np.array([[1.0, 0.0], [1.0, 1.0], [-1.0, 0.0]])
