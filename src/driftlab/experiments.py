@@ -150,7 +150,8 @@ def run_experiment(config, out_dir=None, seeds=None):
     os.makedirs(out_dir, exist_ok=True)
     field = config.build_field()
     schedule_diag = validate_schedule(config.schedule, min(config.n_steps, 100_000))
-    records = [run_single_seed(config, field, seed, out_dir) for seed in seeds]
+    with dio.shared_trace_templates():
+        records = [run_single_seed(config, field, seed, out_dir) for seed in seeds]
     summary = {
         "config": config.effective_dict(),
         "config_sha256": config.content_hash(),
@@ -195,9 +196,12 @@ def compare_noise_study(config, out_dir=None, seeds=None):
     arms = _arm_noise_models(config)
     table = []
     any_diverged = False
-    for arm_name, noise in arms.items():
-        arm_dir = os.path.join(out_dir, f"arm_{arm_name}")
-        bundle = run_experiment(replace(config, noise=noise), out_dir=arm_dir, seeds=seeds)
+    with dio.shared_trace_templates():  # the arms share their schedule and n_steps
+        bundles = [
+            run_experiment(replace(config, noise=noise), os.path.join(out_dir, f"arm_{arm}"), seeds)
+            for arm, noise in arms.items()
+        ]
+    for (arm_name, noise), bundle in zip(arms.items(), bundles):
         any_diverged = any_diverged or bundle.any_diverged
         finals, escapes = [], []
         fil_fracs, kra_fracs = [], []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, StepTooLarge
-from .fields import DEFAULT_RADIUS_TOL, PatternMaps
+from .fields import DEFAULT_RADIUS_TOL, PatternMaps, _row_norms
 from .sa import interpolate_path
 
 DEFAULT_SURFACE_TOL = 1e-10
@@ -423,7 +423,7 @@ def max_slope_residual(field, trajectory):
     for i in range(slopes.shape[0]):
         a, b = trajectory.points[i], trajectory.points[i + 1]
         mid = 0.5 * (a + b)
-        band = DEFAULT_RADIUS_TOL + 0.5 * float(np.linalg.norm(b - a))
+        band = DEFAULT_RADIUS_TOL + 0.5 * float(_row_norms((b - a)[None])[0])
         hull = maps.filippov(mid, band)
         worst = max(worst, hull.distance(slopes[i]))
     return worst

@@ -4,12 +4,22 @@ Every CSV cell is rendered by one rule, `_cell`; floats get 17 significant
 digits, so they read back bit-exactly and reruns with identical configs and
 seeds produce byte-identical files.  The trace and trajectory bodies are
 all-number columns (plus a text label column for trajectories), so they apply
-that rule through one %-template per row, `_BLOCK_ROWS` rows per `%`
-operation: "%d" is the integer rule, "%.17g" the float rule, "%s" the text rule.
+that rule through %-templates, one `%` operation per block of `_BLOCK_ROWS`
+rows: "%d" is the integer rule, "%.17g" the float rule, "%s" the text rule.
+
+A trace's n, t and a columns depend only on its times and steps, which every
+trace of a run shares.  So a trace block's template holds them already
+rendered, with a "%.17g" slot for each x, z and M cell.  Inside
+`shared_trace_templates`, which `experiments` opens around a run, the
+templates are kept per (d, times, steps) and reused by later traces; the
+memo is dropped when the block exits, and a write outside one renders its
+own templates.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import json
 import os
 import re
@@ -66,32 +76,81 @@ def write_table(path, header, rows):
 _BLOCK_ROWS = 4096
 
 
-def _render_rows(row_format, table):
-    """The rows of the 2-d array `table`, each through the %-template
-    `row_format`, with one `%` operation per block of _BLOCK_ROWS rows."""
-    blocks = (table[i : i + _BLOCK_ROWS] for i in range(0, len(table), _BLOCK_ROWS))
-    return "".join((row_format * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
+def _block_formats(row_format, n):
+    """The %-templates of the _BLOCK_ROWS-row blocks of n rows that all go
+    through row_format."""
+    return [row_format * min(_BLOCK_ROWS, n - i) for i in range(0, n, _BLOCK_ROWS)]
+
+
+def _render_rows(block_formats, table):
+    """The blocks of _BLOCK_ROWS rows of the 2-d array `table`, block i
+    through the %-template block_formats[i] in one `%` operation."""
+    starts = range(0, len(table), _BLOCK_ROWS)
+    return [
+        fmt % tuple(table[i : i + _BLOCK_ROWS].ravel().tolist())
+        for fmt, i in zip(block_formats, starts)
+    ]
 
 
 def _trace_header(d):
     return ["n", "t"] + [f"{name}_{i + 1}" for name in "xzM" for i in range(d)] + ["a"]
 
 
+# {(d, times[:-1] bytes, steps bytes): block templates} inside
+# shared_trace_templates, None outside it
+_trace_templates_memo = contextvars.ContextVar("trace_templates_memo", default=None)
+
+
+@contextlib.contextmanager
+def shared_trace_templates():
+    """Inside the block, traces that share d, times and steps share their
+    row templates, so a run renders its n, t and a columns once.  A nested
+    block uses the outer one's memo; the memo is dropped when the outermost
+    block exits."""
+    if _trace_templates_memo.get() is not None:
+        yield
+        return
+    token = _trace_templates_memo.set({})
+    try:
+        yield
+    finally:
+        _trace_templates_memo.reset(token)
+
+
+def _trace_templates(trace):
+    """Per block of body rows, the template "n,t,%.17g,...,%.17g,a" per row:
+    n, t and a rendered by `_cell`'s rule, one slot per x, z and M cell."""
+    d = trace.dimension
+    times, steps = np.asarray(trace.times[:-1], float), np.asarray(trace.steps, float)
+    key = (d, times.tobytes(), steps.tobytes())  # bytes, so -0.0 is not 0.0
+    memo = _trace_templates_memo.get()
+    templates = memo.get(key) if memo is not None else None
+    if templates is None:
+        row_format = "%d,%.17g," + "%%.17g," * (3 * d) + "%.17g\n"
+        table = np.column_stack([np.arange(steps.size), times, steps])
+        templates = _render_rows(_block_formats(row_format, steps.size), table)
+        if memo is not None:
+            memo[key] = templates
+    return templates
+
+
 def write_trace_csv(path, trace):
     """One row per step n < N (n, t, x, z, M, a) and a final-state row
-    (N, t, x) whose 2d+1 remaining cells are empty.  The body is rendered by
-    the template "%d,%.17g,...,%.17g": `_cell`'s rule on its all-number
-    columns, so the file is the one `write_table` would write."""
+    (N, t, x) whose 2d+1 remaining cells are empty.  Every number is
+    rendered by `_cell`'s rule ("%d" for n, "%.17g" for the rest), so the
+    file is the one `write_table` would write."""
     d, n = trace.dimension, trace.n_steps
-    body = np.column_stack(
-        [np.arange(n), trace.times[:-1], trace.states[:-1], trace.drifts, trace.noises, trace.steps]
-    )
+    body = np.column_stack([trace.states[:-1], trace.drifts, trace.noises])
     final = [n, trace.times[-1], *trace.states[-1]] + [""] * (2 * d + 1)
     atomic_write_text(
         path,
-        ",".join(_trace_header(d)) + "\n"
-        + _render_rows("%d," + ",".join(["%.17g"] * (3 * d + 2)) + "\n", body)
-        + ",".join(map(_cell, final)) + "\n",
+        "".join(
+            [
+                ",".join(_trace_header(d)) + "\n",
+                *_render_rows(_trace_templates(trace), body),
+                ",".join(map(_cell, final)) + "\n",
+            ]
+        ),
     )
 
 
@@ -177,10 +236,9 @@ def write_trajectory_csv(path, trajectory):
     modes = np.array((labels + (labels[-1:] or [""]) * n)[:n], dtype=object)
     header = ["t"] + [f"x_{i + 1}" for i in range(d)] + ["mode"]
     row_format = ",".join(["%.17g"] * (d + 1)) + ",%s\n"
+    table = np.column_stack([trajectory.times, trajectory.points, modes])
     atomic_write_text(
-        path,
-        ",".join(header) + "\n"
-        + _render_rows(row_format, np.column_stack([trajectory.times, trajectory.points, modes])),
+        path, "".join([",".join(header) + "\n", *_render_rows(_block_formats(row_format, n), table)])
     )
 
 

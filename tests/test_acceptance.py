@@ -6,6 +6,7 @@ build time is charged to criterion 6's budget.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,8 +238,8 @@ def test_criterion_10_determinism(tmp_path):
     names = [n for n in sorted(os.listdir(b1.out_dir)) if n.endswith(".csv")]
     ok &= len(names) == 8
     for name in names:
-        one = open(os.path.join(b1.out_dir, name), "rb").read()
-        two = open(os.path.join(tmp_path / "b", name), "rb").read()
+        one = Path(b1.out_dir, name).read_bytes()
+        two = (tmp_path / "b" / name).read_bytes()
         ok &= one == two
     _report(10, f"determinism ({len(names)} CSVs byte-identical on rerun)",
             time.perf_counter() - start, 60.0, ok)

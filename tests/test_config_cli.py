@@ -2,11 +2,13 @@ import hashlib
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import driftlab as dl
+from driftlab import io as dio
 from driftlab.cli import main as cli_main
 from driftlab.config import config_from_dict, load_config
 from driftlab.experiments import compare_noise_study, run_experiment
@@ -150,7 +152,7 @@ class TestRunExperiment:
         bundle = run_experiment(cfg)
         for stem in ("trace", "tracking", "residuals", "support"):
             assert os.path.exists(os.path.join(bundle.out_dir, f"{stem}_seed3.csv"))
-        summary = json.load(open(os.path.join(bundle.out_dir, "summary.json")))
+        summary = json.loads(Path(bundle.out_dir, "summary.json").read_text())
         assert summary["config_sha256"] == cfg.content_hash()
         assert not bundle.any_diverged
         # atomic writes leave no temp files behind
@@ -190,8 +192,8 @@ class TestRunExperiment:
         b2 = run_experiment(cfg, out_dir=str(tmp_path / "b"))
         for name in sorted(os.listdir(b1.out_dir)):
             if name.endswith(".csv"):
-                one = open(os.path.join(b1.out_dir, name), "rb").read()
-                two = open(os.path.join(b2.out_dir, name), "rb").read()
+                one = Path(b1.out_dir, name).read_bytes()
+                two = Path(b2.out_dir, name).read_bytes()
                 assert one == two, name
 
     def test_trace_csv_roundtrip(self, tmp_path):
@@ -354,7 +356,7 @@ class TestCli:
         out = str(tmp_path / "integ")
         rc = cli_main(["integrate", "--config", path, "--out", out, "--quiet"])
         assert rc == 0
-        lines = open(os.path.join(out, "trajectory.csv")).read().splitlines()
+        lines = Path(out, "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,x_1,x_2,mode"
         assert any("slide:0" in line for line in lines)
 
@@ -385,8 +387,8 @@ class TestCli:
         out = str(tmp_path / "m")
         assert cli_main(["simulate", "--config", path, "--out", out, "--quiet"]) == 0
         trace = os.path.join(out, "trace_seed1.csv")
-        lines = open(trace).read().splitlines(keepends=True)
-        open(trace, "w").write("".join(lines[:-1]))  # cut at a row boundary
+        lines = Path(trace).read_text().splitlines(keepends=True)
+        Path(trace).write_text("".join(lines[:-1]))  # cut at a row boundary
         assert cli_main(["measures", "--config", path, "--out", out, "--quiet"]) == 4
         assert trace in capsys.readouterr().err
 
@@ -396,11 +398,11 @@ class TestCli:
                                   measures={"checkpoints": [500], "eps": [0.05]})
         out = str(tmp_path / "m")
         assert cli_main(["simulate", "--config", path, "--out", out, "--quiet"]) == 0
-        residuals = open(os.path.join(out, "residuals_seed1.csv")).read()
-        support = open(os.path.join(out, "support_seed1.csv")).read()
+        residuals = Path(out, "residuals_seed1.csv").read_text()
+        support = Path(out, "support_seed1.csv").read_text()
         assert cli_main(["measures", "--config", path, "--out", out, "--quiet"]) == 0
-        assert open(os.path.join(out, "residuals_seed1.csv")).read() == residuals
-        assert open(os.path.join(out, "support_seed1.csv")).read() == support
+        assert Path(out, "residuals_seed1.csv").read_text() == residuals
+        assert Path(out, "support_seed1.csv").read_text() == support
 
     def test_measures_clamps_checkpoints_to_trace(self, tmp_path):
         out = str(tmp_path / "m")
@@ -408,12 +410,12 @@ class TestCli:
                                    tracking={"T": 0.5, "n_windows": 1, "dt": 1e-2},
                                    measures={"checkpoints": [300], "eps": [0.05]})
         assert cli_main(["simulate", "--config", short, "--out", out, "--quiet"]) == 0
-        residuals = open(os.path.join(out, "residuals_seed1.csv")).read()
+        residuals = Path(out, "residuals_seed1.csv").read_text()
         # both checkpoints lie past the 300-step trace and clamp to one
         longer = self._write_config(tmp_path, n_steps=500, seeds=[1],
                                     measures={"checkpoints": [400, 500], "eps": [0.05]})
         assert cli_main(["measures", "--config", longer, "--out", out, "--quiet"]) == 0
-        assert open(os.path.join(out, "residuals_seed1.csv")).read() == residuals
+        assert Path(out, "residuals_seed1.csv").read_text() == residuals
 
     def test_study_exit_code(self, tmp_path):
         path = self._write_config(tmp_path, field="spurious_equilibrium", x0=[0.0],
@@ -422,6 +424,26 @@ class TestCli:
                                   measures={"checkpoints": [2000], "eps": [0.05]})
         rc = cli_main(["study", "--config", path, "--out", str(tmp_path / "st"), "--quiet"])
         assert rc == 0
+
+    def test_study_hands_each_file_to_atomic_write_text_as_one_str(self, tmp_path, monkeypatch):
+        """perfbench's tracer counts rows and bytes by text.count("\\n") and
+        len(text.encode()) on this argument, so it must stay one str."""
+        texts = []
+        write = dio.atomic_write_text
+
+        def recording(path, text):
+            texts.append(text)
+            write(path, text)
+
+        monkeypatch.setattr(dio, "atomic_write_text", recording)
+        path = self._write_config(tmp_path, field="spurious_equilibrium", x0=[0.0],
+                                  n_steps=5000, seeds=[1, 2],
+                                  tracking={"T": 0.5, "n_windows": 1, "dt": 1e-2},
+                                  measures={"checkpoints": [5000], "eps": [0.05]})
+        out = tmp_path / "st"
+        assert cli_main(["study", "--config", path, "--out", str(out), "--quiet"]) == 0
+        assert len(texts) == sum(1 for p in out.rglob("*") if p.is_file())
+        assert all(type(text) is str for text in texts)
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -136,6 +136,14 @@ class TestIntegrateFilippov:
             tol = max(10.0 * dt * lipschitz, 1e-12)
             assert dl.max_slope_residual(fld, traj) <= tol
 
+    @pytest.mark.filterwarnings("error")
+    def test_slope_residual_of_huge_points_does_not_overflow(self):
+        # the chord's length is about 1e283, and its square overflows
+        fld = dl.builtin_field("example1")
+        points = np.array([[1.0, 2.57e283], [1.0 + 1e270, 1.57e283]])
+        traj = Trajectory(np.array([0.0, 1.0]), points, [""])
+        assert dl.max_slope_residual(fld, traj) == pytest.approx(1e283, rel=1e-12)
+
     def test_sliding_nodes_on_surface(self):
         fld = dl.builtin_field("example1")
         traj = dl.integrate_filippov(fld, [0.0, 1.0], 3.0, 1e-3)

@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,3 +320,106 @@ class TestMalformedTrace:
     def test_missing_file(self, tmp_path):
         with pytest.raises(dl.IoFailure, match="could not read"):
             dio.read_trace_csv(str(tmp_path / "none.csv"))
+
+
+class TestSharedTraceTemplates:
+    """Inside shared_trace_templates, traces of one (d, times, steps) share
+    their n, t and a rendering; each file stays the one a lone write gives."""
+
+    @staticmethod
+    def _assert_shared_writes_match_lone_ones(tmp_path, traces):
+        with dio.shared_trace_templates():
+            for i, trace in enumerate(traces):
+                dio.write_trace_csv(str(tmp_path / f"shared{i}.csv"), trace)
+            keys = len(dio._trace_templates_memo.get())
+        assert dio._trace_templates_memo.get() is None
+        for i, trace in enumerate(traces):
+            dio.write_trace_csv(str(tmp_path / "lone.csv"), trace)
+            lone = (tmp_path / "lone.csv").read_bytes()
+            assert (tmp_path / f"shared{i}.csv").read_bytes() == lone, i
+        return keys
+
+    @staticmethod
+    def _run(field, x0, steps, seed=1):
+        schedule = dl.StepsizeSchedule(kind="custom", sequence=steps)
+        noise = dl.NoiseModel(kind="gaussian", scale=0.1)
+        return dl.run_sa(dl.builtin_field(field), x0, schedule, noise, len(steps), seed)
+
+    def test_steps_differing_only_in_the_sign_of_zero(self, tmp_path):
+        # "%.17g" writes -0.0 as "-0": array_equal would take one for the other
+        plus, minus = np.full(50, 0.1), np.full(50, 0.1)
+        plus[[0, 7]], minus[[0, 7]] = 0.0, -0.0
+        runs = [self._run("relay", [0.5], s) for s in (plus, minus, plus)]
+        # the same times, so only the steps tell these two apart
+        by_hand = [replace(runs[0], steps=runs[0].steps.copy()) for _ in range(2)]
+        by_hand[1].steps[[0, 7]] = -0.0
+        traces = runs + by_hand
+        assert self._assert_shared_writes_match_lone_ones(tmp_path, traces) == 3
+
+    def test_equal_steps_with_other_times(self, tmp_path):
+        trace = self._run("relay", [0.5], np.full(30, 0.25))
+        shifted = replace(trace, times=trace.times + 1.0)
+        read_back_path = tmp_path / "source.csv"
+        dio.write_trace_csv(str(read_back_path), shifted)
+        read_back = dio.read_trace_csv(str(read_back_path))
+        traces = [trace, shifted, read_back, trace]
+        assert self._assert_shared_writes_match_lone_ones(tmp_path, traces) == 2
+
+    def test_one_schedule_in_two_dimensions(self, tmp_path):
+        steps = 1.0 / np.arange(1.0, 41.0) ** 0.75
+        traces = [
+            self._run("relay", [0.5], steps),
+            self._run("example1", [0.0, 1.0], steps),
+            self._run("relay", [0.5], steps, seed=2),
+            self._run("example1", [0.0, 1.0], steps, seed=2),
+        ]
+        assert self._assert_shared_writes_match_lone_ones(tmp_path, traces) == 2
+
+    def test_block_boundaries(self, tmp_path):
+        steps = 1.0 / np.arange(1.0, _B + 3.0) ** 0.75
+        traces = [self._run("relay", [0.5], steps[:n], seed) for seed in (1, 2)
+                  for n in (_B - 1, _B, _B + 1)]
+        assert self._assert_shared_writes_match_lone_ones(tmp_path, traces) == 3
+        dio.write_trace_csv(str(tmp_path / "trace.csv"), traces[-1])
+        assert (tmp_path / "trace.csv").read_text() == _oracle_trace_text(traces[-1])
+
+    def test_memo_lives_only_inside_the_outermost_block(self, tmp_path):
+        trace = self._run("relay", [0.5], np.full(20, 0.1))
+        assert dio._trace_templates_memo.get() is None
+        with dio.shared_trace_templates():
+            memo = dio._trace_templates_memo.get()
+            with dio.shared_trace_templates():
+                dio.write_trace_csv(str(tmp_path / "inner.csv"), trace)
+                assert dio._trace_templates_memo.get() is memo
+            assert len(memo) == 1
+        assert dio._trace_templates_memo.get() is None
+        with pytest.raises(RuntimeError, match="inside"):
+            with dio.shared_trace_templates():
+                dio.write_trace_csv(str(tmp_path / "raising.csv"), trace)
+                raise RuntimeError("inside")
+        assert dio._trace_templates_memo.get() is None
+
+    def test_a_run_and_a_study_share_one_rendering(self, tmp_path, monkeypatch):
+        """All traces of a study share d, schedule and n_steps: one memo key,
+        dropped when the run returns."""
+        memos = []
+        write = dio.write_trace_csv
+
+        def recording(path, trace):
+            write(path, trace)
+            memos.append(dio._trace_templates_memo.get())
+
+        monkeypatch.setattr(dio, "write_trace_csv", recording)
+        cfg = dl.config_from_dict({
+            "field": "spurious_equilibrium", "x0": [0.0],
+            "schedule": {"kind": "power", "a0": 1.0, "gamma": 0.75},
+            "noise": {"kind": "gaussian", "scale": 0.1}, "n_steps": 300, "seeds": [1, 2],
+            "tracking": {"T": 0.5, "n_windows": 1, "dt": 1e-2},
+            "measures": {"checkpoints": [300], "eps": [0.05]},
+            "output_dir": str(tmp_path / "out"),
+        })
+        for run, n_traces in ((dl.run_experiment, 2), (dl.compare_noise_study, 4)):
+            memos.clear()
+            run(cfg, str(tmp_path / run.__name__))
+            assert len(memos) == n_traces and all(m is memos[0] for m in memos)
+            assert len(memos[0]) == 1 and dio._trace_templates_memo.get() is None
