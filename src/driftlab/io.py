@@ -14,6 +14,9 @@ rendered, with a "%.17g" slot for each x, z and M cell.  Inside
 templates are kept per (d, times, steps) and reused by later traces; the
 memo is dropped when the block exits, and a write outside one renders its
 own templates.
+
+`read_trace_csv` refuses by text searches what `float()` takes but the writer
+never writes (" 4", "+0_5"), then parses the body in one `np.loadtxt` pass.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import json
 import os
 import re
 import tempfile
-from itertools import repeat
 
 import numpy as np
 
@@ -159,14 +161,12 @@ _NOT_IN_ROWS = (" ", "\t", "\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "_"
 _ODD_N_CELL = re.compile(r"\n(?!0,|[1-9][0-9]*,)[^,\n]*,")
 
 
-def _trace_lines(path):
-    """The lines of the file at path, which must be ASCII, hold none of
-    _NOT_IN_ROWS after its first line (the header) and spell each n cell as
-    str(n).  Python's float parsing takes whitespace around a number, '_'
-    between digits, a sign, leading zeros and an exponent, so a hand-edited
-    " 4", "+0_5" or "04" cell would load; C-speed searches of the text
-    refuse them, and CRLF line ends with them.  The text is dropped on
-    return, so it does not add to the peak memory of the parse."""
+def read_trace_csv(path, seed=0, field_name=""):
+    """The trace write_trace_csv wrote, bit-exactly.  Anything else (another
+    header, text that is not ASCII, CRLF line ends, whitespace, '_' or 'E'
+    inside a row, a row with missing, extra, non-numeric or non-finite
+    cells, no final-state row, an n column that is not "0", "1", ..., "N")
+    raises IoFailure naming the path.  The last newline may be missing."""
     try:
         with open(path, encoding="ascii", newline="") as handle:
             text = handle.read()
@@ -174,47 +174,37 @@ def _trace_lines(path):
         raise IoFailure(f"could not read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise IoFailure(f"{path}: not ASCII text, which write_trace_csv writes: {exc}") from exc
-    lines = text.split("\n")  # splitlines' other line breaks are refused below
-    if not lines[-1]:
-        lines.pop()
-    rows_start = len(lines[0]) if lines else 0
-    if any(text.find(c, rows_start) >= 0 for c in _NOT_IN_ROWS):
+    head_end = text.find("\n") if "\n" in text else len(text)
+    if any(text.find(c, head_end) >= 0 for c in _NOT_IN_ROWS):
         raise IoFailure(
             f"{path}: a row holds whitespace or '_' (or 'E'), which write_trace_csv never writes"
         )
     if _ODD_N_CELL.search(text):
         raise IoFailure(f"{path}: an n cell is not spelled as write_trace_csv spells its row index")
-    return lines
-
-
-def read_trace_csv(path, seed=0, field_name=""):
-    """The trace write_trace_csv wrote, bit-exactly.  Anything else (another
-    header, text that is not ASCII, CRLF line ends, whitespace, '_' or 'E'
-    inside a row, a row with missing, extra, non-numeric or non-finite
-    cells, no final-state row, an n column that is not "0", "1", ..., "N")
-    raises IoFailure naming the path."""
-    lines = _trace_lines(path)
-    if not lines:
+    if not text:
         raise IoFailure(f"{path}: empty file, not a trace CSV")
-    header = lines[0].split(",")
+    header = text[:head_end].split(",")
     d, rem = divmod(len(header) - 3, 3)
     if d < 1 or rem or header != _trace_header(d):
-        raise IoFailure(f"{path}: not a trace CSV header: {lines[0]!r}")
+        raise IoFailure(f"{path}: not a trace CSV header: {text[:head_end]!r}")
     width = 3 * d + 3
-    final = lines[-1].split(",") if len(lines) > 1 else []
+    final_start = text.rfind("\n", 0, len(text) - 1) + 1  # 0: the header is all there is
+    final = text[final_start:].removesuffix("\n").split(",") if final_start else []
     if len(final) != width or any(final[2 + d :]):
         raise IoFailure(f"{path}: no final-state row with {2 * d + 1} empty cells (truncated?)")
-    body = lines[1:-1]
-    if set(map(str.count, body, repeat(","))) - {width - 1}:
-        raise IoFailure(f"{path}: a row is not {width} numeric cells")
-    try:  # the body's cells, then the final row's numeric ones, in one flat parse
-        cells = np.array(",".join(body + final[: 2 + d]).split(","), dtype=float)
+    body = text[head_end + 1 : final_start].split("\n")[:-1]  # blank rows too
+    n_steps = len(body)
+    try:
+        final = np.array(final[: 2 + d], dtype=float)
+        # loadtxt skips blank rows (counted below) and warns on a body without data
+        table = (np.loadtxt(body, float, delimiter=",", comments=None, ndmin=2)
+                 if any(body) else np.empty((0, width)))
     except ValueError as exc:
         raise IoFailure(f"{path}: a row is not {width} numeric cells: {exc}") from exc
-    if not np.isfinite(cells).all():
+    if table.shape != (n_steps, width):
+        raise IoFailure(f"{path}: a row is not {width} numeric cells")
+    if not (np.isfinite(table).all() and np.isfinite(final).all()):
         raise IoFailure(f"{path}: a cell is not finite; write_trace_csv writes none")
-    n_steps = len(body)
-    table, final = cells[: n_steps * width].reshape(n_steps, width), cells[n_steps * width :]
     if not (np.array_equal(table[:, 0], np.arange(n_steps)) and final[0] == n_steps):
         raise IoFailure(f"{path}: the n column does not run 0..{n_steps}")
     return IterateTrace(
@@ -264,5 +254,15 @@ def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(_finite_or_null, obj))
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
 def write_json(path, obj):
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """obj as key-sorted, indented JSON, with null for a NaN or infinite float."""
+    text = json.dumps(_finite_or_null(obj), sort_keys=True, indent=2, allow_nan=False)
+    atomic_write_text(path, text + "\n")

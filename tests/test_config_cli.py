@@ -445,6 +445,23 @@ class TestCli:
         assert len(texts) == sum(1 for p in out.rglob("*") if p.is_file())
         assert all(type(text) is str for text in texts)
 
+    def test_study_summary_is_strict_json(self, tmp_path):
+        """50 windows of T = 1 do not fit 2000 example1 steps, so tracking is
+        skipped and the tracking medians have no value: null, not NaN."""
+        path = self._write_config(tmp_path, n_steps=2000, seeds=[1],
+                                  tracking={"T": 1.0, "n_windows": 50, "dt": 1e-3},
+                                  measures={"checkpoints": [2000], "eps": [0.05]})
+        out = tmp_path / "st"
+        assert cli_main(["study", "--config", path, "--out", str(out), "--quiet"]) == 0
+
+        def not_json(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for summary in sorted(out.rglob("*.json")):
+            json.loads(summary.read_text(), parse_constant=not_json)
+        table = json.loads((out / "study_summary.json").read_text())["table"]
+        assert [row["tracking_first_median"] for row in table] == [None, None]
+
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(base_config(tmp_path, noise={"kind": "purple"})))

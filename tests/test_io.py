@@ -75,14 +75,81 @@ def _fixed_trace(d, values, steps):
     )
 
 
+def _assert_same_bits(mine, theirs):
+    for name in ("states", "drifts", "noises", "steps", "times"):
+        a, b = getattr(mine, name), getattr(theirs, name)
+        assert a.shape == b.shape, name
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name  # -0.0 is not 0.0
+
+
 def _assert_round_trip(path, trace):
     dio.write_trace_csv(str(path), trace)
     assert path.read_text() == _oracle_trace_text(trace)
+    _assert_same_bits(dio.read_trace_csv(str(path)), trace)
+
+
+def _read_trace_oracle(path):
+    """The reader read_trace_csv replaced: split the text into lines, count
+    each body line's commas, then parse every cell through Python's float in
+    one flat np.array.  Its refusals and its numbers are the reference."""
+    try:
+        with open(path, encoding="ascii", newline="") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise dl.IoFailure(f"{path}: not ASCII") from exc
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    rows_start = len(lines[0]) if lines else 0
+    if any(text.find(c, rows_start) >= 0 for c in dio._NOT_IN_ROWS):
+        raise dl.IoFailure(f"{path}: whitespace or '_' (or 'E') in a row")
+    if dio._ODD_N_CELL.search(text):
+        raise dl.IoFailure(f"{path}: an n cell is not spelled as str(n)")
+    if not lines:
+        raise dl.IoFailure(f"{path}: empty file")
+    header = lines[0].split(",")
+    d, rem = divmod(len(header) - 3, 3)
+    if d < 1 or rem or header != dio._trace_header(d):
+        raise dl.IoFailure(f"{path}: header")
+    width = 3 * d + 3
+    final = lines[-1].split(",") if len(lines) > 1 else []
+    if len(final) != width or any(final[2 + d :]):
+        raise dl.IoFailure(f"{path}: no final-state row")
+    body = lines[1:-1]
+    if any(line.count(",") != width - 1 for line in body):
+        raise dl.IoFailure(f"{path}: a row is not {width} cells")
+    try:
+        cells = np.array(",".join(body + final[: 2 + d]).split(","), dtype=float)
+    except ValueError as exc:
+        raise dl.IoFailure(f"{path}: a cell is not numeric") from exc
+    if not np.isfinite(cells).all():
+        raise dl.IoFailure(f"{path}: not finite")
+    n_steps = len(body)
+    table, final = cells[: n_steps * width].reshape(n_steps, width), cells[n_steps * width :]
+    if not (np.array_equal(table[:, 0], np.arange(n_steps)) and final[0] == n_steps):
+        raise dl.IoFailure(f"{path}: the n column")
+    return IterateTrace(
+        states=np.vstack([table[:, 2 : 2 + d], final[2:]]),
+        drifts=table[:, 2 + d : 2 + 2 * d],
+        noises=table[:, 2 + 2 * d : 2 + 3 * d],
+        steps=table[:, 2 + 3 * d],
+        times=np.append(table[:, 1], final[1]),
+        seed=0,
+    )
+
+
+def _assert_readers_agree(path):
+    """Both readers refuse the file with IoFailure, or both return the same
+    bits; the trace read is returned, or None."""
+    try:
+        expected = _read_trace_oracle(str(path))
+    except dl.IoFailure:
+        with pytest.raises(dl.IoFailure):
+            dio.read_trace_csv(str(path))
+        return None
     back = dio.read_trace_csv(str(path))
-    for name in ("states", "drifts", "noises", "steps", "times"):
-        mine, theirs = getattr(back, name), getattr(trace, name)
-        assert mine.shape == theirs.shape, name
-        assert mine.tobytes() == theirs.tobytes(), name
+    _assert_same_bits(back, expected)
+    return back
 
 
 _B = dio._BLOCK_ROWS
@@ -186,6 +253,15 @@ class TestMalformedTrace:
         with pytest.raises(dl.IoFailure, match=match) as info:
             dio.read_trace_csv(str(path))
         assert str(path) in str(info.value)
+        with pytest.raises(dl.IoFailure):
+            _read_trace_oracle(str(path))
+
+    @staticmethod
+    def _accepts(path, content):
+        path.write_text(content, encoding="utf-8")
+        back = _assert_readers_agree(path)
+        assert back is not None
+        return back
 
     def test_empty_file(self, tmp_path):
         self._rejects(tmp_path, "", "empty file")
@@ -317,9 +393,90 @@ class TestMalformedTrace:
         del lines[4]
         self._rejects(tmp_path, "\n".join(lines) + "\n", r"n column does not run 0\.\.19")
 
+    # np.loadtxt parses the body: its comment character, quote character and
+    # float grammar must not let through a cell that float() refuses.  "1#"
+    # sits in a row's last cell, where cutting a comment off keeps 6 cells.
+    @pytest.mark.parametrize(
+        "line, cell, value, match",
+        [
+            (5, 5, "1#", "not 6 numeric cells"),
+            (6, 3, '"1"', "not 6 numeric cells"),
+            (7, 2, "", "not 6 numeric cells"),
+            (8, 4, "0x1", "not 6 numeric cells"),
+            (9, 3, "1j", "not 6 numeric cells"),
+            (10, 2, "infinity", "not finite"),
+        ],
+        ids=["hash-in-last-cell", "quoted", "empty", "hex", "imaginary", "infinity"],
+    )
+    def test_cell_float_refuses(self, tmp_path, text, line, cell, value, match):
+        self._rejects(tmp_path, self._edited(text, line, cell, value), match)
+
+    def test_second_trailing_newline(self, tmp_path, text):
+        self._rejects(tmp_path, text + "\n", "final-state row")
+
+    def test_no_trailing_newline(self, tmp_path, text):
+        whole = self._accepts(tmp_path / "whole.csv", text)
+        _assert_same_bits(self._accepts(tmp_path / "cut.csv", text[:-1]), whole)
+
+    @pytest.mark.filterwarnings("error")  # loadtxt warns on a body without data
+    @pytest.mark.parametrize("steps", [[], [0.5]], ids=["no-steps", "one-row-body"])
+    def test_short_trace(self, tmp_path, steps):
+        trace = _fixed_trace(2, [0.1, -0.0, 5e-324, 1e308, -1.0 / 3.0], steps)
+        dio.write_trace_csv(str(tmp_path / "trace.csv"), trace)
+        text = (tmp_path / "trace.csv").read_text()
+        _assert_same_bits(self._accepts(tmp_path / "short.csv", text), trace)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(dl.IoFailure, match="could not read"):
             dio.read_trace_csv(str(tmp_path / "none.csv"))
+
+
+_MUTATION_CHARS = ',\n#"-+.e0 _E\r\x00'
+
+
+@st.composite
+def _mutated_trace_texts(draw):
+    """A d = 1 or d = 2 trace text after one or two edits: a character of
+    _MUTATION_CHARS inserted, put in place of another or a character
+    deleted; a line dropped, doubled or blanked; the last newline dropped;
+    or the text cut."""
+    d, n = draw(st.sampled_from([1, 2])), draw(st.integers(0, 6))
+    values = draw(st.lists(_double, min_size=1, max_size=(n + 1) * (3 * d + 1)))
+    steps = draw(st.lists(_step, min_size=n, max_size=n))
+    text = _oracle_trace_text(_fixed_trace(d, values, steps))
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["insert", "replace", "delete", "drop", "double", "blank",
+                                     "no last newline", "cut"]))
+        if kind in ("insert", "replace", "delete"):
+            i = draw(st.integers(0, max(len(text) - (kind != "insert"), 0)))
+            c = "" if kind == "delete" else draw(st.sampled_from(_MUTATION_CHARS))
+            text = text[:i] + c + text[i + (kind != "insert") :]
+        elif kind in ("drop", "double", "blank"):
+            lines = text.splitlines(keepends=True) or [""]
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i] = {"drop": "", "double": lines[i] * 2, "blank": "\n"}[kind]
+            text = "".join(lines)
+        elif kind == "no last newline":
+            text = text.removesuffix("\n")
+        else:
+            text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestReaderOracle:
+    """read_trace_csv accepts and refuses what the line-split reader did,
+    and reads the same bits."""
+
+    @given(text=_mutated_trace_texts())
+    @settings(max_examples=400, deadline=None)
+    @example(text="n,t,x_1,z_1,M_1,a\n0,0,1,2,3,1#\n1,1,2,,,\n")
+    @example(text="n,t,x_1,z_1,M_1,a\n0,0,1,2,3,0.5\n\n1,1,2,,,\n")
+    @example(text="n,t,x_1,z_1,M_1,a\n\n1,1,2,,,\n")
+    @example(text="n,t,x_1,z_1,M_1,a\n0,-0,1,2,3,0.5\n1,1,2,,,")
+    def test_agrees_with_the_line_split_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("mutated") / "trace.csv"
+        path.write_bytes(text.encode("ascii"))
+        _assert_readers_agree(path)
 
 
 class TestSharedTraceTemplates:
