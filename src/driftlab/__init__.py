@@ -39,8 +39,6 @@ from .sa import (
     IterateTrace,
     NoiseModel,
     StepsizeSchedule,
-    algorithmic_time,
-    interpolate,
     make_rng,
     run_sa,
     validate_schedule,

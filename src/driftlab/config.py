@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -67,16 +67,9 @@ class ExperimentConfig:
             "noise": self.noise.to_dict(),
             "n_steps": self.n_steps,
             "seeds": list(self.seeds),
-            "tracking": {
-                "T": self.tracking.T,
-                "n_windows": self.tracking.n_windows,
-                "dt": self.tracking.dt,
-            },
-            "measures": {
-                "checkpoints": list(self.measures.checkpoints),
-                "eps": list(self.measures.eps),
-            },
-            "integrate": {"t_end": self.integrate.t_end, "dt": self.integrate.dt},
+            "tracking": asdict(self.tracking),
+            "measures": asdict(self.measures),
+            "integrate": asdict(self.integrate),
             "output_dir": self.output_dir,
             "blowup_bound": self.blowup_bound,
         }

@@ -212,6 +212,10 @@ class PiecewiseField:
         for pat in self.boundary_values:
             if len(pat) != len(self.guards) or "0" not in pat:
                 raise ValueError(f"boundary pattern {pat!r} must contain a '0' label")
+        for k, guard in enumerate(self.guards):
+            size = np.size(guard.center if isinstance(guard, NormGuard) else guard.a)
+            if size != self.dimension:
+                raise ValueError(f"guard {k} takes points of size {size}, not {self.dimension}")
         self._boundary_pieces = {k: ConstantPiece(v) for k, v in self.boundary_values.items()}
         # a piece's value is a (d,) vector; its shape does not depend on x
         zero = np.zeros(self.dimension)
@@ -226,8 +230,8 @@ class PiecewiseField:
 
     def sign_pattern(self, x, zero_tol=0.0):
         """Sign pattern of x; guards within zero_tol of 0 are labeled '0'."""
-        # sa._walk numbers this rule inline for one guard at zero_tol 0, and
-        # label_of_code decodes it; a change to the rule must update both
+        # sa._walk numbers this rule inline for one guard at zero_tol 0, as
+        # codes -1, 0, 1 for "-0+"; a change to the rule must update both
         chars = []
         for g in self.guards:
             v = g.value(x)
@@ -436,12 +440,6 @@ class ConvexVelocitySet:
         if tol < 0:
             raise ValueError("tol must be >= 0")
         return self.distance(v) <= tol
-
-    def equals(self, other, tol=1e-12):
-        """Mutual hull containment, the right equality for redundant vertex lists."""
-        return all(other.contains(w, tol) for w in self.vertices) and all(
-            self.contains(w, tol) for w in other.vertices
-        )
 
 
 def _dedupe_rows(rows, tol=1e-12):

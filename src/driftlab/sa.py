@@ -1,21 +1,22 @@
 """Robbins-Monro iteration with martingale-difference noise.
 
 Runs x(n+1) = x(n) + a(n) (h(x(n)) + M(n+1)) for a piecewise field h,
-records the full trace, and exposes the algorithmic timescale
-t(n) = sum_{m<n} a(m) together with the linearly interpolated path.
+records the full trace with its algorithmic timescale t(n) = sum_{m<n} a(m),
+and interpolates the path linearly between the nodes (t(n), x(n)).
 
 run_sa takes one of two paths, picked by the field's structure alone; both
 give traces bit-identical to the numpy loop x = x + a * (evaluate(x) + M).
-When the field has exactly one guard, a CoordinateGuard, and every piece is
-a ConstantPiece (relay, example1, spurious_equilibrium), the drift is one of
-three constant rows picked by the sign of one coordinate: only that
-coordinate steps in Python, with the three drifts' guarded coordinates held
-in local floats and each step's sign code appended to a list; the picked
-rows are then read from a 3-row table indexed by code + 1, and the states
-are one sequential np.add.accumulate of the increments a * (z + M), a block
-at a time. These are the same IEEE operations in the same order. Every
-other field steps all coordinates on Python floats, one sign_pattern and
-piece_for per step.
+When the field has exactly one guard, a CoordinateGuard, both region pieces,
+and every piece is a ConstantPiece (relay, example1, spurious_equilibrium),
+the drift is one of three constant rows picked by the sign of one
+coordinate. The three rows are built into a table before the first step;
+only the guarded coordinate steps in Python, with the three drifts' guarded
+coordinates held in local floats and each step's sign code appended to a
+list; the picked rows are then read from the table at code + 1, and the
+states are one sequential np.add.accumulate of the increments a * (z + M),
+a block at a time. These are the same IEEE operations in the same order.
+Every other field, a one-guard field missing a region piece included, steps
+all coordinates on Python floats, one sign_pattern and piece_for per step.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     OutOfDomain,
     WindowExceedsTrace,
 )
-from .fields import ConstantPiece, CoordinateGuard, label_of_code
+from .fields import ConstantPiece, CoordinateGuard
 
 DEFAULT_BLOWUP_BOUND = 1e6
 _BLOCK_ROWS = 4096  # steps and noises are read, states and drifts written, per block
@@ -317,25 +318,23 @@ def _step_loop(field, states, drifts, steps, noises, blowup_bound):
 
 def _guard_column(field):
     """The coordinate the field's one guard reads, when that guard is a
-    CoordinateGuard and every piece a ConstantPiece, so that the drift is one
-    of three constants picked by the sign of that coordinate; None otherwise.
-    Boundary values are ConstantPieces already."""
-    d = field.dimension
-    if len(field.guards) != 1 or not field.is_piecewise_constant():
+    CoordinateGuard, both region pieces are assigned and every piece is a
+    ConstantPiece, so that the drift is one of three constants picked by the
+    sign of that coordinate; None otherwise. Boundary values are
+    ConstantPieces already."""
+    if len(field.guards) != 1 or len(field.pieces) != 2 or not field.is_piecewise_constant():
         return None
     (guard,) = field.guards
-    if type(guard) is not CoordinateGuard or not -d <= guard.index < d:
+    if type(guard) is not CoordinateGuard:
         return None
-    return guard.index % d
+    return guard.index % field.dimension
 
 
-def _walk(v, guarded, a, m, codes, resolve):
+def _walk(v, guarded, a, m, codes):
     """Step the guarded coordinate v as v + a * (z + m) over the pairs of the
-    lists a and m, with z the guarded coordinate of the drift of v's sign code
-    (1 for v > 0, 0 for v == 0 and -1 otherwise, NaN included, as
-    fields.label_of_code decodes it), and append each step's code to codes.
-    guarded[code + 1] is None until resolve(code) fills it, on the code's
-    first visit; an exception of resolve leaves codes at the steps taken."""
+    lists a and m, with z = guarded[code + 1] for v's sign code (1 for v > 0,
+    0 for v == 0 and -1 otherwise, NaN included, as fields.sign_pattern
+    labels it), and append each step's code to codes."""
     z_neg, z_zero, z_pos = guarded
     append = codes.append
     for ai, mi in zip(a, m):
@@ -345,10 +344,6 @@ def _walk(v, guarded, a, m, codes, resolve):
             code, z = 0, z_zero
         else:
             code, z = -1, z_neg
-        if z is None:
-            resolve(code)
-            z_neg, z_zero, z_pos = guarded
-            z = guarded[code + 1]
         v += ai * (z + mi)
         append(code)
 
@@ -359,68 +354,43 @@ def _step_table(field, column, states, drifts, steps, noises, blowup_bound):
     are then one sequential np.add.accumulate over the increments a * (z + m)
     of the picked drift rows, a block at a time."""
     n_steps = steps.size
-    table = np.empty((3, states.shape[1]))  # row code + 1: the drift of that code
-    guarded = [None, None, None]  # row code + 1: its guarded coordinate, once resolved
-
-    def resolve(code):
-        piece = field.piece_for(label_of_code(code))
-        # a ConstantPiece's value does not depend on x
-        table[code + 1] = piece.value(None)
-        guarded[code + 1] = float(table[code + 1, column])
-
+    # row code + 1 is the drift of that code; a ConstantPiece's value does not depend on x
+    table = np.array([field.piece_for(label).value(None) for label in "-0+"])
+    guarded = table[:, column].tolist()
     sure_bound = _sure_bound(blowup_bound)
     for start in range(0, n_steps, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_steps)
         a, m = steps[start:stop], noises[start:stop]
-        v, a_list, mg = float(states[start, column]), a.tolist(), m[:, column].tolist()
-        codes, failure = [], None
-        try:
-            _walk(v, guarded, a_list, mg, codes, resolve)
-        except Exception as exc:  # raised below, once the rows before it pass
-            failure = exc
-        # rows start+1 .. start+n are stepped; a failure waits for their test
-        n = len(codes)
-        zs = table[np.fromiter(codes, np.intp, n) + 1]
-        block = states[start:start + n + 1]
+        codes = []
+        _walk(float(states[start, column]), guarded, a.tolist(), m[:, column].tolist(), codes)
+        zs = table[np.fromiter(codes, np.intp, stop - start) + 1]
+        block = states[start:stop + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(a[:n, None], zs + m[:n], out=block[1:])
+            np.multiply(a[:, None], zs + m, out=block[1:])
             np.add.accumulate(block, axis=0, out=block)
             sure = np.sqrt((block[1:] * block[1:]).sum(axis=1)) <= sure_bound
         for i in np.flatnonzero(~sure).tolist():
             _check_blowup(block[1 + i], start + i + 1, blowup_bound)
-        if failure is not None:
-            raise failure
         drifts[start:stop] = zs
-
-
-def algorithmic_time(trace, n):
-    """t(n) = sum_{m<n} a(m)."""
-    if n < 0 or n >= trace.times.size:
-        raise IndexOutOfRange(f"index {n} outside [0, {trace.times.size - 1}]")
-    return float(trace.times[n])
 
 
 def interpolate_path(times, points, t):
     """The piecewise-affine path through (times[k], points[k]) at t: exact at
-    the nodes, constant across an empty span, and OutOfDomain more than 1e-12
-    outside [times[0], times[-1]]."""
+    the nodes (the last of a repeated time's), constant across an empty span,
+    and OutOfDomain more than 1e-12 outside [times[0], times[-1]]."""
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     if np.any(t_arr < times[0] - 1e-12) or np.any(t_arr > times[-1] + 1e-12):
         raise OutOfDomain(f"t outside [{times[0]:g}, {times[-1]:g}]")
     t_arr = np.clip(t_arr, times[0], times[-1])
-    idx = np.clip(np.searchsorted(times, t_arr, side="right") - 1, 0, times.size - 2)
-    span = times[idx + 1] - times[idx]
+    idx = np.searchsorted(times, t_arr, side="right") - 1
+    nxt = np.minimum(idx + 1, times.size - 1)
+    span = times[nxt] - times[idx]
     safe = np.where(span > 0, span, 1.0)
     w = np.where(span > 0, (t_arr - times[idx]) / safe, 0.0)
-    out = points[idx] + w[:, None] * (points[idx + 1] - points[idx])
+    out = points[idx] + w[:, None] * (points[nxt] - points[idx])
     return out[0] if scalar else out
-
-
-def interpolate(trace, t):
-    """The interpolated iterate path at t."""
-    return interpolate_path(trace.times, trace.states, t)
 
 
 _WINDOW_SLACK = 1e-9

@@ -493,6 +493,26 @@ class TestCli:
         assert cli_main(["simulate", "--config", path]) == 2
         assert "shape (1,)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "guard",
+        [{"type": "affine", "a": [0.0, 1.0, 0.0]}, {"type": "norm", "center": [0.0, 0.0, 0.0], "radius": 1.0}],
+        ids=["affine", "norm"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "maps"])
+    def test_guard_of_wrong_size_is_config_error(self, tmp_path, capsys, guard, command):
+        # it used to pass validation and end in a bare numpy ValueError
+        field = {
+            "dimension": 2,
+            "guards": [guard],
+            "pieces": {"+": {"type": "constant", "value": [1.0, 0.0]},
+                       "-": {"type": "constant", "value": [-1.0, 0.0]}},
+        }
+        path = self._write_config(tmp_path, field=field)
+        args = ["--point", "0,0"] if command == "maps" else []
+        assert cli_main([command, "--config", path, *args]) == 2
+        err = capsys.readouterr().err
+        assert "field: invalid inline definition: guard 0 takes points of size 3, not 2" in err
+
     def test_stdout_without_quiet(self, tmp_path, capsys):
         small = dict(n_steps=500, seeds=[1, 2], tracking={"T": 0.5, "n_windows": 1, "dt": 1e-2},
                      measures={"checkpoints": [500], "eps": [0.05]})

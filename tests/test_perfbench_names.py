@@ -7,6 +7,8 @@ scripts reach the package as `dl.<name>`.  The benchmark's own tests are not
 part of this suite, so a rename inside driftlab would otherwise break only
 the benchmark.  The benchmark files are parsed; only tracing.py, which
 imports nothing from perfbench, is loaded, to run its guard_hits counter.
+The other way round, every name driftlab exports must have a user outside
+the tests: the package itself, a demo or the benchmark.
 """
 
 import ast
@@ -19,7 +21,8 @@ import numpy as np
 
 import driftlab as dl
 
-PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).parent.parent
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
 
@@ -157,3 +160,25 @@ def test_guard_hits_runs_on_a_relay_trace():
                       dl.NoiseModel("rademacher", 0.25), 50, seed=1)
     hits = tracing.guard_hits(relay, trace.states)
     assert hits == np.count_nonzero(trace.states[:-1, 0] == 0.0) > 0
+
+
+def _names_used_outside_tests():
+    """Every Name and Attribute name in src/driftlab outside __init__.py, in
+    demos/ and in perfbench/, and the object each ENTRY_POINTS path starts at."""
+    files = [p for p in sorted((ROOT / "src" / "driftlab").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "demos").glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    used = {path.split(".")[0] for _, _, path in _entry_points()}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_export_is_used_outside_the_tests():
+    exported = {name for name in dl.__all__ if not inspect.ismodule(getattr(dl, name))}
+    assert {"run_sa", "ConvexVelocitySet"} <= exported
+    unused = sorted(exported - _names_used_outside_tests())
+    assert not unused, f"exported names that only the tests use: {unused}"

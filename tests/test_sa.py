@@ -1,3 +1,4 @@
+import functools
 import itertools
 import warnings
 
@@ -15,7 +16,7 @@ from driftlab.fields import (
     PiecewiseField,
     QuadraticPiece,
 )
-from driftlab.sa import _BLOCK_ROWS, DEFAULT_BLOWUP_BOUND, _guard_column
+from driftlab.sa import _BLOCK_ROWS, DEFAULT_BLOWUP_BOUND, _guard_column, interpolate_path
 
 
 class TestStepsize:
@@ -242,32 +243,42 @@ class TestTimescale:
         )
 
     def test_algorithmic_time_examples(self):
-        trace = self._tiny_trace([0.5, 0.25, 0.125])
-        assert dl.algorithmic_time(trace, 3) == 0.875
-        assert dl.algorithmic_time(trace, 0) == 0.0
-        const = self._tiny_trace(np.full(100, 0.1))
-        assert dl.algorithmic_time(const, 100) == pytest.approx(10.0, rel=1e-12)
-        with pytest.raises(dl.IndexOutOfRange):
-            dl.algorithmic_time(trace, 4)
+        # a trace's times are t(n) = sum_{m<n} a(m); window_index refuses an n outside them
+        linear, zero = dl.builtin_field("linear"), dl.NoiseModel("zero", 0.0)
+        custom = dl.StepsizeSchedule("custom", sequence=[0.5, 0.25, 0.125])
+        trace = dl.run_sa(linear, [1.0], custom, zero, 3, seed=0)
+        assert trace.times[3] == 0.875 and trace.times[0] == 0.0
+        const = dl.run_sa(linear, [1.0], dl.StepsizeSchedule("constant", a0=0.1), zero, 100, seed=0)
+        assert const.times[100] == pytest.approx(10.0, rel=1e-12)
+        for n in (-1, 4):
+            with pytest.raises(dl.IndexOutOfRange):
+                dl.window_index(trace, n, 0.1)
 
     def test_interpolate_anchors_and_midpoint(self):
         trace = self._tiny_trace([1.0, 1.0], x=[0.0, 2.0, 2.0])
-        assert dl.interpolate(trace, 0.5)[0] == 1.0
+        assert interpolate_path(trace.times, trace.states, 0.5)[0] == 1.0
         for n in range(3):
-            assert np.array_equal(dl.interpolate(trace, trace.times[n]), trace.states[n])
-        assert np.array_equal(dl.interpolate(trace, trace.times[-1]), trace.states[-1])
+            assert np.array_equal(interpolate_path(trace.times, trace.states, trace.times[n]), trace.states[n])
         with pytest.raises(dl.OutOfDomain):
-            dl.interpolate(trace, 2.5)
+            interpolate_path(trace.times, trace.states, 2.5)
 
     def test_interpolate_end_slack_and_empty_span(self):
         # a zero step repeats t(1): the path is constant across the empty span
         trace = self._tiny_trace([1.0, 0.0, 1.0], x=[0.0, 2.0, 2.0, 4.0])
-        assert np.array_equal(dl.interpolate(trace, [1.0, 1.5]), [[2.0], [3.0]])
-        assert np.array_equal(dl.interpolate(trace, -1e-13), [0.0])
-        assert np.array_equal(dl.interpolate(trace, 2.0 + 1e-13), [4.0])
+        path = functools.partial(interpolate_path, trace.times, trace.states)
+        assert np.array_equal(path([1.0, 1.5]), [[2.0], [3.0]])
+        assert np.array_equal(path(-1e-13), [0.0])
+        assert np.array_equal(path(2.0 + 1e-13), [4.0])
         for t in (-1e-11, 2.0 + 1e-11):
             with pytest.raises(dl.OutOfDomain):
-                dl.interpolate(trace, t)
+                path(t)
+
+    def test_interpolate_is_exact_at_the_last_node(self):
+        # the last span was evaluated at weight 1: 0.64 + (0.105 - 0.64) != 0.105
+        assert interpolate_path(np.array([0.0, 1.0]), np.array([[0.64], [0.105]]), 1.0)[0] == 0.105
+        # a repeated final time gives the last node of its group, as any repeated time does
+        times, points = np.array([0.0, 1.0, 1.0]), np.array([[0.0], [2.0], [5.0]])
+        assert np.array_equal(interpolate_path(times, points, [0.5, 1.0]), [[1.0], [5.0]])
 
     def test_window_index_examples(self):
         trace = self._tiny_trace([0.5, 0.25, 0.125, 0.125])
@@ -439,10 +450,10 @@ def _random_fields(draw, x0):
 
 @st.composite
 def _table_fields(draw, x0):
-    """Fields that take run_sa's table path: one coordinate guard and
-    constant pieces, one full pattern in five without a piece, a boundary
-    value or not; values of size d, one in five [inf] * d, which diverges
-    at the first step that takes it."""
+    """One coordinate guard and constant pieces, one full pattern in five
+    without a piece, a boundary value or not; values of size d, one in five
+    [inf] * d, which diverges at the first step that takes it. A field with
+    both pieces takes run_sa's table path, one without takes its loop."""
     d = len(x0)
     guard = CoordinateGuard(draw(st.integers(min_value=-d, max_value=d - 1)), d)
     value = st.one_of(*[_vectors(d)] * 4, st.just([np.inf] * d))
@@ -493,7 +504,7 @@ class TestRunSAOracle:
     def test_table_fields_match_oracle(self, data):
         x0 = data.draw(_vectors(data.draw(st.integers(min_value=1, max_value=3)), _GRID))
         field = data.draw(_table_fields(x0))
-        assert _guard_column(field) is not None
+        assert (_guard_column(field) is not None) == (len(field.pieces) == 2)
         n_steps = data.draw(_N_STEPS)
         _assert_matches_oracle(
             field,
@@ -509,7 +520,8 @@ class TestRunSAOracle:
     @pytest.mark.parametrize("scale", [0.0, 0.01])
     def test_table_failure_mid_block_matches_oracle(self, minus, scale):
         # x drifts down from 0.5 and reaches the '-' region after about 2000
-        # steps: a non-finite iterate, or a pattern without a piece
+        # steps: a non-finite iterate on the table path, or, on the per-step
+        # loop that a field missing a piece takes, a pattern without a piece
         field = PiecewiseField(1, [CoordinateGuard(0, 1)], {"+": ConstantPiece([-1.0]), **minus})
         schedule = dl.StepsizeSchedule("constant", a0=1.0 / _BLOCK_ROWS)
         with pytest.raises((dl.DivergedIterate, dl.UnassignedPattern)):
@@ -517,9 +529,10 @@ class TestRunSAOracle:
         _assert_matches_oracle(field, [0.5], schedule, dl.NoiseModel("gaussian", scale), 2 * _BLOCK_ROWS, 0)
 
     def test_first_visit_on_a_block_boundary_matches_oracle(self):
-        # x(n) = 0.5 - n / (2 * _BLOCK_ROWS) is exact: the code 0, which takes
-        # the '+' piece, is first reached at local step 0 of the second block,
-        # and the unassigned '-' one step later
+        # x(n) = 0.5 - n / (2 * _BLOCK_ROWS) is exact: the field misses '-',
+        # so it takes the per-step loop; the pattern '0', which takes the '+'
+        # piece, is first reached at local step 0 of the second block, and
+        # the unassigned '-' one step later
         field = PiecewiseField(1, [CoordinateGuard(0, 1)], {"+": ConstantPiece([-1.0])})
         schedule = dl.StepsizeSchedule("constant", a0=0.5 / _BLOCK_ROWS)
         noise = dl.NoiseModel("zero", 0.0)
@@ -536,18 +549,17 @@ class TestRunSAOracle:
         ],
     )
     def test_constant_fields_take_the_table_path(self, monkeypatch, name, x0, noise):
-        # the table path resolves each pattern once per call and labels no
-        # iterate with sign_pattern; the per-step loop labels every one
+        # the table path resolves the three patterns once per call and labels
+        # no iterate with sign_pattern; the per-step loop labels every one
         field = dl.builtin_field(name)
         values, labels = [], []
         value, sign_pattern = ConstantPiece.value, field.sign_pattern
         monkeypatch.setattr(ConstantPiece, "value", lambda piece, x: values.append(piece) or value(piece, x))
         monkeypatch.setattr(field, "sign_pattern", lambda x: labels.append(x) or sign_pattern(x))
         schedule = dl.StepsizeSchedule("power", a0=1.0, gamma=0.75)
-        trace = dl.run_sa(field, x0, schedule, noise, 3 * _BLOCK_ROWS + 7, seed=11)
+        dl.run_sa(field, x0, schedule, noise, 3 * _BLOCK_ROWS + 7, seed=11)
         assert labels == []
-        patterns = {sign_pattern(x) for x in trace.states[:-1]}
-        assert 1 <= len(values) <= len(patterns)
+        assert len(values) == 3
 
     @pytest.mark.parametrize("n_guards", [0, 2])
     def test_other_constant_fields_keep_the_loop(self, n_guards):

@@ -4,6 +4,7 @@ import pytest
 import driftlab as dl
 from driftlab import tracking
 from driftlab.fields import ConstantPiece, PiecewiseField
+from driftlab.sa import interpolate_path
 
 
 def _run(field, x0, a0, n, kind="constant", noise=("zero", 0.0), seed=0, gamma=0.75):
@@ -88,7 +89,7 @@ class TestTrackingProfile:
         ref = tracking.window_reference(trace, 0, 30)
         assert np.all(np.diff(ref.times) > 0)
         nodes = trace.times[:31]
-        assert np.array_equal(ref.value_at(nodes), dl.interpolate(trace, nodes))
+        assert np.array_equal(ref.value_at(nodes), interpolate_path(trace.times, trace.states, nodes))
 
     def test_too_short_trace_raises(self):
         lin = dl.builtin_field("linear")
