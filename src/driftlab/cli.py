@@ -2,9 +2,9 @@
 
 Subcommands: simulate (SA runs), integrate (inclusion only), maps (print
 F/K hulls at query points), measures (recompute diagnostics from existing
-trace CSVs), study (noise dichotomy comparison).  Exit codes: 0 ok,
-2 config error (also a bad maps --point or --tol), 3 diverged iterate,
-4 I/O failure.
+trace CSVs), study (noise dichotomy comparison); each takes --config and
+only the flags it reads.  Exit codes: 0 ok, 2 config error (also a bad
+--seeds, maps --point or --tol), 3 diverged iterate, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import sys
 import numpy as np
 
 from . import io as dio
-from .config import load_config
+from .config import check_seeds, load_config
 from .errors import ConfigInvalid, DivergedIterate, DriftlabError, IoFailure
 from .experiments import compare_noise_study, run_experiment, seed_paths, write_seed_diagnostics
-from .fields import filippov_map, krasovskii_map
+from .fields import DEFAULT_RADIUS_TOL, filippov_map, krasovskii_map
 from .inclusion import integrate_filippov
 
 EXIT_OK = 0
@@ -30,8 +30,10 @@ EXIT_IO = 4
 
 
 def _parse_seeds(text):
+    if text is None:
+        return None
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        return check_seeds([int(s) for s in text.split(",") if s.strip()], "--seeds")
     except ValueError as exc:
         raise ConfigInvalid(f"--seeds: {exc}") from exc
 
@@ -46,6 +48,16 @@ def _parse_point(text, dimension):
     return point
 
 
+_FLAGS = {  # a command takes --config and only the flags its handler reads
+    "out": dict(help="output directory override"),
+    "seeds": dict(help="comma-separated seed override"),
+    "quiet": dict(action="store_true", help="suppress progress output"),
+    "point": dict(action="append", default=[],
+                  help="query point as comma-separated coordinates (repeatable)"),
+    "tol": dict(type=float, default=DEFAULT_RADIUS_TOL, help="adjacency radius"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="driftlab",
@@ -53,32 +65,23 @@ def build_parser():
         "simulation, inclusion integration, and occupation-measure diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, summary in (
-        ("simulate", "run the stochastic approximation pipeline over seeds"),
-        ("integrate", "integrate the differential inclusion only"),
-        ("maps", "print Filippov/Krasovskii hulls at query points"),
-        ("measures", "recompute measure diagnostics from existing trace CSVs"),
-        ("study", "compare density-noise and atomic-noise arms"),
+    runs = ("out", "seeds", "quiet")
+    for name, summary, flags in (
+        ("simulate", "run the stochastic approximation pipeline over seeds", runs),
+        ("integrate", "integrate the differential inclusion only", ("out", "quiet")),
+        ("maps", "print Filippov/Krasovskii hulls at query points", ("point", "tol")),
+        ("measures", "recompute measure diagnostics from existing trace CSVs", runs),
+        ("study", "compare density-noise and atomic-noise arms", runs),
     ):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seeds", default=None, help="comma-separated seed override")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
-        if name == "maps":
-            p.add_argument(
-                "--point",
-                action="append",
-                default=[],
-                help="query point as comma-separated coordinates (repeatable)",
-            )
-            p.add_argument("--tol", type=float, default=1e-9, help="adjacency radius")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def _cmd_simulate(config, args):
-    seeds = _parse_seeds(args.seeds) if args.seeds else None
-    bundle = run_experiment(config, out_dir=args.out, seeds=seeds)
+    bundle = run_experiment(config, out_dir=args.out, seeds=_parse_seeds(args.seeds))
     if not args.quiet:
         status = "DIVERGED" if bundle.any_diverged else "ok"
         print(f"[driftlab] wrote {bundle.out_dir} ({status})")
@@ -115,7 +118,7 @@ def _cmd_maps(config, args):
 
 def _cmd_measures(config, args):
     out_dir = args.out or config.output_dir
-    seeds = _parse_seeds(args.seeds) if args.seeds else config.seeds
+    seeds = _parse_seeds(args.seeds) or config.seeds
     field = config.build_field()
     for seed in seeds:
         paths = seed_paths(out_dir, seed)
@@ -129,8 +132,7 @@ def _cmd_measures(config, args):
 
 
 def _cmd_study(config, args):
-    seeds = _parse_seeds(args.seeds) if args.seeds else None
-    result = compare_noise_study(config, out_dir=args.out, seeds=seeds)
+    result = compare_noise_study(config, out_dir=args.out, seeds=_parse_seeds(args.seeds))
     if not args.quiet:
         for row in result.table:
             print(

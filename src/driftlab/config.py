@@ -1,21 +1,27 @@
 """Experiment configuration: a single JSON file drives every pipeline.
 
 The schema is documented in the README; inline field definitions use the
-coefficient-table encoding of the fields module.
+coefficient-table encoding of the fields module.  One rule builds each
+section's dataclass from the entries present, so the dataclass holds the
+only default, and refuses an entry it does not read; so do the root and an
+inline field's top level, but not the guard and piece objects inside it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import ConfigInvalid, IoFailure
 from .fields import BUILTIN_FIELDS, PiecewiseField, builtin_field, guard_from_dict
+from .fields import piece_from_dict
 from .io import canonical_json
 from .sa import DEFAULT_BLOWUP_BOUND, NoiseModel, StepsizeSchedule
 
@@ -29,7 +35,7 @@ class TrackingParams:
 
 @dataclass
 class MeasureParams:
-    checkpoints: list = dc_field(default_factory=list)
+    checkpoints: list | None = None  # None: a quarter of the way and the end
     eps: list = dc_field(default_factory=lambda: [0.05])
 
 
@@ -56,7 +62,7 @@ class ExperimentConfig:
     def build_field(self):
         if isinstance(self.field_spec, str):
             return builtin_field(self.field_spec, dimension=self.x0.size)
-        return PiecewiseField.from_dict(self.field_spec)
+        return _inline_field(self.field_spec)
 
     def effective_dict(self):
         """Full config echo, defaults filled in; hashed for tamper evidence."""
@@ -78,13 +84,17 @@ class ExperimentConfig:
         return hashlib.sha256(canonical_json(self.effective_dict()).encode()).hexdigest()
 
 
-def _require(data, key, path, types=None):
+def _require(data, key):
     if key not in data:
-        raise ConfigInvalid(f"{path}{key}: missing required entry")
-    value = data[key]
-    if types is not None and not isinstance(value, types):
-        raise ConfigInvalid(f"{path}{key}: expected {types}, got {type(value).__name__}")
-    return value
+        raise ConfigInvalid(f"{key}: missing required entry")
+    return data[key]
+
+
+def _known(data, names, path):
+    """Refuse an entry of the object data that is not in names."""
+    for key in data:
+        if key not in names:
+            raise ConfigInvalid(f"{path}{key}: unknown entry; known: {', '.join(names)}")
 
 
 def _is_number(value):
@@ -92,29 +102,77 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _number(value, path):
+    if not (_is_number(value) and abs(value) <= sys.float_info.max):
+        raise ConfigInvalid(f"{path}: must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _positive(value, path):
-    if not (_is_number(value) and value > 0 and math.isfinite(value)):
+    if not (_is_number(value) and 0 < value <= sys.float_info.max):
         raise ConfigInvalid(f"{path}: must be a positive finite number")
     return float(value)
 
 
-def _integer(value, path):
+def _integer(value, path, minimum=None):
     if not (_is_number(value) and isinstance(value, int)):
         raise ConfigInvalid(f"{path}: must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigInvalid(f"{path}: must be >= {minimum}, got {value}")
     return value
 
 
-def _list(value, path):
-    if not isinstance(value, list):
-        raise ConfigInvalid(f"{path}: must be a list, got {type(value).__name__}")
+_count = functools.partial(_integer, minimum=1)
+
+
+def _text(value, path):
+    if not isinstance(value, str):
+        raise ConfigInvalid(f"{path}: must be a string, got {type(value).__name__}")
     return value
 
 
-def _section(data, key):
-    value = data.get(key, {})
+def _each(check):
+    """The check of a list whose every item passes check."""
+    def check_list(value, path):
+        if not isinstance(value, list):
+            raise ConfigInvalid(f"{path}: must be a list, got {type(value).__name__}")
+        return [check(item, f"{path}[{i}]") for i, item in enumerate(value)]
+    return check_list
+
+
+def check_seeds(value, path):
+    """A run's seeds, from the config or --seeds: distinct integers >= 0."""
+    seeds = _each(functools.partial(_integer, minimum=0))(value, path)
+    if not seeds:
+        raise ConfigInvalid(f"{path}: must be a non-empty list of integers")
+    for i, seed in enumerate(seeds):
+        if seeds.index(seed) < i:
+            raise ConfigInvalid(f"{path}[{i}]: repeats seed {seed}")
+    return seeds
+
+
+def _section(data, key, cls, checks, required=False):
+    """cls built from the entries of the object data[key] that are present,
+    each through its check; an absent entry takes cls's default."""
+    value = _require(data, key) if required else data.get(key, {})
     if not isinstance(value, dict):
         raise ConfigInvalid(f"{key}: must be an object, got {type(value).__name__}")
-    return value
+    _known(value, checks, f"{key}.")
+    entries = {k: check(value[k], f"{key}.{k}") for k, check in checks.items() if k in value}
+    try:
+        return cls(**entries)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{key}: {exc}") from exc
+
+
+_SCHEDULE = {"kind": _text, "a0": _number, "gamma": _number, "sequence": _each(_number)}
+_NOISE = {"kind": _text, "scale": _number}
+_TRACKING = {"T": _positive, "n_windows": _count, "dt": _positive}
+_MEASURES = {"checkpoints": _each(_integer), "eps": _each(_positive)}
+_INTEGRATE = {"t_end": _positive, "dt": _positive}
+_ROOT = ("field", "x0", "schedule", "noise", "n_steps", "seeds", "tracking", "measures",
+         "integrate", "output_dir", "blowup_bound")
+_FIELD = ("dimension", "guards", "pieces", "boundary_values", "name")
 
 
 def _require_finite(value, path):
@@ -130,116 +188,65 @@ def _require_finite(value, path):
             _require_finite(item, f"{path}[{i}]")
 
 
+def _inline_field(spec):
+    """The PiecewiseField of an inline definition; an error names the guard at fault."""
+    path, guards = "field", []
+    try:
+        dimension = int(spec["dimension"])
+        for k, guard in enumerate(spec.get("guards", [])):
+            path = f"field.guards[{k}]"
+            guards.append(guard_from_dict(guard, dimension))
+        path = "field"
+        pieces = {key: piece_from_dict(p) for key, p in spec.get("pieces", {}).items()}
+        return PiecewiseField(**dict(spec, dimension=dimension, guards=guards, pieces=pieces))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"{path}: invalid inline definition: {exc}") from exc
+
+
 def config_from_dict(data):
     if not isinstance(data, dict):
         raise ConfigInvalid("config root must be an object")
+    _known(data, _ROOT, "")
 
-    field_spec = _require(data, "field", "")
-    if isinstance(field_spec, str):
-        if field_spec not in BUILTIN_FIELDS:
-            raise ConfigInvalid(
-                f"field: unknown built-in {field_spec!r}; known: {', '.join(BUILTIN_FIELDS)}"
-            )
-    elif isinstance(field_spec, dict):
+    field_spec, field = _require(data, "field"), None
+    if isinstance(field_spec, dict):
+        _known(field_spec, _FIELD, "field.")
         _require_finite(field_spec, "field")
-        path = "field"
-        try:
-            dimension = int(field_spec["dimension"])
-            for k, guard in enumerate(field_spec.get("guards", [])):
-                path = f"field.guards[{k}]"
-                guard_from_dict(guard, dimension)
-            path = "field"
-            PiecewiseField.from_dict(field_spec)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"{path}: invalid inline definition: {exc}") from exc
-    else:
+        field = _inline_field(field_spec)
+    elif not isinstance(field_spec, str):
         raise ConfigInvalid("field: must be a built-in name or an inline object")
-
-    x0 = _require(data, "x0", "", list)
-    for i, value in enumerate(x0):
-        if not _is_number(value):
-            raise ConfigInvalid(f"x0[{i}]: must be a number, got {value!r}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.size == 0 or not np.all(np.isfinite(x0)):
-        raise ConfigInvalid("x0: must be a non-empty finite vector")
-
-    sched_data = _require(data, "schedule", "", dict)
-    _require_finite(sched_data, "schedule")
-    try:
-        schedule = StepsizeSchedule(
-            kind=sched_data.get("kind", "power"),
-            a0=float(sched_data.get("a0", 1.0)),
-            gamma=float(sched_data.get("gamma", 1.0)),
-            sequence=sched_data.get("sequence"),
+    elif field_spec not in BUILTIN_FIELDS:
+        raise ConfigInvalid(
+            f"field: unknown built-in {field_spec!r}; known: {', '.join(BUILTIN_FIELDS)}"
         )
-    except (ValueError, TypeError) as exc:
-        raise ConfigInvalid(f"schedule: {exc}") from exc
 
-    noise_data = _require(data, "noise", "", dict)
-    _require_finite(noise_data, "noise")
-    try:
-        noise = NoiseModel(
-            kind=noise_data.get("kind", "gaussian"),
-            scale=float(noise_data.get("scale", 0.1)),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigInvalid(f"noise: {exc}") from exc
-
-    n_steps = _integer(_require(data, "n_steps", ""), "n_steps")
-    if n_steps < 1:
-        raise ConfigInvalid("n_steps: must be >= 1")
-
-    seeds = _require(data, "seeds", "", list)
-    if not seeds:
-        raise ConfigInvalid("seeds: must be a non-empty list of integers")
-    seeds = [_integer(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
-
-    tr = _section(data, "tracking")
-    tracking = TrackingParams(
-        T=_positive(tr.get("T", 1.0), "tracking.T"),
-        n_windows=_integer(tr.get("n_windows", 5), "tracking.n_windows"),
-        dt=_positive(tr.get("dt", 1e-3), "tracking.dt"),
-    )
-    if tracking.n_windows < 1:
-        raise ConfigInvalid("tracking.n_windows: must be >= 1")
-
-    ms = _section(data, "measures")
-    checkpoints = ms.get("checkpoints", [max(1, n_steps // 4), n_steps])
-    checkpoints = _list(checkpoints, "measures.checkpoints")
-    checkpoints = [_integer(c, f"measures.checkpoints[{i}]") for i, c in enumerate(checkpoints)]
-    if any(c < 1 or c > n_steps for c in checkpoints):
-        raise ConfigInvalid("measures.checkpoints: each must be in [1, n_steps]")
-    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise ConfigInvalid("measures.checkpoints: must be strictly increasing")
-    eps_list = _list(ms.get("eps", [0.05]), "measures.eps")
-    eps_list = [_positive(e, f"measures.eps[{i}]") for i, e in enumerate(eps_list)]
-    measures = MeasureParams(checkpoints=checkpoints, eps=eps_list)
-
-    ig = _section(data, "integrate")
-    integrate = IntegrateParams(
-        t_end=_positive(ig.get("t_end", 1.0), "integrate.t_end"),
-        dt=_positive(ig.get("dt", 1e-3), "integrate.dt"),
-    )
-
-    output_dir = data.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigInvalid(f"output_dir: must be a string, got {type(output_dir).__name__}")
+    x0 = np.asarray(_each(_number)(_require(data, "x0"), "x0"), dtype=float)
+    if x0.size == 0:
+        raise ConfigInvalid("x0: must be a non-empty vector")
+    schedule = _section(data, "schedule", StepsizeSchedule, _SCHEDULE, required=True)
+    noise = _section(data, "noise", NoiseModel, _NOISE, required=True)
+    n_steps = _count(_require(data, "n_steps"), "n_steps")
+    sequence = schedule.sequence
+    if sequence is not None and (schedule.kind != "custom" or sequence.size < n_steps):
+        raise ConfigInvalid(f"schedule.sequence: must be a custom schedule's {n_steps}+ stepsizes")
+    seeds = check_seeds(_require(data, "seeds"), "seeds")
+    tracking = _section(data, "tracking", TrackingParams, _TRACKING)
+    measures = _section(data, "measures", MeasureParams, _MEASURES)
+    if measures.checkpoints is None:
+        measures.checkpoints = sorted({max(1, n_steps // 4), n_steps})
+    bounded = [0, *measures.checkpoints, n_steps + 1]
+    if any(b <= a for a, b in zip(bounded, bounded[1:])):
+        raise ConfigInvalid("measures.checkpoints: must increase strictly within [1, n_steps]")
+    integrate = _section(data, "integrate", IntegrateParams, _INTEGRATE)
 
     config = ExperimentConfig(
-        field_spec=field_spec,
-        x0=x0,
-        schedule=schedule,
-        noise=noise,
-        n_steps=n_steps,
-        seeds=seeds,
-        tracking=tracking,
-        measures=measures,
-        integrate=integrate,
-        output_dir=output_dir,
+        field_spec, x0, schedule, noise, n_steps, seeds, tracking, measures, integrate,
+        output_dir=_text(data.get("output_dir", "out"), "output_dir"),
         blowup_bound=_positive(data.get("blowup_bound", DEFAULT_BLOWUP_BOUND), "blowup_bound"),
     )
-    # dimension consistency between field and x0
-    field = config.build_field()
+    # dimension consistency between field and x0, after every entry's own check
+    if field is None:
+        field = config.build_field()
     if field.dimension != x0.size:
         raise ConfigInvalid(
             f"x0: dimension {x0.size} does not match field dimension {field.dimension}"
@@ -256,6 +263,6 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
     config = config_from_dict(data)
-    if config.output_dir == "out" and "output_dir" not in data:
+    if "output_dir" not in data:
         config.output_dir = os.path.join(os.path.dirname(os.path.abspath(path)), "out")
     return config

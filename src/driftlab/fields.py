@@ -375,19 +375,6 @@ class PiecewiseField:
         base, normals = self._local_geometry(np.asarray(x, dtype=float), radius_tol)
         return [p for p in self.boundary_values if self._is_adjacent(p, base, normals)]
 
-    @classmethod
-    def from_dict(cls, spec):
-        dim = int(spec["dimension"])
-        guards = [guard_from_dict(g, dim) for g in spec.get("guards", [])]
-        pieces = {normalize_pattern(k): piece_from_dict(v) for k, v in spec.get("pieces", {}).items()}
-        return cls(
-            dimension=dim,
-            guards=guards,
-            pieces=pieces,
-            boundary_values=spec.get("boundary_values", {}),
-            name=spec.get("name", ""),
-        )
-
 
 def _strict_cone_feasible(vectors):
     """Is there u with v . u > 0 for every v (rows)?  By Gordan's alternative,

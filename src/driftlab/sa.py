@@ -377,7 +377,8 @@ def _step_table(field, column, states, drifts, steps, noises, blowup_bound):
 def interpolate_path(times, points, t):
     """The piecewise-affine path through (times[k], points[k]) at t: exact at
     the nodes (the last of a repeated time's), constant across an empty span,
-    and OutOfDomain more than 1e-12 outside [times[0], times[-1]]."""
+    and OutOfDomain more than 1e-12 outside [times[0], times[-1]].  Between
+    nodes the two points are scaled by a power of two, so no difference overflows."""
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
@@ -388,8 +389,11 @@ def interpolate_path(times, points, t):
     nxt = np.minimum(idx + 1, times.size - 1)
     span = times[nxt] - times[idx]
     safe = np.where(span > 0, span, 1.0)
-    w = np.where(span > 0, (t_arr - times[idx]) / safe, 0.0)
-    out = points[idx] + w[:, None] * (points[nxt] - points[idx])
+    w = np.where(span > 0, (t_arr - times[idx]) / safe, 0.0)[:, None]
+    p0, p1 = points[idx], points[nxt]
+    e = np.frexp(np.maximum(np.abs(p0), np.abs(p1)).max(axis=1, keepdims=True))[1]
+    s0 = np.ldexp(p0, -e)
+    out = np.where(w == 0, p0, np.ldexp(s0 + w * (np.ldexp(p1, -e) - s0), e))
     return out[0] if scalar else out
 
 

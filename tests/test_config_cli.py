@@ -1,4 +1,7 @@
+import argparse
+import ast
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -9,6 +12,7 @@ import pytest
 
 import driftlab as dl
 from driftlab import io as dio
+from driftlab import cli
 from driftlab.cli import main as cli_main
 from driftlab.config import config_from_dict, load_config
 from driftlab.experiments import compare_noise_study, run_experiment
@@ -130,6 +134,25 @@ class TestConfigValidation:
             ("field", {"dimension": 1, "guards": [1], "pieces": {}}, "field.guards[0]"),
             ("field", {"dimension": 1, "guards": [{"type": "coordinate", "index": 0}],
                        "pieces": {"+": 1}}, "field"),
+            # an entry no rule reads, a misspelling say, is refused where it sits
+            ("colour", "red", "colour"),
+            ("schedule", {"kind": "power", "a0": 1.0, "gama": 0.75}, "schedule.gama"),
+            ("noise", {"kind": "gaussian", "scal": 0.0}, "noise.scal"),
+            ("tracking", {"T": 1.0, "n_window": 1, "dt": 1e-3}, "tracking.n_window"),
+            ("measures", {"checkpoint": [500, 3000], "eps": [0.05]}, "measures.checkpoint"),
+            ("integrate", {"t_end": 3.0, "step": 1e-3}, "integrate.step"),
+            ("field", {"dimension": 2, "pieces": {"": {"type": "constant", "value": [1.0, 0.0]}},
+                       "piece": {}}, "field.piece"),
+            ("schedule", {"kind": "power", "a0": True, "gamma": 0.75}, "schedule.a0"),
+            ("noise", {"kind": "gaussian", "scale": True}, "noise.scale"),
+            ("seeds", [-1], "seeds[0]"),
+            ("seeds", [2, 2], "seeds[1]"),
+            ("schedule", {"kind": "custom", "sequence": [0.1, 0.1, 0.1]}, "schedule.sequence"),
+            ("schedule", {"kind": "custom", "sequence": 0.5}, "schedule.sequence"),
+            ("schedule", {"kind": "power", "sequence": [0.1] * 3000}, "schedule.sequence"),
+            # an integer literal beyond the largest float
+            ("tracking", {"T": 10**400}, "tracking.T"),
+            ("schedule", {"kind": "power", "a0": -(10**400)}, "schedule.a0"),
         ],
     )
     def test_wrong_types_rejected(self, tmp_path, key, value, path):
@@ -462,10 +485,33 @@ class TestCli:
         table = json.loads((out / "study_summary.json").read_text())["table"]
         assert [row["tracking_first_median"] for row in table] == [None, None]
 
-    def test_config_error_exit_code(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(base_config(tmp_path, noise={"kind": "purple"})))
-        assert cli_main(["simulate", "--config", str(path)]) == 2
+    @pytest.mark.parametrize(
+        "argv, noise, message",
+        [
+            (["simulate"], {"kind": "purple"}, "noise"),
+            (["simulate", "--seeds", ","], None, "--seeds"),
+            (["simulate", "--seeds", "-3"], None, "--seeds[0]"),
+            (["study", "--seeds", "2,2"], None, "--seeds[1]"),
+            # a flag the command does not read is an argparse error
+            (["maps", "--out", "elsewhere"], None, "--out"),
+            (["maps", "--seeds", "1"], None, "--seeds"),
+            (["maps", "--quiet"], None, "--quiet"),
+            (["integrate", "--seeds", "1"], None, "--seeds"),
+        ],
+        ids=["bad-noise", "seeds-empty", "seeds-negative", "seeds-repeated", "maps-out",
+             "maps-seeds", "maps-quiet", "integrate-seeds"],
+    )
+    def test_config_error_exit_code(self, tmp_path, capsys, argv, noise, message):
+        path = self._write_config(tmp_path, n_steps=200, seeds=[1],
+                                  noise=noise or {"kind": "gaussian", "scale": 0.1},
+                                  tracking={"T": 0.5, "n_windows": 1, "dt": 1e-2},
+                                  measures={"checkpoints": [200], "eps": [0.05]})
+        try:
+            rc = cli_main([argv[0], "--config", path, *argv[1:]])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_malformed_inline_field_exit_code(self, tmp_path):
         for field in (
@@ -553,3 +599,28 @@ class TestCli:
             measures={"checkpoints": [100], "eps": [0.05]},
         )
         assert cli_main(["simulate", "--config", path, "--quiet"]) == 3
+
+
+def _args_read(handler):
+    """The names a CLI handler reads as args.<name>."""
+    tree = ast.parse(inspect.getsource(handler))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+
+
+def test_every_cli_flag_is_read():
+    # a flag its command never reads would be taken and silently dropped
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(cli._COMMANDS)
+    unread = {}
+    for name, sub in commands.items():
+        flags = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+        expected = _args_read(cli._COMMANDS[name]) | {"config"}
+        if flags != expected:
+            unread[name] = sorted(flags ^ expected)
+    assert not unread, f"flags and args.<name> reads that differ, per command: {unread}"

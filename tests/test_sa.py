@@ -280,6 +280,13 @@ class TestTimescale:
         times, points = np.array([0.0, 1.0, 1.0]), np.array([[0.0], [2.0], [5.0]])
         assert np.array_equal(interpolate_path(times, points, [0.5, 1.0]), [[1.0], [5.0]])
 
+    @pytest.mark.filterwarnings("error")
+    def test_interpolate_across_an_overflowing_difference(self):
+        # 1e308 - (-1e308) overflows: the parent returned nan at t = 0
+        times, points = np.array([0.0, 1.0]), np.array([[1e308], [-1e308]])
+        path = functools.partial(interpolate_path, times, points)
+        assert np.array_equal(path([0.0, 0.25, 0.5, 1.0]), [[1e308], [0.5 * 1e308], [0.0], [-1e308]])
+
     def test_window_index_examples(self):
         trace = self._tiny_trace([0.5, 0.25, 0.125, 0.125])
         assert dl.window_index(trace, 0, 0.7) == 2
