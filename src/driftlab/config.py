@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
@@ -176,10 +175,11 @@ _FIELD = ("dimension", "guards", "pieces", "boundary_values", "name")
 
 
 def _require_finite(value, path):
-    """Reject NaN and infinite numbers anywhere inside value; json.load
-    parses the NaN, Infinity and -Infinity tokens."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigInvalid(f"{path}: must be finite, got {value}")
+    """Reject NaN, infinite numbers and integers beyond the largest float
+    anywhere inside value; json.load parses the NaN, Infinity and -Infinity
+    tokens, and an integer literal of any size."""
+    if _is_number(value) and not abs(value) <= sys.float_info.max:
+        raise ConfigInvalid(f"{path}: must be finite, got {value!r}")
     if isinstance(value, dict):
         for key, item in value.items():
             _require_finite(item, f"{path}.{key}")
@@ -192,7 +192,10 @@ def _inline_field(spec):
     """The PiecewiseField of an inline definition; an error names the guard at fault."""
     path, guards = "field", []
     try:
-        dimension = int(spec["dimension"])
+        dimension = spec["dimension"]
+        if not isinstance(dimension, (int, float)):  # bools are ints
+            raise TypeError(f"dimension must be an integer, got {dimension!r}")
+        dimension = _integer(dimension, "field.dimension")
         for k, guard in enumerate(spec.get("guards", [])):
             path = f"field.guards[{k}]"
             guards.append(guard_from_dict(guard, dimension))

@@ -9,20 +9,21 @@ coefficient leaves its admissible band.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGeometry, StepTooLarge
 from .fields import DEFAULT_RADIUS_TOL, PatternMaps, _row_norms
-from .sa import interpolate_path
+from .sa import _guard_column, interpolate_path
 
 DEFAULT_SURFACE_TOL = 1e-10
 _ALPHA_EXIT_LO = 0.001  # hysteresis band against chattering re-entry
 _ALPHA_EXIT_HI = 0.999
 _MAX_BISECT = 200
 # tracking comparator: one-vertex nodes of one label before _run_nodes takes
-# over, and its first and largest block of nodes
+# over, its first and largest block of nodes, and _walk_nodes' block
 _STREAK_NODES = 8
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 4096
@@ -343,12 +344,18 @@ def integrate_tracking_selection(field, reference, dt):
     set is a single vertex, the velocity is the vertex and nothing is
     projected.  Each node is labeled with its sign pattern at
     DEFAULT_RADIUS_TOL, and on a field where fields.maps_follow_pattern holds
-    that label also picks the Filippov set, decided once per pattern; there,
-    once _STREAK_NODES nodes in a row share a label with a one-vertex set,
-    the nodes that follow are stepped in blocks (_run_nodes) until the label
-    changes.  The step grid is the union of the uniform dt grid and the
-    reference's own nodes, which keeps exact reference trajectories
-    reproducible.
+    that label also picks the Filippov set, decided once per pattern.  On
+    the fields that sa._guard_column accepts (one CoordinateGuard, both
+    region pieces, constant pieces), the '+' and '-' labels have one-vertex
+    sets, and every node off the guard by more than DEFAULT_RADIUS_TOL whose
+    label has had a node of its own is stepped by _walk_nodes, across label
+    changes; a node within the tolerance takes the node-by-node step.  On
+    the other pattern-decided fields, once _STREAK_NODES nodes in a row
+    share a label with a one-vertex set, the nodes that follow are stepped
+    in blocks (_run_nodes) until the label changes.  Both give the points
+    and labels of the node-by-node loop, bit for bit.  The step grid is the
+    union of the uniform dt grid and the reference's own nodes, which keeps
+    exact reference trajectories reproducible.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -368,8 +375,16 @@ def integrate_tracking_selection(field, reference, dt):
     points[0] = reference.value_at(t0)  # not points[0]: this turns -0.0 into 0.0
     labels = []
     maps = PatternMaps(field)
+    column = _guard_column(field) if maps.by_pattern else None
+    span_list = None if column is None else spans.tolist()
+    vertices = {}  # label -> the one vertex of its Filippov set, from its first node
     i = streak = 0
     while i < spans.size:
+        if column is not None:
+            stepped = _walk_nodes(points, spans, span_list, i, column, vertices, labels)
+            if stepped:
+                i += stepped
+                continue
         y = points[i]
         label = field.sign_pattern(y, zero_tol=DEFAULT_RADIUS_TOL)
         hull = maps.filippov(y, DEFAULT_RADIUS_TOL, label)
@@ -377,9 +392,9 @@ def integrate_tracking_selection(field, reference, dt):
             streak = 0
             v, _ = hull.project((ref_pts[i + 1] - ref_pts[i]) / spans[i])
         else:
-            v = hull.distinct_vertices[0]
+            v = vertices[label] = hull.distinct_vertices[0]
             streak = streak + 1 if labels and labels[-1] == label else 1
-            if maps.by_pattern and streak >= _STREAK_NODES:
+            if maps.by_pattern and column is None and streak >= _STREAK_NODES:
                 stepped = _run_nodes(field, points, spans, i, v)
                 labels += [label] * stepped
                 i += stepped
@@ -388,6 +403,51 @@ def integrate_tracking_selection(field, reference, dt):
         points[i + 1] = y + spans[i] * v
         i += 1
     return Trajectory(grid, points, labels)
+
+
+def _walk_nodes(points, spans, span_list, i, column, vertices, labels):
+    """Step nodes from node i, on a field with one CoordinateGuard on the
+    coordinate column and constant pieces, while the guarded coordinate g
+    keeps |g| > DEFAULT_RADIUS_TOL and its label, '+' or '-', has its one
+    vertex in vertices; fill their points and labels and return how many
+    nodes were stepped (0 when node i is not such a node).  Only g steps on
+    a Python float, g + span * v[column], a block of _MAX_BLOCK nodes at a
+    time; each block's points are then one np.multiply of span * v and one
+    np.add.accumulate, the same IEEE operations in the same order as the
+    one-node step y + span * v."""
+    tol = DEFAULT_RADIUS_TOL
+    # an unknown label's bound is infinite, so the walk stops at its first node
+    hi, lo = (tol if "+" in vertices else math.inf), (-tol if "-" in vertices else -math.inf)
+    g = float(points[i, column])
+    if not (g > hi or g < lo):
+        return 0
+    zero = np.zeros(points.shape[1])
+    table = np.array([vertices.get("-", zero), vertices.get("+", zero)])
+    g_neg, g_pos = table[:, column].tolist()
+    start = i
+    while i < spans.size:
+        g, stop = float(points[i, column]), min(i + _MAX_BLOCK, spans.size)
+        codes = []
+        append = codes.append
+        for span in span_list[i:stop]:
+            if g > hi:
+                g += span * g_pos
+                append(1)
+            elif g < lo:
+                g += span * g_neg
+                append(0)
+            else:
+                break
+        kept = len(codes)
+        if kept:
+            block = points[i : i + kept + 1]
+            np.multiply(spans[i : i + kept, None], table[np.fromiter(codes, np.intp, kept)], out=block[1:])
+            np.add.accumulate(block, axis=0, out=block)
+            labels += [("-", "+")[code] for code in codes]
+            i += kept
+        if i < stop:
+            break
+    return i - start
 
 
 def _run_nodes(field, points, spans, i, v):

@@ -153,6 +153,19 @@ class TestConfigValidation:
             # an integer literal beyond the largest float
             ("tracking", {"T": 10**400}, "tracking.T"),
             ("schedule", {"kind": "power", "a0": -(10**400)}, "schedule.a0"),
+            ("field", {"dimension": 2, "guards": [{"type": "coordinate", "index": 1}],
+                       "pieces": {"+": {"type": "constant", "value": [1.0, 10**400]},
+                                  "-": {"type": "constant", "value": [1.0, 1.0]}}},
+             "field.pieces.+.value[1]"),
+            # an inline field's dimension is an integer, as every section integer is
+            ("field", {"dimension": 2.5, "guards": [{"type": "coordinate", "index": 1}],
+                       "pieces": {"+": {"type": "constant", "value": [1.0, -1.0]},
+                                  "-": {"type": "constant", "value": [1.0, 1.0]}}},
+             "field.dimension"),
+            ("field", {"dimension": True, "guards": [{"type": "coordinate", "index": 0}],
+                       "pieces": {"+": {"type": "constant", "value": [-1.0]},
+                                  "-": {"type": "constant", "value": [1.0]}}},
+             "field.dimension"),
         ],
     )
     def test_wrong_types_rejected(self, tmp_path, key, value, path):

@@ -30,7 +30,8 @@ from driftlab.measures import (
     graph_distances,
     graph_support_fraction,
 )
-from driftlab.tracking import window_reference
+from driftlab.sa import window_index
+from driftlab.tracking import tracking_profile, window_reference
 
 _QUADRANTS = {"++": [-1.0, -1.0], "+-": [-1.0, 1.0], "-+": [1.0, -1.0], "--": [1.0, 1.0]}
 
@@ -490,3 +491,93 @@ class TestTrackingBlocks:
         )
         run = lambda: _tracking(field, reference, span / nodes)
         assert run() == _per_node(field, run)
+
+
+# ---------------------------------------------------------------------------
+# the float walk of one-coordinate-guard fields against the per-node loop
+
+def _example1_windows():
+    """configs/example1.json's seed-1 trace and the references of its
+    tracking_profile windows."""
+    field = dl.builtin_field("example1")
+    schedule = dl.StepsizeSchedule("power", a0=1.0, gamma=0.75)
+    trace = dl.run_sa(field, [0.0, 1.0], schedule, dl.NoiseModel("gaussian", 0.1), 20000, seed=1)
+    starts = tracking_profile(trace, field, 1.0, 5, 1e-3).window_starts
+    return field, [window_reference(trace, int(n), window_index(trace, int(n), 1.0)) for n in starts]
+
+
+def _line(x0, slope, nodes):
+    """A 1-d straight reference over nodes steps of 1/128."""
+    return Trajectory([0.0, nodes / 128], [[x0], [x0 + slope * nodes / 128]], ["ref"])
+
+
+def _one_guard(plus, minus):
+    return PiecewiseField(1, [CoordinateGuard(0, 1)], {"+": ConstantPiece([plus]), "-": ConstantPiece([minus])})
+
+
+class TestTrackingWalk:
+    def test_example1_windows_match_per_node_loop(self):
+        field, references = _example1_windows()
+        switches = []
+        for ref in references:
+            run = lambda: _tracking(field, ref, 1e-3)
+            memo = run()
+            switches.append(sum(a != b for a, b in zip(memo[2], memo[2][1:])))
+            assert memo == _per_node(field, run)
+        assert max(switches) > 1000
+
+    def test_chattering_window_labels_a_bounded_number_of_nodes(self, monkeypatch):
+        """Only a node of a label not seen before, or within DEFAULT_RADIUS_TOL
+        of y = 0, is labelled by sign_pattern; the rest are walked."""
+        field, references = _example1_windows()
+        labelled = _counting_calls(monkeypatch, PiecewiseField, "sign_pattern")
+        labels = integrate_tracking_selection(field, references[3], 1e-3).mode_labels
+        assert sum(a != b for a, b in zip(labels, labels[1:])) > 1000
+        assert 0 < len(labelled) <= 10
+
+    def test_relay_window_matches_per_node_loop(self):
+        field = dl.builtin_field("relay")
+        ref = _sa_window("relay", [0.5], dl.NoiseModel("gaussian", 0.1), 5000, 8000)
+        run = lambda: _tracking(field, ref, 1e-3)
+        memo = run()
+        assert {"+", "-"} <= set(memo[2])
+        assert memo == _per_node(field, run)
+
+    @pytest.mark.parametrize("chatter", [False, True], ids=["one-label", "chattering"])
+    def test_walk_across_block_edges(self, monkeypatch, chatter):
+        """Two block edges: from x0 = 1/256 the relay chatters between
+        +-1/256, and the field with velocity 1 on both sides runs away."""
+        nodes = 2 * inclusion._MAX_BLOCK + 3
+        field = dl.builtin_field("relay") if chatter else _one_guard(1.0, 1.0)
+        run = lambda: _tracking(field, _line(1 / 256, 0.0, nodes), 1 / 128)
+        labelled = _counting_calls(monkeypatch, PiecewiseField, "sign_pattern")
+        memo = run()
+        assert len(labelled) <= 4
+        assert memo[2] == ((["+", "-"] * nodes)[:nodes] if chatter else ["+"] * nodes)
+        assert memo == _per_node(field, run)
+
+    @pytest.mark.parametrize("k", [inclusion._MAX_BLOCK + j for j in range(3)] + [3])
+    def test_landing_on_the_guard(self, k):
+        """From x0 = k/128 at velocity -1 the walk reaches x = 0 at node k: the
+        last node of the first block, the first of the second, the one after
+        it, and early.  There the set is the segment [-1, 0.5], the slope -1
+        is projected, and the comparator then chatters, landing on 0 every
+        third node."""
+        field = _one_guard(-1.0, 0.5)
+        nodes = k + 100
+        run = lambda: _tracking(field, _line(k / 128, -1.0, nodes), 1 / 128)
+        memo = run()
+        assert memo[2][: k + 4] == ["+"] * k + ["0", "-", "-", "0"]
+        assert memo == _per_node(field, run)
+
+    def test_within_tolerance_mid_walk(self, monkeypatch):
+        """The walk reaches 5e-10, within DEFAULT_RADIUS_TOL but not 0, at node
+        3; that node is projected, and the walk resumes across both labels."""
+        field = _one_guard(-1.0, 0.5)
+        run = lambda: _tracking(field, _line(3 / 128 + 5e-10, 0.25, 600), 1 / 128)
+        projected = _counting_calls(monkeypatch, ConvexVelocitySet, "project")
+        memo = run()
+        assert 0 < abs(np.frombuffer(memo[1])[3]) <= dl.fields.DEFAULT_RADIUS_TOL
+        assert memo[2][:7] == ["+", "+", "+", "0", "+", "-", "-"]
+        assert projected == ["project"] and "0" not in memo[2][4:]
+        assert memo == _per_node(field, run)
