@@ -230,8 +230,9 @@ class PiecewiseField:
 
     def sign_pattern(self, x, zero_tol=0.0):
         """Sign pattern of x; guards within zero_tol of 0 are labeled '0'."""
-        # sa._walk numbers this rule inline for one guard at zero_tol 0, as
-        # codes -1, 0, 1 for "-0+"; a change to the rule must update both
+        # sa._walk (at zero_tol 0) and inclusion._walk_nodes (at DEFAULT_RADIUS_TOL)
+        # number this rule inline for one guard, as codes -1, 0, 1 for "-0+";
+        # a change to the rule must update all three
         chars = []
         for g in self.guards:
             v = g.value(x)
@@ -275,6 +276,21 @@ class PiecewiseField:
         """Is every piece a ConstantPiece? Boundary values always are, so the
         value then depends on x through its sign pattern alone."""
         return all(type(p) is ConstantPiece for p in self.pieces.values())
+
+    def guard_table(self):
+        """(column, table) when the field's one guard is a CoordinateGuard on
+        that column, both region pieces are assigned and every piece is a
+        ConstantPiece, else None.  Row code + 1 of the (3, d) table is the
+        drift of sign code -1, 0 or +1; run_sa's table path and the tracking
+        comparator's walk step on it."""
+        if len(self.guards) != 1 or len(self.pieces) != 2 or not self.is_piecewise_constant():
+            return None
+        (guard,) = self.guards
+        if type(guard) is not CoordinateGuard:
+            return None
+        # a ConstantPiece's value does not depend on x; boundary values are ConstantPieces
+        table = np.array([self.piece_for(label).value(None) for label in "-0+"])
+        return guard.index % self.dimension, table
 
     # -- evaluation ---------------------------------------------------------
 

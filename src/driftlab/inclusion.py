@@ -4,7 +4,8 @@ Inside a region the field is smooth and an explicit midpoint step (order 2)
 applies; a guard sign change is located by bisection, classified as crossing
 or attracting via the adjacent normal components, and attracting surfaces are
 followed with the tangent convex-combination velocity until the combination
-coefficient leaves its admissible band.
+coefficient leaves its admissible band.  The tracking comparator steps a
+member of the same solution set, pulled toward a reference path.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ import numpy as np
 
 from .errors import DegenerateGeometry, StepTooLarge
 from .fields import DEFAULT_RADIUS_TOL, PatternMaps, _row_norms
-from .sa import _guard_column, interpolate_path
+from .sa import interpolate_path
 
 DEFAULT_SURFACE_TOL = 1e-10
 _ALPHA_EXIT_LO = 0.001  # hysteresis band against chattering re-entry
 _ALPHA_EXIT_HI = 0.999
 _MAX_BISECT = 200
-# tracking comparator: one-vertex nodes of one label before _run_nodes takes
-# over, its first and largest block of nodes, and _walk_nodes' block
-_STREAK_NODES = 8
-_FIRST_BLOCK = 64
-_MAX_BLOCK = 4096
+_MAX_BLOCK = 4096  # nodes of the tracking comparator's walk per block
 
 
 @dataclass
@@ -323,10 +320,10 @@ def integrate_filippov(field, x0, t_end, dt):
     surfaces, sliding with the tangent combination on attracting surfaces,
     least-norm fallback at corners.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if t_end <= 0:
-        raise ValueError("t_end must be > 0")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
@@ -344,21 +341,16 @@ def integrate_tracking_selection(field, reference, dt):
     set is a single vertex, the velocity is the vertex and nothing is
     projected.  Each node is labeled with its sign pattern at
     DEFAULT_RADIUS_TOL, and on a field where fields.maps_follow_pattern holds
-    that label also picks the Filippov set, decided once per pattern.  On
-    the fields that sa._guard_column accepts (one CoordinateGuard, both
-    region pieces, constant pieces), the '+' and '-' labels have one-vertex
-    sets, and every node off the guard by more than DEFAULT_RADIUS_TOL whose
-    label has had a node of its own is stepped by _walk_nodes, across label
-    changes; a node within the tolerance takes the node-by-node step.  On
-    the other pattern-decided fields, once _STREAK_NODES nodes in a row
-    share a label with a one-vertex set, the nodes that follow are stepped
-    in blocks (_run_nodes) until the label changes.  Both give the points
-    and labels of the node-by-node loop, bit for bit.  The step grid is the
-    union of the uniform dt grid and the reference's own nodes, which keeps
-    exact reference trajectories reproducible.
+    that label also picks the Filippov set, decided once per pattern.  On a
+    field with a guard table (fields.PiecewiseField.guard_table), the '+'
+    and '-' sets are the table's rows, so every node off the guard by more
+    than DEFAULT_RADIUS_TOL is stepped by _walk_nodes, bit for bit as the
+    node-by-node step would; the other nodes take that step.  The step grid
+    is the union of the uniform dt grid and the reference's own nodes, which
+    keeps exact reference trajectories reproducible.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if reference.times.size < 2:
         raise ValueError("the reference needs at least two nodes")
     t0, t1 = float(reference.times[0]), float(reference.times[-1])
@@ -375,13 +367,12 @@ def integrate_tracking_selection(field, reference, dt):
     points[0] = reference.value_at(t0)  # not points[0]: this turns -0.0 into 0.0
     labels = []
     maps = PatternMaps(field)
-    column = _guard_column(field) if maps.by_pattern else None
-    span_list = None if column is None else spans.tolist()
-    vertices = {}  # label -> the one vertex of its Filippov set, from its first node
-    i = streak = 0
+    guard_table = field.guard_table()
+    span_list = None if guard_table is None else spans.tolist()
+    i = 0
     while i < spans.size:
-        if column is not None:
-            stepped = _walk_nodes(points, spans, span_list, i, column, vertices, labels)
+        if guard_table is not None:
+            stepped = _walk_nodes(points, spans, span_list, i, *guard_table, labels)
             if stepped:
                 i += stepped
                 continue
@@ -389,41 +380,29 @@ def integrate_tracking_selection(field, reference, dt):
         label = field.sign_pattern(y, zero_tol=DEFAULT_RADIUS_TOL)
         hull = maps.filippov(y, DEFAULT_RADIUS_TOL, label)
         if hull.distinct_vertices.shape[0] > 1:
-            streak = 0
             v, _ = hull.project((ref_pts[i + 1] - ref_pts[i]) / spans[i])
         else:
-            v = vertices[label] = hull.distinct_vertices[0]
-            streak = streak + 1 if labels and labels[-1] == label else 1
-            if maps.by_pattern and column is None and streak >= _STREAK_NODES:
-                stepped = _run_nodes(field, points, spans, i, v)
-                labels += [label] * stepped
-                i += stepped
-                continue
+            v = hull.distinct_vertices[0]
         labels.append(label)
         points[i + 1] = y + spans[i] * v
         i += 1
     return Trajectory(grid, points, labels)
 
 
-def _walk_nodes(points, spans, span_list, i, column, vertices, labels):
-    """Step nodes from node i, on a field with one CoordinateGuard on the
-    coordinate column and constant pieces, while the guarded coordinate g
-    keeps |g| > DEFAULT_RADIUS_TOL and its label, '+' or '-', has its one
-    vertex in vertices; fill their points and labels and return how many
-    nodes were stepped (0 when node i is not such a node).  Only g steps on
-    a Python float, g + span * v[column], a block of _MAX_BLOCK nodes at a
-    time; each block's points are then one np.multiply of span * v and one
-    np.add.accumulate, the same IEEE operations in the same order as the
-    one-node step y + span * v."""
-    tol = DEFAULT_RADIUS_TOL
-    # an unknown label's bound is infinite, so the walk stops at its first node
-    hi, lo = (tol if "+" in vertices else math.inf), (-tol if "-" in vertices else -math.inf)
+def _walk_nodes(points, spans, span_list, i, column, table, labels):
+    """Step nodes from node i, on a field whose guard_table is (column,
+    table), while the guarded coordinate g keeps |g| > DEFAULT_RADIUS_TOL
+    (sign code 1, label '+', or -1, '-'); fill their points and labels and
+    return how many nodes were stepped, 0 at once when node i is not such a
+    node.  Only g steps on a Python float, g + span * v[column], a block of
+    _MAX_BLOCK nodes at a time; each block's points are then one np.multiply
+    of span * v and one np.add.accumulate, the same IEEE operations in the
+    same order as the one-node step y + span * v."""
+    hi, lo = DEFAULT_RADIUS_TOL, -DEFAULT_RADIUS_TOL
     g = float(points[i, column])
     if not (g > hi or g < lo):
         return 0
-    zero = np.zeros(points.shape[1])
-    table = np.array([vertices.get("-", zero), vertices.get("+", zero)])
-    g_neg, g_pos = table[:, column].tolist()
+    g_neg, _, g_pos = table[:, column].tolist()
     start = i
     while i < spans.size:
         g, stop = float(points[i, column]), min(i + _MAX_BLOCK, spans.size)
@@ -435,41 +414,19 @@ def _walk_nodes(points, spans, span_list, i, column, vertices, labels):
                 append(1)
             elif g < lo:
                 g += span * g_neg
-                append(0)
+                append(-1)
             else:
                 break
         kept = len(codes)
         if kept:
             block = points[i : i + kept + 1]
-            np.multiply(spans[i : i + kept, None], table[np.fromiter(codes, np.intp, kept)], out=block[1:])
+            rows = table[np.fromiter(codes, np.intp, kept) + 1]  # row code + 1 of a guard table
+            np.multiply(spans[i : i + kept, None], rows, out=block[1:])
             np.add.accumulate(block, axis=0, out=block)
-            labels += [("-", "+")[code] for code in codes]
+            labels += ["-0+"[code + 1] for code in codes]
             i += kept
         if i < stop:
             break
-    return i - start
-
-
-def _run_nodes(field, points, spans, i, v):
-    """Step node i, whose sign pattern L has the one-vertex Filippov set {v},
-    and the nodes after it at velocity v while they keep the label L; fill
-    their points and return how many nodes were stepped.  Blocks of
-    _FIRST_BLOCK nodes, doubling up to _MAX_BLOCK, are each one
-    np.add.accumulate, which adds left to right as the one-node step
-    y + span * v does; sign_labels then finds the first node of the block
-    whose label is not L."""
-    start, size = i, _FIRST_BLOCK
-    while i < spans.size:
-        stop = min(i + size, spans.size)
-        ys = np.add.accumulate(np.vstack([points[i], spans[i:stop, None] * v]))
-        codes = field.sign_labels(ys, DEFAULT_RADIUS_TOL)
-        changed = np.flatnonzero((codes[1:] != codes[0]).any(axis=1))
-        kept = int(changed[0]) + 1 if changed.size else stop - i
-        points[i + 1 : i + kept + 1] = ys[1 : kept + 1]
-        i += kept
-        if changed.size:
-            break
-        size = min(2 * size, _MAX_BLOCK)
     return i - start
 
 

@@ -6,15 +6,14 @@ and interpolates the path linearly between the nodes (t(n), x(n)).
 
 run_sa takes one of two paths, picked by the field's structure alone; both
 give traces bit-identical to the numpy loop x = x + a * (evaluate(x) + M).
-When the field has exactly one guard, a CoordinateGuard, both region pieces,
-and every piece is a ConstantPiece (relay, example1, spurious_equilibrium),
-the drift is one of three constant rows picked by the sign of one
-coordinate. The three rows are built into a table before the first step;
-only the guarded coordinate steps in Python, with the three drifts' guarded
-coordinates held in local floats and each step's sign code appended to a
-list; the picked rows are then read from the table at code + 1, and the
-states are one sequential np.add.accumulate of the increments a * (z + M),
-a block at a time. These are the same IEEE operations in the same order.
+When fields.PiecewiseField.guard_table gives a table (relay, example1,
+spurious_equilibrium), the drift is one of its three constant rows, picked
+by the sign of one coordinate. Only the guarded coordinate steps in Python,
+with the three drifts' guarded coordinates held in local floats and each
+step's sign code appended to a list; the picked rows are then read from the
+table at code + 1, and the states are one sequential np.add.accumulate of
+the increments a * (z + M), a block at a time: the same IEEE operations in
+the same order.
 Every other field, a one-guard field missing a region piece included, steps
 all coordinates on Python floats, one sign_pattern and piece_for per step.
 """
@@ -32,7 +31,7 @@ from .errors import (
     OutOfDomain,
     WindowExceedsTrace,
 )
-from .fields import ConstantPiece, CoordinateGuard
+from .fields import ConstantPiece
 
 DEFAULT_BLOWUP_BOUND = 1e6
 _BLOCK_ROWS = 4096  # steps and noises are read, states and drifts written, per block
@@ -244,11 +243,11 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
     states = np.empty((n_steps + 1, d))
     drifts = np.empty((n_steps, d))
     states[0] = x0
-    column = _guard_column(field)
-    if column is None:
+    guard_table = field.guard_table()
+    if guard_table is None:
         _step_loop(field, states, drifts, steps, noises, blowup_bound)
     else:
-        _step_table(field, column, states, drifts, steps, noises, blowup_bound)
+        _step_table(*guard_table, states, drifts, steps, noises, blowup_bound)
     times = np.concatenate([[0.0], np.cumsum(steps)])
     return IterateTrace(
         states=states,
@@ -315,21 +314,6 @@ def _step_loop(field, states, drifts, steps, noises, blowup_bound):
 # ---------------------------------------------------------------------------
 # the table path: constant pieces behind one coordinate guard
 
-
-def _guard_column(field):
-    """The coordinate the field's one guard reads, when that guard is a
-    CoordinateGuard, both region pieces are assigned and every piece is a
-    ConstantPiece, so that the drift is one of three constants picked by the
-    sign of that coordinate; None otherwise. Boundary values are
-    ConstantPieces already."""
-    if len(field.guards) != 1 or len(field.pieces) != 2 or not field.is_piecewise_constant():
-        return None
-    (guard,) = field.guards
-    if type(guard) is not CoordinateGuard:
-        return None
-    return guard.index % field.dimension
-
-
 def _walk(v, guarded, a, m, codes):
     """Step the guarded coordinate v as v + a * (z + m) over the pairs of the
     lists a and m, with z = guarded[code + 1] for v's sign code (1 for v > 0,
@@ -348,14 +332,12 @@ def _walk(v, guarded, a, m, codes):
         append(code)
 
 
-def _step_table(field, column, states, drifts, steps, noises, blowup_bound):
-    """Constant pieces behind one coordinate guard: only the guarded
-    coordinate steps in Python, to pick each step's sign code; the states
-    are then one sequential np.add.accumulate over the increments a * (z + m)
-    of the picked drift rows, a block at a time."""
+def _step_table(column, table, states, drifts, steps, noises, blowup_bound):
+    """The table path on a field's guard_table (column, table): only the
+    guarded coordinate steps in Python, to pick each step's sign code; the
+    states are then one sequential np.add.accumulate over the increments
+    a * (z + m) of the picked drift rows, a block at a time."""
     n_steps = steps.size
-    # row code + 1 is the drift of that code; a ConstantPiece's value does not depend on x
-    table = np.array([field.piece_for(label).value(None) for label in "-0+"])
     guarded = table[:, column].tolist()
     sure_bound = _sure_bound(blowup_bound)
     for start in range(0, n_steps, _BLOCK_ROWS):
@@ -401,7 +383,9 @@ _WINDOW_SLACK = 1e-9
 
 
 def window_index(trace, n, T):
-    """Smallest k with t(k) >= t(n) + T (within a roundoff slack)."""
+    """Smallest k with t(k) >= t(n) + T (within a roundoff slack) and
+    t(k) > t(n), so that the window [t(n), t(k)] spans two times or more;
+    WindowExceedsTrace when there is no such k."""
     if T <= 0:
         raise ValueError("T must be > 0")
     if n < 0 or n >= trace.times.size:
@@ -409,8 +393,9 @@ def window_index(trace, n, T):
     target = trace.times[n] + T
     slack = _WINDOW_SLACK * max(1.0, abs(target))
     if target > trace.times[-1] + slack:
-        raise WindowExceedsTrace(
-            f"t(n)+T = {target:g} exceeds t(N) = {trace.times[-1]:g}"
-        )
-    k = int(np.searchsorted(trace.times, target - slack, side="left"))
-    return min(k, trace.times.size - 1)
+        raise WindowExceedsTrace(f"t(n)+T = {target:g} exceeds t(N) = {trace.times[-1]:g}")
+    after_n = math.nextafter(trace.times[n], math.inf)
+    k = int(np.searchsorted(trace.times, max(target - slack, after_n)))
+    if k == trace.times.size:
+        raise WindowExceedsTrace(f"no node of the trace comes after t(n) = {trace.times[n]:g}")
+    return k

@@ -595,6 +595,17 @@ class TestCli:
                                   measures={"checkpoints": [600], "eps": [0.05]})
         assert cli_main(["simulate", "--config", path, "--out", str(tmp_path / "z"), "--quiet"]) == 0
 
+    @pytest.mark.parametrize("T", [5e-10, 1e-9, 2e-9])
+    def test_window_within_the_slack_simulate(self, tmp_path, T):
+        # T below window_index's roundoff slack once gave a one-node window
+        # and a ValueError out of the tracking comparator
+        path = self._write_config(tmp_path, field="relay", x0=[0.5], n_steps=200, seeds=[1],
+                                  tracking={"T": T, "n_windows": 3, "dt": 1e-3},
+                                  measures={"checkpoints": [200], "eps": [0.05]})
+        out = tmp_path / "small"
+        assert cli_main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
+        assert len((out / "tracking_seed1.csv").read_text().splitlines()) == 4
+
     def test_io_error_exit_code(self, tmp_path):
         assert cli_main(["simulate", "--config", str(tmp_path / "missing.json")]) == 4
 

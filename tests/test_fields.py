@@ -259,6 +259,34 @@ class TestEvaluateBatchTable:
         assert calls
 
 
+class TestGuardTable:
+    def test_example1_table(self, example1):
+        column, table = example1.guard_table()
+        assert column == 1
+        assert table.tolist() == [[1.0, 1.0], [-1.0, 0.0], [1.0, -1.0]]  # '-', '0', '+'
+
+    def test_negative_index_and_surface_without_value(self):
+        # the guard's index -1 reads column 1; '0' without a value takes '+'
+        field = PiecewiseField(2, [CoordinateGuard(-1, 2)],
+                               {"+": ConstantPiece([0.0, -1.0]), "-": ConstantPiece([2.0, 3.0])})
+        column, table = field.guard_table()
+        assert column == 1 and table.tolist() == [[2.0, 3.0], [0.0, -1.0], [0.0, -1.0]]
+
+    @pytest.mark.parametrize(
+        "guards, pieces",
+        [
+            ([AffineGuard([0.0, 1.0])], {"+": ConstantPiece([1.0, 0.0]), "-": ConstantPiece([0.0, 1.0])}),
+            ([NormGuard([0.0, 0.0], 1.0)], {"+": ConstantPiece([1.0, 0.0]), "-": ConstantPiece([0.0, 1.0])}),
+            ([CoordinateGuard(0, 2)], {"+": AffinePiece(-np.eye(2)), "-": ConstantPiece([0.0, 1.0])}),
+            ([CoordinateGuard(0, 2)], {"+": ConstantPiece([1.0, 0.0])}),
+        ],
+        ids=["affine-guard", "norm-guard", "affine-piece", "missing-piece"],
+    )
+    def test_other_fields_have_none(self, guards, pieces):
+        # fields with no guard or two take run_sa's loop (tests/test_sa.py)
+        assert PiecewiseField(2, guards, pieces).guard_table() is None
+
+
 class TestFilippovMap:
     def test_example1_origin_drops_null_set_value(self, example1):
         hull = dl.filippov_map(example1, [0.0, 0.0], 1e-9)

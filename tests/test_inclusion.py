@@ -208,6 +208,18 @@ class TestIntegrateFilippov:
         with pytest.raises(ValueError):
             dl.integrate_filippov(lin, [np.inf], 1.0, 1e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+    def test_non_finite_dt_and_t_end_are_refused(self, bad):
+        # a NaN dt used to give times [0, nan], and a NaN t_end one point
+        fld = dl.builtin_field("example1")
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            dl.integrate_filippov(fld, [0.0, 1.0], 1.0, bad)
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            dl.integrate_filippov(fld, [0.0, 1.0], bad, 1e-3)
+        reference = Trajectory(np.array([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), [""])
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            dl.integrate_tracking_selection(fld, reference, bad)
+
 
 class TestTrajectoryType:
     def test_rejects_non_increasing_times(self):

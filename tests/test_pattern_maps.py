@@ -91,11 +91,13 @@ def _counting_calls(monkeypatch, cls, name):
 
 
 def _per_node(field, run):
-    """run() with the per-pattern maps switched off: every node of a tracking
-    comparator then takes the per-node loop."""
+    """run() with the per-pattern maps and the guard table switched off:
+    every node of a tracking comparator then takes the node-by-node step,
+    with a map call of its own."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fields_module, "maps_follow_pattern", lambda fld: False)
-        assert not PatternMaps(field).by_pattern
+        mp.setattr(PiecewiseField, "guard_table", lambda fld: None)
+        assert not PatternMaps(field).by_pattern and field.guard_table() is None
         return run()
 
 
@@ -111,6 +113,17 @@ def _sa_window(name, x0, noise, n, m):
     return window_reference(trace, n, m)
 
 
+def _tracking_map_calls(monkeypatch, field):
+    """The filippov_map calls of a tracking window of 2000 steps of field,
+    by sign pattern, and the window's labels."""
+    schedule = dl.StepsizeSchedule("power", a0=1.0, gamma=0.75)
+    trace = dl.run_sa(field, [0.0, 1.0], schedule, dl.NoiseModel("gaussian", 0.1), 3000, seed=1)
+    calls = _counting_filippov(monkeypatch, field)
+    labels = integrate_tracking_selection(field, window_reference(trace, 1000, 3000), 1e-3).mode_labels
+    assert len(labels) > 1000
+    return calls, labels
+
+
 class TestFastPathTaken:
     def test_corner_steps_map_once_per_pattern(self, monkeypatch):
         field = _corner_field()
@@ -121,15 +134,18 @@ class TestFastPathTaken:
         assert 1 <= len(calls) == len(set(calls))
 
     def test_tracking_nodes_map_once_per_pattern(self, monkeypatch):
-        field = dl.builtin_field("example1")
-        schedule = dl.StepsizeSchedule("power", a0=1.0, gamma=0.75)
-        trace = dl.run_sa(field, [0.0, 1.0], schedule, dl.NoiseModel("gaussian", 0.1), 3000, seed=1)
-        calls = _counting_filippov(monkeypatch, field)
-        ref = window_reference(trace, 1000, 3000)
-        out = integrate_tracking_selection(field, ref, 1e-3)
-        assert len(out.mode_labels) > 1000
-        assert {"+", "-"} <= set(out.mode_labels)
-        assert 1 <= len(calls) == len(set(calls)) <= len(set(out.mode_labels))
+        """The walk steps every '+' and '-' node of example1 without a map,
+        so only a node within DEFAULT_RADIUS_TOL of y = 0 is mapped."""
+        calls, labels = _tracking_map_calls(monkeypatch, dl.builtin_field("example1"))
+        assert {"+", "-"} <= set(labels)
+        assert len(calls) == len(set(calls)) and set(calls) <= {"0"}
+
+    def test_corner_tracking_nodes_map_once_per_pattern(self, monkeypatch):
+        """The corner field has no guard table: every node is stepped one by
+        one, and each of its patterns is mapped once."""
+        calls, labels = _tracking_map_calls(monkeypatch, _corner_field())
+        assert len(set(labels)) >= 2
+        assert len(calls) == len(set(calls)) and set(calls) == set(labels)
 
     def test_tracking_run_is_stepped_in_blocks(self, monkeypatch):
         """Zero noise keeps the iterates at the spurious rest point x = 0; the
@@ -259,10 +275,7 @@ class TestAgainstPerPointMaps:
             lambda: graph_support_fraction(measure, field, eps),
         ]
         memo = [_outcome(run) for run in runs]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fields_module, "maps_follow_pattern", lambda fld: False)
-            assert not PatternMaps(field).by_pattern
-            oracle = [_outcome(run) for run in runs]
+        oracle = _per_node(field, lambda: [_outcome(run) for run in runs])
         for m, o in zip(memo, oracle):
             _assert_same(m, o)
 
@@ -431,28 +444,26 @@ class TestGraphDistances:
 
 
 # ---------------------------------------------------------------------------
-# block-stepped tracking runs against the per-node loop
+# tracking comparator runs against the per-node loop
 
-def _block_edges():
-    """The node where a comparator run's first block starts (after the
-    streak) and the next three block ends, each with its two neighbours:
-    6..8, 70..72, 198..200 and 454..456 at the module's constants."""
-    edge, size, nodes = inclusion._STREAK_NODES - 1, inclusion._FIRST_BLOCK, []
-    for _ in range(4):
-        nodes += [edge - 1, edge, edge + 1]
-        edge, size = edge + size, 2 * size
-    return nodes
+# nodes where a straight comparator changes label: early, around the walk's
+# block edges and never
+_LABEL_CHANGES = [6, 7, 8, 70, 71, 72, 198, 199, 200, 454, 455, 456, 599, 600] + [
+    j * inclusion._MAX_BLOCK + e for j in (1, 2) for e in (-1, 0, 1)
+] + [10_000]
 
 
 class TestTrackingBlocks:
-    @pytest.mark.parametrize("k", _block_edges() + [599, 600, 10_000])
+    @pytest.mark.parametrize("k", _LABEL_CHANGES)
     @pytest.mark.parametrize("second_guard", [False, True], ids=["one-guard", "second-guard"])
     def test_label_change_at_node(self, k, second_guard):
         """On a grid of 1/128 the comparator from x0 = -(k - 1/2)/128 at
-        velocity 1 reaches x > 0 exactly at node k: around the ends of the
-        first blocks, at the last node and never (10_000).  With
+        velocity 1 reaches x > 0 exactly at node k and then moves at 0.5.
+        Every point is a small multiple of 1/256, so the path is exact.  The
+        one-guard field is walked, over 2 * _MAX_BLOCK + 3 nodes.  With
         second_guard, x is x_1 in 2-d, read by an affine guard behind a
-        coordinate guard on x_2 that keeps its sign."""
+        coordinate guard on x_2 that keeps its sign; that field has no guard
+        table, and its 600 nodes take the node-by-node step."""
         x0 = -(k - 0.5) / 128
         if second_guard:
             field = PiecewiseField(
@@ -460,19 +471,19 @@ class TestTrackingBlocks:
                 {"++": ConstantPiece([0.5, 0.0]), "+-": ConstantPiece([1.0, 0.0]),
                  "-+": ConstantPiece([0.0, 1.0]), "--": ConstantPiece([0.0, 1.0])},
             )
-            reference = Trajectory([0.0, 600 / 128], [[x0, 1.0], [x0 + 1.0, 1.0]], ["ref"])
-            before, after = "+-", "++"
+            nodes, before, after = 600, "+-", "++"
         else:
             field = PiecewiseField(
                 1, [CoordinateGuard(0, 1)], {"+": ConstantPiece([0.5]), "-": ConstantPiece([1.0])}
             )
-            reference = Trajectory([0.0, 600 / 128], [[x0], [x0 + 1.0]], ["ref"])
-            before, after = "-", "+"
-        run = lambda: _tracking(field, reference, 1 / 128)
-        memo = run()
-        labels, cut = memo[2], min(k, 600)
-        assert labels == [before] * cut + [after] * (600 - cut)
-        assert memo == _per_node(field, run)
+            nodes, before, after = 2 * inclusion._MAX_BLOCK + 3, "-", "+"
+        start = [x0, 1.0][: field.dimension]
+        reference = Trajectory([0.0, nodes / 128], [start, [x0 + 1.0, 1.0][: field.dimension]], ["ref"])
+        out = integrate_tracking_selection(field, reference, 1 / 128)
+        cut, j = min(k, nodes), np.arange(nodes + 1)
+        assert out.mode_labels == [before] * cut + [after] * (nodes - cut)
+        assert np.array_equal(out.points[:, 0], x0 + (np.minimum(j, cut) + 0.5 * np.maximum(j - cut, 0)) / 128)
+        assert np.all(out.points[:, 1:] == 1.0)
 
     @given(field=_fields(), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -527,13 +538,27 @@ class TestTrackingWalk:
         assert max(switches) > 1000
 
     def test_chattering_window_labels_a_bounded_number_of_nodes(self, monkeypatch):
-        """Only a node of a label not seen before, or within DEFAULT_RADIUS_TOL
-        of y = 0, is labelled by sign_pattern; the rest are walked."""
+        """Only a node within DEFAULT_RADIUS_TOL of y = 0 is labelled by
+        sign_pattern; this window has none, so every node, the first one
+        included, is walked."""
         field, references = _example1_windows()
         labelled = _counting_calls(monkeypatch, PiecewiseField, "sign_pattern")
+        mapped = _counting_filippov(monkeypatch, field)
         labels = integrate_tracking_selection(field, references[3], 1e-3).mode_labels
         assert sum(a != b for a, b in zip(labels, labels[1:])) > 1000
-        assert 0 < len(labelled) <= 10
+        assert "0" not in labels and labelled == [] and mapped == []
+
+    def test_walk_takes_node_0(self, monkeypatch):
+        """A relay window that never comes within DEFAULT_RADIUS_TOL of the
+        guard is walked from its first node: no node is labelled or mapped."""
+        field = dl.builtin_field("relay")
+        run = lambda: _tracking(field, _line(1.0, 0.0, 64), 1 / 128)
+        labelled = _counting_calls(monkeypatch, PiecewiseField, "sign_pattern")
+        mapped = _counting_filippov(monkeypatch, field)
+        memo = run()
+        assert memo[2] == ["+"] * 64 and np.frombuffer(memo[1])[-1] == 0.5
+        assert labelled == [] and mapped == []
+        assert memo == _per_node(field, run)
 
     def test_relay_window_matches_per_node_loop(self):
         field = dl.builtin_field("relay")

@@ -16,7 +16,7 @@ from driftlab.fields import (
     PiecewiseField,
     QuadraticPiece,
 )
-from driftlab.sa import _BLOCK_ROWS, DEFAULT_BLOWUP_BOUND, _guard_column, interpolate_path
+from driftlab.sa import _BLOCK_ROWS, DEFAULT_BLOWUP_BOUND, interpolate_path
 
 
 class TestStepsize:
@@ -297,6 +297,15 @@ class TestTimescale:
         with pytest.raises(dl.WindowExceedsTrace):
             dl.window_index(trace, 0, 100.0)
 
+    def test_window_index_is_after_n(self):
+        # T inside the roundoff slack: the window still reaches the next time,
+        # past a repeated one, and there is none after the last node
+        trace = self._tiny_trace([0.5, 0.0, 0.5])
+        assert dl.window_index(trace, 0, 1e-10) == 1
+        assert dl.window_index(trace, 1, 1e-10) == 3
+        with pytest.raises(dl.WindowExceedsTrace, match="no node"):
+            dl.window_index(trace, 3, 1e-10)
+
     def test_power_timescale_rate(self):
         # t(n) ~ a0 n^(1-gamma) / (1-gamma), within 5% at n = 1e5
         sched = dl.StepsizeSchedule("power", a0=1.0, gamma=0.75)
@@ -511,7 +520,7 @@ class TestRunSAOracle:
     def test_table_fields_match_oracle(self, data):
         x0 = data.draw(_vectors(data.draw(st.integers(min_value=1, max_value=3)), _GRID))
         field = data.draw(_table_fields(x0))
-        assert (_guard_column(field) is not None) == (len(field.pieces) == 2)
+        assert (field.guard_table() is not None) == (len(field.pieces) == 2)
         n_steps = data.draw(_N_STEPS)
         _assert_matches_oracle(
             field,
@@ -572,7 +581,7 @@ class TestRunSAOracle:
     def test_other_constant_fields_keep_the_loop(self, n_guards):
         guards = [CoordinateGuard(k, 2) for k in range(n_guards)]
         pieces = {"".join(p): ConstantPiece([-1.0, 1.0]) for p in itertools.product("+-", repeat=n_guards)}
-        assert _guard_column(PiecewiseField(2, guards, pieces)) is None
+        assert PiecewiseField(2, guards, pieces).guard_table() is None
 
     @pytest.mark.parametrize(
         "piece",
