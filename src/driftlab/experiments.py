@@ -2,18 +2,22 @@
 
 run_experiment executes one config over its seeds and writes, per seed, the
 trace/tracking/residuals/support CSVs plus a summary JSON with a content
-hash of the effective config.  compare_noise_study runs the same config
-under a density-noise arm and an atomic-noise arm side by side.
+hash of the effective config.  Under zero noise every seed gives the same
+run, so it simulates the first seed only and copies its files to the others.
+compare_noise_study runs the same config under a density-noise arm and an
+atomic-noise arm side by side.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import io as dio
+from .config import check_seeds
 from .errors import DivergedIterate, WindowExceedsTrace
 from .measures import (
     TestFunctionFamily,
@@ -143,15 +147,39 @@ def run_single_seed(config, field, seed, out_dir):
     return record
 
 
+def _run_seeds(config, seeds):
+    """The explicit seeds, else the config's, through config.check_seeds."""
+    return check_seeds(list(config.seeds if seeds is None else seeds), "seeds")
+
+
+def _copy_seed(record, out_dir, seed):
+    """Seed's copies of the files of record's seed, byte for byte, and of
+    its summary.json record, which then carries seed."""
+    if not record["diverged"]:
+        targets = seed_paths(out_dir, seed)
+        for key, source in seed_paths(out_dir, record["seed"]).items():
+            dio.copy_text(source, targets[key])
+    return dict(copy.deepcopy(record), seed=seed)
+
+
 def run_experiment(config, out_dir=None, seeds=None):
-    """Execute all seeds of a config and write the summary bundle."""
+    """Execute all seeds of a config and write the summary bundle.  The
+    seeds, explicit or the config's, must pass config.check_seeds.  When the
+    noise is seed_free (zero noise), every seed gives the same run: the first
+    seed's pipeline runs once, and each later seed gets copies of its files
+    and its record (_copy_seed)."""
     out_dir = out_dir or config.output_dir
-    seeds = list(seeds) if seeds is not None else list(config.seeds)
+    seeds = _run_seeds(config, seeds)
     os.makedirs(out_dir, exist_ok=True)
     field = config.build_field()
     schedule_diag = validate_schedule(config.schedule, min(config.n_steps, 100_000))
+    records = []
     with dio.shared_trace_templates():
-        records = [run_single_seed(config, field, seed, out_dir) for seed in seeds]
+        for seed in seeds:
+            if records and config.noise.seed_free:
+                records.append(_copy_seed(records[0], out_dir, seed))
+            else:
+                records.append(run_single_seed(config, field, seed, out_dir))
     summary = {
         "config": config.effective_dict(),
         "config_sha256": config.content_hash(),
@@ -191,6 +219,7 @@ def compare_noise_study(config, out_dir=None, seeds=None):
     """The headline dichotomy experiment: identical runs under density noise
     and atomic noise, with side-by-side tracking and graph-support columns."""
     out_dir = out_dir or config.output_dir
+    seeds = _run_seeds(config, seeds)
     os.makedirs(out_dir, exist_ok=True)
     field = config.build_field()
     arms = _arm_noise_models(config)

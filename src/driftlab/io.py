@@ -66,6 +66,16 @@ def atomic_write_text(path, text):
         raise IoFailure(f"could not write {path}: {exc}") from exc
 
 
+def copy_text(source, path):
+    """Write source's text to path, byte for byte, through atomic_write_text."""
+    try:
+        with open(source, newline="") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise IoFailure(f"could not read {source}: {exc}") from exc
+    atomic_write_text(path, text)
+
+
 def write_table(path, header, rows):
     """A CSV file of one header line and one line per row, each cell
     rendered by _cell and joined with ','.  Text cells are written as

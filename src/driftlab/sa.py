@@ -151,7 +151,9 @@ _ATOMIC_KINDS = ("rademacher", "zero")
 @dataclass
 class NoiseModel:
     """Martingale-difference noise with conditional second moment
-    bounded by scale^2 * d * (1 + |x|^2)."""
+    bounded by scale^2 * d * (1 + |x|^2).  Zero noise draws nothing from the
+    seed's stream (seed_free), so run_experiment simulates a zero-noise run
+    once and writes its files for every seed."""
 
     kind: str = "gaussian"
     scale: float = 0.1
@@ -167,6 +169,13 @@ class NoiseModel:
         """True iff the conditional law is absolutely continuous; at scale 0
         every kind is a Dirac mass."""
         return self.kind in _DENSITY_KINDS and self.scale > 0
+
+    @property
+    def seed_free(self):
+        """True iff every seed gives the same noise: only the zero kind,
+        which draws nothing.  At scale 0 the other kinds still draw, and a
+        negative draw times 0.0 is -0.0, which a trace file writes as -0."""
+        return self.kind == "zero"
 
     def sample_batch(self, n, dimension, rng):
         if self.kind == "zero":

@@ -15,7 +15,8 @@ from driftlab import io as dio
 from driftlab import cli
 from driftlab.cli import main as cli_main
 from driftlab.config import config_from_dict, load_config
-from driftlab.experiments import compare_noise_study, run_experiment
+from driftlab import experiments
+from driftlab.experiments import compare_noise_study, run_experiment, seed_paths
 from driftlab.io import canonical_json, read_trace_csv
 
 
@@ -262,6 +263,107 @@ class TestRunExperiment:
         bundle = run_experiment(cfg)
         assert bundle.any_diverged
         assert bundle.summary["seeds"][0]["diverged"] is True
+
+
+    @pytest.mark.parametrize("run", [run_experiment, compare_noise_study])
+    @pytest.mark.parametrize(
+        "seeds", [[1, True], [3, 3], [], [1, -1], [1, 2.5], [1, "2"]],
+        ids=["bool", "repeated", "empty", "negative", "float", "text"],
+    )
+    def test_explicit_seeds_are_checked_as_the_configs_are(self, tmp_path, run, seeds):
+        cfg = config_from_dict(base_config(tmp_path, field="relay", x0=[0.5], n_steps=100,
+                                           tracking={"T": 0.5, "n_windows": 1, "dt": 1e-2},
+                                           measures={"checkpoints": [100], "eps": [0.05]}))
+        with pytest.raises(dl.ConfigInvalid, match=r"^seeds"):
+            run(cfg, out_dir=str(tmp_path / "run"), seeds=seeds)
+        assert not (tmp_path / "run").exists()
+
+
+_ZERO_NOISE_RUNS = {
+    "spurious_from_0": dict(
+        field="spurious_equilibrium", x0=[0.0], n_steps=1500,
+        measures={"checkpoints": [500, 1500], "eps": [0.01, 0.05]},
+    ),
+    # reaches y = 0 and slides along it, so tracking and diagnostics do real work
+    "example1_sliding": dict(
+        x0=[0.0, 1.0], n_steps=3000,
+        measures={"checkpoints": [500, 3000], "eps": [0.01, 0.05]},
+    ),
+    "diverging": dict(
+        field={"dimension": 1, "guards": [],
+               "pieces": {"": {"type": "affine", "A": [[2.0]], "b": [0.0]}}},
+        x0=[1.0], schedule={"kind": "constant", "a0": 1.0}, n_steps=100, blowup_bound=1e3,
+        measures={"checkpoints": [100], "eps": [0.05]},
+    ),
+    "tracking_skipped": dict(
+        field="relay", x0=[0.5], n_steps=300,
+        tracking={"T": 1e3, "n_windows": 1, "dt": 1e-2},
+        measures={"checkpoints": [300], "eps": [0.05]},
+    ),
+}
+
+
+class TestSeedFreeRuns:
+    """Zero noise draws nothing from the seed: run_experiment runs the
+    first seed's pipeline and copies its files and record to the others."""
+
+    @pytest.mark.parametrize("case", sorted(_ZERO_NOISE_RUNS))
+    def test_matches_the_per_seed_loop(self, tmp_path, case):
+        cfg = config_from_dict(base_config(tmp_path, noise={"kind": "zero", "scale": 0.0},
+                                           seeds=[4, 1, 7], **_ZERO_NOISE_RUNS[case]))
+        bundle = run_experiment(cfg, out_dir=str(tmp_path / "run"))
+        records = bundle.summary["seeds"]
+        assert [r["seed"] for r in records] == [4, 1, 7]
+        field = cfg.build_field()
+        for record in records:
+            seed = record["seed"]
+            alone = str(tmp_path / f"alone{seed}")
+            assert record == experiments.run_single_seed(cfg, field, seed, alone)
+            for key, path in seed_paths(bundle.out_dir, seed).items():
+                oracle = seed_paths(alone, seed)[key]
+                assert os.path.exists(path) == os.path.exists(oracle) != record["diverged"]
+                if not record["diverged"]:
+                    assert Path(path).read_bytes() == Path(oracle).read_bytes(), path
+        first, *later = records
+        for record in later:  # copies, not shared objects
+            assert record is not first and record["notes"] is not first["notes"]
+            assert record["support"] is not first["support"]
+        if case == "diverging":
+            assert bundle.any_diverged and first["notes"]
+        elif case == "tracking_skipped":
+            assert first["tracking_errors"] is None and "tracking skipped" in first["notes"][0]
+        else:
+            assert len(first["tracking_errors"]) == cfg.tracking.n_windows
+
+    @pytest.mark.parametrize(
+        "noise, runs, study_runs",
+        [
+            ({"kind": "zero", "scale": 0.0}, 1, 3 + 1),
+            ({"kind": "gaussian", "scale": 0.1}, 3, 3 + 1),
+            # a -0.0 draw is written as -0: only kind zero is seed-free
+            ({"kind": "gaussian", "scale": 0.0}, 3, 3 + 3),
+            ({"kind": "rademacher", "scale": 0.1}, 3, 3 + 3),
+        ],
+    )
+    def test_run_sa_runs_once_per_zero_noise_run(self, tmp_path, monkeypatch, noise, runs,
+                                                 study_runs):
+        calls = []
+        original = experiments.run_sa
+
+        def counting(*args, **kwargs):
+            calls.append(args[5])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_sa", counting)
+        cfg = config_from_dict(base_config(tmp_path, field="relay", x0=[0.5], noise=noise,
+                                           n_steps=300, seeds=[1, 2, 3],
+                                           tracking={"T": 0.5, "n_windows": 1, "dt": 1e-2},
+                                           measures={"checkpoints": [300], "eps": [0.05]}))
+        run_experiment(cfg, out_dir=str(tmp_path / "run"))
+        assert len(calls) == runs
+        calls.clear()
+        compare_noise_study(cfg, out_dir=str(tmp_path / "study"))
+        assert len(calls) == study_runs
 
 
 class TestCompareNoiseStudy:

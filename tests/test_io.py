@@ -431,6 +431,19 @@ class TestMalformedTrace:
             dio.read_trace_csv(str(tmp_path / "none.csv"))
 
 
+def test_copy_text_writes_the_same_bytes(tmp_path):
+    source = tmp_path / "source.csv"
+    source.write_bytes(b"a,b\n1,-0\n2,0.10000000000000001")
+    dio.copy_text(str(source), str(tmp_path / "copy.csv"))
+    assert (tmp_path / "copy.csv").read_bytes() == source.read_bytes()
+    with pytest.raises(dl.IoFailure, match="could not read"):
+        dio.copy_text(str(tmp_path / "none.csv"), str(tmp_path / "other.csv"))
+    assert not (tmp_path / "other.csv").exists()
+    with pytest.raises(dl.IoFailure, match="could not write"):
+        dio.copy_text(str(source), str(tmp_path))  # a directory, not a file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["copy.csv", "source.csv"]
+
+
 _MUTATION_CHARS = ',\n#"-+.e0 _E\r\x00'
 
 
@@ -575,7 +588,8 @@ class TestSharedTraceTemplates:
             "measures": {"checkpoints": [300], "eps": [0.05]},
             "output_dir": str(tmp_path / "out"),
         })
-        for run, n_traces in ((dl.run_experiment, 2), (dl.compare_noise_study, 4)):
+        # the study's zero-noise arm renders its first seed's trace only
+        for run, n_traces in ((dl.run_experiment, 2), (dl.compare_noise_study, 3)):
             memos.clear()
             run(cfg, str(tmp_path / run.__name__))
             assert len(memos) == n_traces and all(m is memos[0] for m in memos)

@@ -108,6 +108,15 @@ class TestNoiseModels:
         assert not dl.NoiseModel("gaussian", 0.0).density_flag
         assert not dl.NoiseModel("uniform_ball", 0.0).density_flag
 
+    def test_only_zero_noise_is_seed_free(self):
+        assert dl.NoiseModel("zero", 0.0).seed_free
+        for kind in ("gaussian", "uniform_ball", "rademacher"):
+            assert not dl.NoiseModel(kind, 0.1).seed_free
+            # at scale 0 these still draw: a negative draw times 0.0 is -0.0
+            assert not dl.NoiseModel(kind, 0.0).seed_free
+        draws = dl.NoiseModel("gaussian", 0.0).sample_batch(100, 1, dl.make_rng(1))
+        assert np.signbit(draws).any() and not np.signbit(draws).all()
+
 
 class TestRunSA:
     def test_single_step_linear(self):
