@@ -1,16 +1,17 @@
 """Experiment configuration: a single JSON file drives every pipeline.
 
-The schema is documented in the README; inline field definitions use the
-coefficient-table encoding of the fields module.  One rule builds each
-section's dataclass from the entries present, so the dataclass holds the
-only default, and refuses an entry it does not read; so do the root and an
-inline field's top level, but not the guard and piece objects inside it.
+The schema is documented in the README.  One rule, _object, reads every
+object of a config, from the root to an inline field's guards and pieces:
+it builds the object's class from the entries present, each through its
+check, so the constructor holds the only default, and it refuses an entry
+that no check reads.  The rules across entries run after the build.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -19,8 +20,8 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigInvalid, IoFailure
-from .fields import BUILTIN_FIELDS, PiecewiseField, builtin_field, guard_from_dict
-from .fields import piece_from_dict
+from .fields import BUILTIN_FIELDS, AffineGuard, AffinePiece, ConstantPiece, CoordinateGuard
+from .fields import NormGuard, PiecewiseField, QuadraticPiece, builtin_field
 from .io import canonical_json
 from .sa import DEFAULT_BLOWUP_BOUND, NoiseModel, StepsizeSchedule
 
@@ -46,27 +47,27 @@ class IntegrateParams:
 
 @dataclass
 class ExperimentConfig:
-    field_spec: object  # builtin name or inline dict
+    field: object  # builtin name or inline dict, as given
     x0: np.ndarray
     schedule: StepsizeSchedule
     noise: NoiseModel
     n_steps: int
     seeds: list
-    tracking: TrackingParams
-    measures: MeasureParams
-    integrate: IntegrateParams
-    output_dir: str
-    blowup_bound: float
+    tracking: TrackingParams = dc_field(default_factory=TrackingParams)
+    measures: MeasureParams = dc_field(default_factory=MeasureParams)
+    integrate: IntegrateParams = dc_field(default_factory=IntegrateParams)
+    output_dir: str = "out"
+    blowup_bound: float = DEFAULT_BLOWUP_BOUND
 
     def build_field(self):
-        if isinstance(self.field_spec, str):
-            return builtin_field(self.field_spec, dimension=self.x0.size)
-        return _inline_field(self.field_spec)
+        if isinstance(self.field, str):
+            return builtin_field(self.field, dimension=self.x0.size)
+        return _inline_field(self.field.get("dimension"))(self.field, "field")
 
     def effective_dict(self):
         """Full config echo, defaults filled in; hashed for tamper evidence."""
         return {
-            "field": self.field_spec,
+            "field": self.field,
             "x0": self.x0.tolist(),
             "schedule": self.schedule.to_dict(),
             "noise": self.noise.to_dict(),
@@ -81,19 +82,6 @@ class ExperimentConfig:
 
     def content_hash(self):
         return hashlib.sha256(canonical_json(self.effective_dict()).encode()).hexdigest()
-
-
-def _require(data, key):
-    if key not in data:
-        raise ConfigInvalid(f"{key}: missing required entry")
-    return data[key]
-
-
-def _known(data, names, path):
-    """Refuse an entry of the object data that is not in names."""
-    for key in data:
-        if key not in names:
-            raise ConfigInvalid(f"{path}{key}: unknown entry; known: {', '.join(names)}")
 
 
 def _is_number(value):
@@ -114,7 +102,7 @@ def _positive(value, path):
 
 
 def _integer(value, path, minimum=None):
-    if not (_is_number(value) and isinstance(value, int)):
+    if not (_is_number(value) and isinstance(value, int) and abs(value) <= sys.float_info.max):
         raise ConfigInvalid(f"{path}: must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigInvalid(f"{path}: must be >= {minimum}, got {value}")
@@ -124,19 +112,37 @@ def _integer(value, path, minimum=None):
 _count = functools.partial(_integer, minimum=1)
 
 
-def _text(value, path):
-    if not isinstance(value, str):
-        raise ConfigInvalid(f"{path}: must be a string, got {type(value).__name__}")
-    return value
+def _instance(kind, name):
+    """The check of a value of type kind, which the refusal calls name."""
+    def check_instance(value, path):
+        if not isinstance(value, kind):
+            raise ConfigInvalid(f"{path}: must be {name}, got {type(value).__name__}")
+        return value
+    return check_instance
+
+
+_text, _dict = _instance(str, "a string"), _instance(dict, "an object")
+_list = _instance(list, "a list")
 
 
 def _each(check):
     """The check of a list whose every item passes check."""
     def check_list(value, path):
-        if not isinstance(value, list):
-            raise ConfigInvalid(f"{path}: must be a list, got {type(value).__name__}")
-        return [check(item, f"{path}[{i}]") for i, item in enumerate(value)]
+        return [check(item, f"{path}[{i}]") for i, item in enumerate(_list(value, path))]
     return check_list
+
+
+def _patterns(check):
+    """The check of an object keyed by sign patterns (a unicode minus or en
+    dash read as '-'), whose every entry passes check."""
+    def check_patterns(value, path):
+        return {key.replace("\u2212", "-").replace("\u2013", "-"): check(item, f"{path}.{key}")
+                for key, item in _dict(value, path).items()}
+    return check_patterns
+
+
+_vector = _each(_number)
+_matrix = _each(_vector)
 
 
 def check_seeds(value, path):
@@ -150,120 +156,134 @@ def check_seeds(value, path):
     return seeds
 
 
-def _section(data, key, cls, checks, required=False):
-    """cls built from the entries of the object data[key] that are present,
-    each through its check; an absent entry takes cls's default."""
-    value = _require(data, key) if required else data.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigInvalid(f"{key}: must be an object, got {type(value).__name__}")
-    _known(value, checks, f"{key}.")
-    entries = {k: check(value[k], f"{key}.{k}") for k, check in checks.items() if k in value}
-    try:
-        return cls(**entries)
-    except ValueError as exc:
-        raise ConfigInvalid(f"{key}: {exc}") from exc
+@functools.cache
+def _parameters(cls):
+    """The names of cls's constructor parameters, and those without a default."""
+    parameters = inspect.signature(cls).parameters.values()
+    return {p.name for p in parameters}, [p.name for p in parameters if p.default is p.empty]
 
 
-_SCHEDULE = {"kind": _text, "a0": _number, "gamma": _number, "sequence": _each(_number)}
-_NOISE = {"kind": _text, "scale": _number}
-_TRACKING = {"T": _positive, "n_windows": _count, "dt": _positive}
-_MEASURES = {"checkpoints": _each(_integer), "eps": _each(_positive)}
-_INTEGRATE = {"t_end": _positive, "dt": _positive}
-_ROOT = ("field", "x0", "schedule", "noise", "n_steps", "seeds", "tracking", "measures",
-         "integrate", "output_dir", "blowup_bound")
-_FIELD = ("dimension", "guards", "pieces", "boundary_values", "name")
+def _object(cls, checks):
+    """The check of a JSON object: cls built from the entries present, each
+    through its check in checks, an absent one left to cls's default.  The
+    caller's given entries go to cls if it takes them; the root's path is ""."""
+    def check_object(value, path, **given):
+        prefix = f"{path}." if path else ""
+        if not _dict(value, path or "config root").keys() <= checks.keys():
+            key = next(k for k in value if k not in checks)
+            raise ConfigInvalid(f"{prefix}{key}: unknown entry; known: {', '.join(checks)}")
+        names, required = _parameters(cls)
+        if given:
+            given = {k: v for k, v in given.items() if k in names}
+        for name in required:
+            if name not in value and name not in given:
+                raise ConfigInvalid(f"{prefix}{name}: missing required entry")
+        entries = {k: check(value[k], prefix + k) for k, check in checks.items() if k in value}
+        try:
+            return cls(**entries, **given)
+        except ValueError as exc:
+            inline = "invalid inline definition: " if cls is PiecewiseField else ""
+            raise ConfigInvalid(f"{path}: {inline}{exc}") from exc
+    return check_object
 
 
-def _require_finite(value, path):
-    """Reject NaN, infinite numbers and integers beyond the largest float
-    anywhere inside value; json.load parses the NaN, Infinity and -Infinity
-    tokens, and an integer literal of any size."""
-    if _is_number(value) and not abs(value) <= sys.float_info.max:
-        raise ConfigInvalid(f"{path}: must be finite, got {value!r}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _require_finite(item, f"{path}.{key}")
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _require_finite(item, f"{path}[{i}]")
+def _typed(value, path, table, default=None, **given):
+    """The object that table's check for its "type" entry (default if
+    absent) builds from its other entries."""
+    kind = _dict(value, path).get("type", default)
+    if not (isinstance(kind, str) and kind in table):
+        raise ConfigInvalid(f"{path}.type: unknown type {kind!r}; known: {', '.join(table)}")
+    return table[kind]({k: v for k, v in value.items() if k != "type"}, path, **given)
 
 
-def _inline_field(spec):
-    """The PiecewiseField of an inline definition; an error names the guard at fault."""
-    path, guards = "field", []
-    try:
-        dimension = spec["dimension"]
-        if not isinstance(dimension, (int, float)):  # bools are ints
-            raise TypeError(f"dimension must be an integer, got {dimension!r}")
-        dimension = _integer(dimension, "field.dimension")
-        for k, guard in enumerate(spec.get("guards", [])):
-            path = f"field.guards[{k}]"
-            guards.append(guard_from_dict(guard, dimension))
-        path = "field"
-        pieces = {key: piece_from_dict(p) for key, p in spec.get("pieces", {}).items()}
-        return PiecewiseField(**dict(spec, dimension=dimension, guards=guards, pieces=pieces))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"{path}: invalid inline definition: {exc}") from exc
+_GUARDS = {
+    "affine": _object(AffineGuard, {"a": _vector, "b": _number}),
+    "coordinate": _object(CoordinateGuard, {"index": _integer}),  # given the field's dimension
+    "norm": _object(NormGuard, {"center": _vector, "radius": _number}),
+}
+_PIECES = {
+    "constant": _object(ConstantPiece, {"value": _vector}),
+    "affine": _object(AffinePiece, {"A": _matrix, "b": _vector}),
+    "quadratic": _object(QuadraticPiece, {"Q": _each(_matrix), "A": _matrix, "b": _vector}),
+}
+_pieces = _patterns(functools.partial(_typed, table=_PIECES))
+
+
+def _inline_field(dimension):
+    """The check of an inline field; each guard is given dimension, checked first."""
+    guard = functools.partial(_typed, table=_GUARDS, default="affine", dimension=dimension)
+    return _object(PiecewiseField, {"dimension": _count, "guards": _each(guard), "pieces": _pieces,
+                                    "boundary_values": _patterns(_vector), "name": _text})
+
+
+def _field(value, path):
+    """A built-in field's name, or an inline definition that build_field reads."""
+    if isinstance(value, dict) or value in BUILTIN_FIELDS:
+        return value
+    raise ConfigInvalid(f"{path}: must be an inline object or a built-in name, one of "
+                        f"{', '.join(BUILTIN_FIELDS)}; got {value!r}")
+
+
+def _point(value, path):
+    x0 = np.asarray(_vector(value, path), dtype=float)
+    if x0.size == 0:
+        raise ConfigInvalid(f"{path}: must be a non-empty vector")
+    return x0
+
+
+_ROOT = {
+    "field": _field,
+    "x0": _point,
+    "schedule": _object(StepsizeSchedule,
+                        {"kind": _text, "a0": _number, "gamma": _number, "sequence": _vector}),
+    "noise": _object(NoiseModel, {"kind": _text, "scale": _number}),
+    "n_steps": _count,
+    "seeds": check_seeds,
+    "tracking": _object(TrackingParams, {"T": _positive, "n_windows": _count, "dt": _positive}),
+    "measures": _object(MeasureParams, {"checkpoints": _each(_integer), "eps": _each(_positive)}),
+    "integrate": _object(IntegrateParams, {"t_end": _positive, "dt": _positive}),
+    "output_dir": _text,
+    "blowup_bound": _positive,
+}
 
 
 def config_from_dict(data):
-    if not isinstance(data, dict):
-        raise ConfigInvalid("config root must be an object")
-    _known(data, _ROOT, "")
-
-    field_spec, field = _require(data, "field"), None
-    if isinstance(field_spec, dict):
-        _known(field_spec, _FIELD, "field.")
-        _require_finite(field_spec, "field")
-        field = _inline_field(field_spec)
-    elif not isinstance(field_spec, str):
-        raise ConfigInvalid("field: must be a built-in name or an inline object")
-    elif field_spec not in BUILTIN_FIELDS:
-        raise ConfigInvalid(
-            f"field: unknown built-in {field_spec!r}; known: {', '.join(BUILTIN_FIELDS)}"
-        )
-
-    x0 = np.asarray(_each(_number)(_require(data, "x0"), "x0"), dtype=float)
-    if x0.size == 0:
-        raise ConfigInvalid("x0: must be a non-empty vector")
-    schedule = _section(data, "schedule", StepsizeSchedule, _SCHEDULE, required=True)
-    noise = _section(data, "noise", NoiseModel, _NOISE, required=True)
-    n_steps = _count(_require(data, "n_steps"), "n_steps")
-    sequence = schedule.sequence
-    if sequence is not None and (schedule.kind != "custom" or sequence.size < n_steps):
+    config = _object(ExperimentConfig, _ROOT)(data, "")
+    n_steps, sequence, measures = config.n_steps, config.schedule.sequence, config.measures
+    if sequence is not None and (config.schedule.kind != "custom" or sequence.size < n_steps):
         raise ConfigInvalid(f"schedule.sequence: must be a custom schedule's {n_steps}+ stepsizes")
-    seeds = check_seeds(_require(data, "seeds"), "seeds")
-    tracking = _section(data, "tracking", TrackingParams, _TRACKING)
-    measures = _section(data, "measures", MeasureParams, _MEASURES)
     if measures.checkpoints is None:
         measures.checkpoints = sorted({max(1, n_steps // 4), n_steps})
     bounded = [0, *measures.checkpoints, n_steps + 1]
     if any(b <= a for a, b in zip(bounded, bounded[1:])):
         raise ConfigInvalid("measures.checkpoints: must increase strictly within [1, n_steps]")
-    integrate = _section(data, "integrate", IntegrateParams, _INTEGRATE)
-
-    config = ExperimentConfig(
-        field_spec, x0, schedule, noise, n_steps, seeds, tracking, measures, integrate,
-        output_dir=_text(data.get("output_dir", "out"), "output_dir"),
-        blowup_bound=_positive(data.get("blowup_bound", DEFAULT_BLOWUP_BOUND), "blowup_bound"),
-    )
-    # dimension consistency between field and x0, after every entry's own check
-    if field is None:
-        field = config.build_field()
-    if field.dimension != x0.size:
+    field = config.build_field()
+    if field.dimension != config.x0.size:
         raise ConfigInvalid(
-            f"x0: dimension {x0.size} does not match field dimension {field.dimension}"
+            f"x0: dimension {config.x0.size} does not match field dimension {field.dimension}"
         )
     return config
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict; a key given twice is refused, not left to its last value."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for key in keys if keys.count(key) > 1)
+        raise ConfigInvalid(f"config repeats the entry {key!r} within one object")
+    return data
+
+
 def load_config(path):
     try:
-        with open(path) as handle:
-            data = json.load(handle)
+        with open(path, encoding="utf-8") as handle:  # RFC 8259: JSON text is UTF-8
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise IoFailure(f"could not read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config is not UTF-8: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past int's digit limit
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
     config = config_from_dict(data)
     if "output_dir" not in data:

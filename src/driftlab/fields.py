@@ -26,14 +26,6 @@ _MAX_WOLFE_CYCLES = 100
 _TABLE_GUARDS = 8  # evaluate_batch's code table has 3**k rows
 
 _SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
-_PATTERN_ALIASES = {"−": "-", "–": "-"}  # unicode minus/en-dash in configs
-
-
-def normalize_pattern(pattern):
-    """Map unicode minus variants to ASCII so config keys are forgiving."""
-    for bad, good in _PATTERN_ALIASES.items():
-        pattern = pattern.replace(bad, good)
-    return pattern
 
 
 def label_of_code(code):
@@ -115,17 +107,6 @@ class NormGuard:
         return diff / nrm
 
 
-def guard_from_dict(spec, dimension):
-    kind = spec.get("type", "affine")
-    if kind == "affine":
-        return AffineGuard(spec["a"], spec.get("b", 0.0))
-    if kind == "coordinate":
-        return CoordinateGuard(spec["index"], dimension)
-    if kind == "norm":
-        return NormGuard(spec["center"], spec["radius"])
-    raise ValueError(f"unknown guard type {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # piece catalog
 
@@ -158,7 +139,9 @@ class QuadraticPiece:
     """f_i(x) = x^T Q_i x + A_i . x + b_i, degree <= 2 per component."""
 
     def __init__(self, Q, A=None, b=None):
-        self.Q = np.asarray(Q, dtype=float)  # shape (d_out, d, d)
+        self.Q = np.asarray(Q, dtype=float)
+        if self.Q.ndim != 3:
+            raise ValueError(f"quadratic piece needs a (d_out, d, d) Q, not shape {self.Q.shape}")
         d_out, d = self.Q.shape[0], self.Q.shape[1]
         self.A = np.zeros((d_out, d)) if A is None else np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.zeros(d_out) if b is None else np.asarray(b, dtype=float)
@@ -169,17 +152,6 @@ class QuadraticPiece:
     def value_batch(self, xs):
         quad = np.einsum("ijk,nj,nk->ni", self.Q, xs, xs)
         return quad + xs @ self.A.T + self.b
-
-
-def piece_from_dict(spec):
-    kind = spec.get("type")
-    if kind == "constant":
-        return ConstantPiece(spec["value"])
-    if kind == "affine":
-        return AffinePiece(spec["A"], spec.get("b"))
-    if kind == "quadratic":
-        return QuadraticPiece(spec["Q"], spec.get("A"), spec.get("b"))
-    raise ValueError(f"unknown piece type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +173,7 @@ class PiecewiseField:
     name: str = ""
 
     def __post_init__(self):
-        self.pieces = {normalize_pattern(k): v for k, v in self.pieces.items()}
-        self.boundary_values = {
-            normalize_pattern(k): np.asarray(v, dtype=float)
-            for k, v in self.boundary_values.items()
-        }
+        self.boundary_values = {k: np.asarray(v, float) for k, v in self.boundary_values.items()}
         for pat in self.pieces:
             if len(pat) != len(self.guards) or "0" in pat:
                 raise ValueError(f"piece pattern {pat!r} is not a full sign pattern")

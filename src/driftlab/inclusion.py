@@ -364,7 +364,7 @@ def integrate_tracking_selection(field, reference, dt):
     ref_pts = reference.value_at(grid)
     spans = np.diff(grid)
     points = np.empty((grid.size, ref_pts.shape[1]))
-    points[0] = reference.value_at(t0)  # not points[0]: this turns -0.0 into 0.0
+    points[0] = reference.points[0]
     labels = []
     maps = PatternMaps(field)
     guard_table = field.guard_table()

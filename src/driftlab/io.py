@@ -55,6 +55,8 @@ def atomic_write_text(path, text):
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         try:
+            os.umask(umask := os.umask(0o077))  # os.umask reads the umask only by setting one
+            os.chmod(tmp, 0o666 & ~umask)  # the mode open(path, "w") gives, not mkstemp's 0600
             with os.fdopen(fd, "w", newline="") as handle:
                 handle.write(text)
             os.replace(tmp, path)

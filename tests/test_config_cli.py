@@ -9,12 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import driftlab as dl
 from driftlab import io as dio
 from driftlab import cli
 from driftlab.cli import main as cli_main
+from driftlab import config as dconfig
+from driftlab.config import ExperimentConfig, IntegrateParams, MeasureParams, TrackingParams
 from driftlab.config import config_from_dict, load_config
+from driftlab.fields import AffineGuard, AffinePiece, ConstantPiece, CoordinateGuard, NormGuard
+from driftlab.fields import PiecewiseField, QuadraticPiece
+from driftlab.sa import NoiseModel, StepsizeSchedule
 from driftlab import experiments
 from driftlab.experiments import compare_noise_study, run_experiment, seed_paths
 from driftlab.io import canonical_json, read_trace_csv
@@ -35,6 +41,18 @@ def base_config(tmp_path, **overrides):
     }
     data.update(overrides)
     return data
+
+
+def _one_guard_field(guard=None, plus=None, **entries):
+    """A 2-d inline field of one guard, the coordinate y unless guard is
+    given, and two constant pieces, the '+' one unless plus is given."""
+    return {
+        "dimension": 2,
+        "guards": [guard or {"type": "coordinate", "index": 1}],
+        "pieces": {"+": plus or {"type": "constant", "value": [1.0, -1.0]},
+                   "-": {"type": "constant", "value": [1.0, 1.0]}},
+        **entries,
+    }
 
 
 class TestConfigValidation:
@@ -97,6 +115,10 @@ class TestConfigValidation:
             ("measures", {"checkpoints": [500, 3000], "eps": [float("nan")]}, "measures.eps[0]"),
             ("measures", {"checkpoints": [500, 3000], "eps": [0.01, float("inf")]},
              "measures.eps[1]"),
+            # an integer entry beyond the largest float is refused as a number entry is
+            pytest.param("n_steps", 10**400, "n_steps", id="n_steps-10**400-n_steps"),
+            ("seeds", [1, 10**400], "seeds[1]"),
+            ("measures", {"checkpoints": [10**400]}, "measures.checkpoints[0]"),
         ],
     )
     def test_non_finite_numbers_rejected(self, tmp_path, key, value, path):
@@ -124,17 +146,18 @@ class TestConfigValidation:
             ("measures", {"checkpoints": [3000], "eps": ["abc"]}, "measures.eps[0]"),
             ("measures", {"checkpoints": [3000], "eps": [0.05, 0]}, "measures.eps[1]"),
             ("measures", {"checkpoints": [3000], "eps": "abc"}, "measures.eps"),
-            ("field", {"dimension": None}, "field"),
+            ("field", {"dimension": None}, "field.dimension"),
             ("tracking", [1], "tracking"),
             ("measures", "abc", "measures"),
             ("integrate", None, "integrate"),
             ("output_dir", None, "output_dir"),
             ("output_dir", 3, "output_dir"),
             ("field", {"dimension": 1, "guards": [{"type": "coordinate", "index": 2, "dimension": 3}],
-                       "pieces": {"+": {"type": "constant", "value": [1.0]}}}, "field.guards[0]"),
+                       "pieces": {"+": {"type": "constant", "value": [1.0]}}},
+             "field.guards[0].dimension"),
             ("field", {"dimension": 1, "guards": [1], "pieces": {}}, "field.guards[0]"),
             ("field", {"dimension": 1, "guards": [{"type": "coordinate", "index": 0}],
-                       "pieces": {"+": 1}}, "field"),
+                       "pieces": {"+": 1}}, "field.pieces.+"),
             # an entry no rule reads, a misspelling say, is refused where it sits
             ("colour", "red", "colour"),
             ("schedule", {"kind": "power", "a0": 1.0, "gama": 0.75}, "schedule.gama"),
@@ -167,6 +190,31 @@ class TestConfigValidation:
                        "pieces": {"+": {"type": "constant", "value": [-1.0]},
                                   "-": {"type": "constant", "value": [1.0]}}},
              "field.dimension"),
+            # a guard or piece is read by the rule of every config object
+            ("field", _one_guard_field(guard={"type": "affine", "a": [0, 1], "offset": 0.5}),
+             "field.guards[0].offset"),
+            ("field", _one_guard_field(plus={"type": "constant", "valu": [1.0, -1.0]}),
+             "field.pieces.+.valu"),
+            ("field", _one_guard_field(guard={"kind": "coordinate", "index": 1}),
+             "field.guards[0].kind"),
+            ("field", _one_guard_field(guard={"type": "affine", "a": [True, 0.0]}),
+             "field.guards[0].a[0]"),
+            ("field", _one_guard_field(plus={"type": "constant", "value": ["1", -1.0]}),
+             "field.pieces.+.value[0]"),
+            ("field", _one_guard_field(name=3), "field.name"),
+            ("field", _one_guard_field(plus={"type": "linear", "A": [[1.0, 0.0], [0.0, 1.0]]}),
+             "field.pieces.+.type"),
+            ("field", _one_guard_field(guard={"type": "plane", "a": [0.0, 1.0]}),
+             "field.guards[0].type"),
+            ("field", _one_guard_field(guard={"type": "coordinate", "index": True}),
+             "field.guards[0].index"),
+            ("field", _one_guard_field(guard={"type": "affine", "b": 0.5}), "field.guards[0].a"),
+            ("field", _one_guard_field(boundary_values={"0": [0.0, False]}),
+             "field.boundary_values.0[1]"),
+            ("field", {"dimension": 2, "pieces": {"": {"type": "affine", "A": [2.0, 0.0]}}},
+             "field.pieces..A[0]"),
+            ("field", {"dimension": 2, "pieces": {"": {"type": "quadratic", "Q": []}}},
+             "field.pieces."),
         ],
     )
     def test_wrong_types_rejected(self, tmp_path, key, value, path):
@@ -178,6 +226,141 @@ class TestConfigValidation:
         cfg = config_from_dict(base_config(tmp_path))
         recomputed = hashlib.sha256(canonical_json(cfg.effective_dict()).encode()).hexdigest()
         assert cfg.content_hash() == recomputed
+
+
+def _guard_from_dict(spec, dimension):
+    """The reader of a guard object before config read every object by one
+    rule; the oracle of that rule on valid guards."""
+    kind = spec.get("type", "affine")
+    if kind == "affine":
+        return AffineGuard(spec["a"], spec.get("b", 0.0))
+    if kind == "coordinate":
+        return CoordinateGuard(spec["index"], dimension)
+    if kind == "norm":
+        return NormGuard(spec["center"], spec["radius"])
+    raise ValueError(f"unknown guard type {kind!r}")
+
+
+def _piece_from_dict(spec):
+    """The old reader of a piece object, as _guard_from_dict is of a guard."""
+    kind = spec.get("type")
+    if kind == "constant":
+        return ConstantPiece(spec["value"])
+    if kind == "affine":
+        return AffinePiece(spec["A"], spec.get("b"))
+    if kind == "quadratic":
+        return QuadraticPiece(spec["Q"], spec.get("A"), spec.get("b"))
+    raise ValueError(f"unknown piece type {kind!r}")
+
+
+def _ascii(pattern):
+    """A pattern as PiecewiseField read it before config did: a unicode minus
+    or en dash taken as '-'."""
+    return pattern.replace("\u2212", "-").replace("\u2013", "-")
+
+
+def _corner_field():
+    """perfbench's CORNER_FIELD, evaluated from the parsed benchmark file."""
+    tree = ast.parse((Path(__file__).parent.parent / "perfbench" / "workloads.py").read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.Assign)
+                and [t.id for t in n.targets] == ["CORNER_FIELD"])
+    return eval(compile(ast.Expression(node.value), "workloads.py", "eval"), {})
+
+
+_JSON_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, -0.0, 1e-320, 10**300]),
+)
+
+
+@st.composite
+def _inline_fields(draw):
+    """A valid inline field of one guard, each of whose guard and piece
+    entries a JSON number or an array of them, and optional ones left out."""
+    d = draw(st.integers(1, 3))
+    vector = st.lists(_JSON_NUMBERS, min_size=d, max_size=d)
+    matrix = st.lists(vector, min_size=d, max_size=d)
+    optional = lambda **entries: {k: v for k, v in entries.items() if draw(st.booleans())}
+    guard = draw(st.sampled_from(["affine", "untyped", "coordinate", "norm"]))
+    if guard in ("affine", "untyped"):
+        guard = {"a": draw(vector.filter(any)), **optional(b=draw(_JSON_NUMBERS)),
+                 **({"type": "affine"} if guard == "affine" else {})}
+    elif guard == "coordinate":
+        guard = {"type": "coordinate", "index": draw(st.integers(-d, d - 1))}
+    else:
+        guard = {"type": "norm", "center": draw(vector), "radius": draw(_JSON_NUMBERS)}
+
+    def piece():
+        kind = draw(st.sampled_from(["constant", "affine", "quadratic"]))
+        if kind == "constant":
+            return {"type": kind, "value": draw(vector)}
+        if kind == "affine":
+            return {"type": kind, "A": draw(matrix), **optional(b=draw(vector))}
+        return {"type": kind, "Q": draw(st.lists(matrix, min_size=d, max_size=d)),
+                **optional(A=draw(matrix), b=draw(vector))}
+
+    minus = draw(st.sampled_from(["-", "\u2212", "\u2013"]))  # the last two read as '-'
+    return {"dimension": d, "guards": [guard], "pieces": {"+": piece(), minus: piece()},
+            **optional(boundary_values={"0": draw(vector)}, name=draw(st.text(max_size=5)))}
+
+
+def _assert_same_bits(mine, theirs):
+    assert type(mine) is type(theirs)
+    assert vars(mine).keys() == vars(theirs).keys()
+    for name, value in vars(theirs).items():
+        a, b = np.asarray(vars(mine)[name]), np.asarray(value)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+class TestInlineFieldReader:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.one_of(_inline_fields(), st.just(_corner_field())))
+    def test_matches_the_old_readers(self, spec):
+        d = spec["dimension"]
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e300 squared, times 0
+            mine = config_from_dict({"field": spec, "x0": [0.0] * d, "schedule": {},
+                                     "noise": {}, "n_steps": 1, "seeds": [1]}).build_field()
+            theirs = PiecewiseField(**dict(
+                spec, guards=[_guard_from_dict(g, d) for g in spec.get("guards", [])],
+                pieces={_ascii(k): _piece_from_dict(p) for k, p in spec["pieces"].items()},
+                boundary_values={_ascii(k): v for k, v in spec.get("boundary_values", {}).items()}))
+        assert (mine.dimension, mine.name) == (theirs.dimension, theirs.name)
+        assert len(mine.guards) == len(theirs.guards)
+        for guard, oracle in zip(mine.guards, theirs.guards):
+            _assert_same_bits(guard, oracle)
+        assert mine.pieces.keys() == theirs.pieces.keys()
+        for pattern, piece in theirs.pieces.items():
+            _assert_same_bits(mine.pieces[pattern], piece)
+        assert mine.boundary_values.keys() == theirs.boundary_values.keys()
+        for pattern, value in theirs.boundary_values.items():
+            assert mine.boundary_values[pattern].tobytes() == value.tobytes()
+
+
+def _config_tables():
+    """Each (class, checks) pair that config builds an object from."""
+    checks = [*dconfig._ROOT.values(), dconfig._inline_field(1), *dconfig._GUARDS.values(),
+              *dconfig._PIECES.values()]
+    built = [inspect.getclosurevars(c).nonlocals for c in checks
+             if getattr(c, "__qualname__", "") == "_object.<locals>.check_object"]
+    return [(ExperimentConfig, dconfig._ROOT), *((b["cls"], b["checks"]) for b in built)]
+
+
+@pytest.mark.parametrize("cls, checks", _config_tables(),
+                         ids=[cls.__name__ for cls, _ in _config_tables()])
+def test_every_config_table_reads_each_parameter_of_its_class(cls, checks):
+    # a parameter no check reads could not be set from a config, and a check
+    # of no parameter would hand the constructor an entry it does not take
+    parameters = set(inspect.signature(cls).parameters)
+    if cls is CoordinateGuard:
+        parameters.remove("dimension")  # the field gives it
+    assert set(checks) == parameters
+
+
+def test_config_tables_cover_every_section():
+    classes = {cls for cls, _ in _config_tables()}
+    assert {StepsizeSchedule, NoiseModel, TrackingParams, MeasureParams, IntegrateParams} <= classes
+    assert len(_config_tables()) == 13
 
 
 class TestRunExperiment:
@@ -635,6 +818,42 @@ class TestCli:
         ):
             path = self._write_config(tmp_path, field=field, x0=[0.5])
             assert cli_main(["simulate", "--config", path]) == 2
+
+    @pytest.mark.parametrize(
+        "repeat, key",
+        [
+            # a last value that wins would turn the density arm into the atomic one
+            (', "noise": {"kind": "zero", "scale": 0.0}}', "'noise'"),
+            (', "tracking": {"T": 0.5, "T": 1.0}}', "'T'"),
+        ],
+        ids=["root", "section"],
+    )
+    def test_repeated_key_is_config_error(self, tmp_path, capsys, repeat, key):
+        path = tmp_path / "config.json"
+        text = json.dumps(base_config(tmp_path, n_steps=200, seeds=[1],
+                                      measures={"checkpoints": [200], "eps": [0.05]}))
+        path.write_text(text[:-1] + repeat)
+        assert cli_main(["simulate", "--config", str(path), "--quiet"]) == 2
+        assert f"config repeats the entry {key} within one object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        # RFC 8259: JSON text is UTF-8, whatever the locale's encoding
+        path = tmp_path / "config.json"
+        text = json.dumps(base_config(tmp_path, output_dir=str(tmp_path / "\u00e9")),
+                          ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))
+        assert cli_main(["simulate", "--config", str(path), "--quiet"]) == 2
+        assert "config is not UTF-8" in capsys.readouterr().err
+
+    def test_integer_past_the_digit_limit_is_config_error(self, tmp_path):
+        # json.load raises a bare ValueError, not a JSONDecodeError, for an
+        # integer literal longer than int's string conversion limit (4300 digits)
+        path = tmp_path / "config.json"
+        text = json.dumps(base_config(tmp_path, n_steps=200))
+        path.write_text(text.replace('"n_steps": 200', '"n_steps": 1' + "0" * 5000))
+        assert cli_main(["simulate", "--config", str(path), "--quiet"]) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["pieces", "boundary_values"])
     def test_piece_of_wrong_shape_is_config_error(self, tmp_path, capsys, where):

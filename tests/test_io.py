@@ -1,5 +1,7 @@
 import csv
 import io
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -442,6 +444,19 @@ def test_copy_text_writes_the_same_bytes(tmp_path):
     with pytest.raises(dl.IoFailure, match="could not write"):
         dio.copy_text(str(source), str(tmp_path))  # a directory, not a file
     assert sorted(p.name for p in tmp_path.iterdir()) == ["copy.csv", "source.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_atomic_write_text_gives_the_mode_of_open(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        dio.atomic_write_text(str(tmp_path / "atomic.txt"), "x\n")
+        with open(tmp_path / "plain.txt", "w") as handle:
+            handle.write("x\n")
+    finally:
+        os.umask(previous)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("atomic.txt", "plain.txt")]
+    assert modes == [0o666 & ~umask] * 2
 
 
 _MUTATION_CHARS = ',\n#"-+.e0 _E\r\x00'
