@@ -133,11 +133,19 @@ def _each(check):
 
 
 def _patterns(check):
-    """The check of an object keyed by sign patterns (a unicode minus or en
-    dash read as '-'), whose every entry passes check."""
+    """The check of an object keyed by sign patterns over '+', '-' and '0' (a
+    unicode minus or en dash read as '-'), whose every entry passes check; a
+    key that reads as an earlier key's pattern is refused."""
     def check_patterns(value, path):
-        return {key.replace("\u2212", "-").replace("\u2013", "-"): check(item, f"{path}.{key}")
-                for key, item in _dict(value, path).items()}
+        patterns = {}
+        for key, item in _dict(value, path).items():
+            pattern = key.replace("\u2212", "-").replace("\u2013", "-")
+            if not set(pattern) <= set("+-0"):
+                raise ConfigInvalid(f"{path}.{key}: a sign pattern holds only '+', '-' and '0'")
+            if pattern in patterns:
+                raise ConfigInvalid(f"{path}.{key}: reads as the pattern {pattern!r} of an earlier key")
+            patterns[pattern] = check(item, f"{path}.{key}")
+        return patterns
     return check_patterns
 
 

@@ -175,10 +175,12 @@ class PiecewiseField:
     def __post_init__(self):
         self.boundary_values = {k: np.asarray(v, float) for k, v in self.boundary_values.items()}
         for pat in self.pieces:
-            if len(pat) != len(self.guards) or "0" in pat:
+            if len(pat) != len(self.guards) or not set(pat) <= set("+-"):
                 raise ValueError(f"piece pattern {pat!r} is not a full sign pattern")
         for pat in self.boundary_values:
-            if len(pat) != len(self.guards) or "0" not in pat:
+            if len(pat) != len(self.guards) or not set(pat) <= set("+-0"):
+                raise ValueError(f"boundary pattern {pat!r} is not a sign pattern")
+            if "0" not in pat:
                 raise ValueError(f"boundary pattern {pat!r} must contain a '0' label")
         for k, guard in enumerate(self.guards):
             size = np.size(guard.center if isinstance(guard, NormGuard) else guard.a)
@@ -499,7 +501,21 @@ def _row_norms(diffs):
     # would run one inner loop per row
     e = np.frexp(np.abs(np.ascontiguousarray(diffs.T)).max(axis=0))[1]
     scaled = np.ldexp(diffs, -e[:, None])
-    return np.ldexp(np.sqrt((scaled * scaled).sum(axis=1)), e)
+    return np.ldexp(np.sqrt(_row_sums(scaled * scaled)), e)
+
+
+def _row_sums(a):
+    """a summed over its last axis, the short coordinate axis.  Below 8
+    entries numpy adds them in order from +0.0, but in one inner loop per
+    row; here one add per column gives the same order and rounding.  From 8
+    entries on numpy sums pairwise, and a.sum(axis=-1) is kept."""
+    d = a.shape[-1]
+    if d == 0 or d >= 8:
+        return a.sum(axis=-1)
+    out = a[..., 0] + 0.0
+    for j in range(1, d):
+        out += a[..., j]
+    return out
 
 
 def _scale_exponent(*arrays):

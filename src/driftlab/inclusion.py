@@ -4,8 +4,11 @@ Inside a region the field is smooth and an explicit midpoint step (order 2)
 applies; a guard sign change is located by bisection, classified as crossing
 or attracting via the adjacent normal components, and attracting surfaces are
 followed with the tangent convex-combination velocity until the combination
-coefficient leaves its admissible band.  The tracking comparator steps a
-member of the same solution set, pulled toward a reference path.
+coefficient leaves its admissible band.  A full step that leaves the point
+(bit for bit) and the mode unchanged is a rest point of the stepper, whose
+later full steps would repeat it: they are written out without stepping.
+The tracking comparator steps a member of the same solution set, pulled
+toward a reference path.
 """
 
 from __future__ import annotations
@@ -156,8 +159,11 @@ class _FilippovStepper:
             k for k, (c, new) in enumerate(zip(pattern, labels)) if c != new and "0" not in (c, new)
         ]
 
-    def _resolve_mode(self):
-        pattern = self.field.sign_pattern(self.x, zero_tol=DEFAULT_SURFACE_TOL)
+    def _resolve_mode(self, pattern=None):
+        """The mode of self.x from its sign pattern at DEFAULT_SURFACE_TOL, or
+        from a given pattern whose '0' slots are the guards x keeps."""
+        if pattern is None:
+            pattern = self.field.sign_pattern(self.x, zero_tol=DEFAULT_SURFACE_TOL)
         active = [k for k, c in enumerate(pattern) if c == "0"]
         if not active:
             self.mode = ("region", pattern)
@@ -282,14 +288,43 @@ class _FilippovStepper:
 
     def _corner_step(self, h):
         # least-norm hull element up to the first guard reached (at rest,
-        # none is), then re-classify
+        # none is), then re-classify.  Where it strictly leaves active guards
+        # and at most one stays active, no step: re-classify at once with them
+        # on the sides it leaves to, unless that mode's own velocity does not
+        # leave them alike (coincident guards can turn it back into the corner)
         v = self.maps.filippov(self.x, DEFAULT_RADIUS_TOL).least_norm
-        x, pattern = self.x, self.mode[1]
+        x, corner = self.x, self.mode
+        pattern = corner[1]
+        kept = self._kept_guards(pattern, v)
+        if kept != pattern and kept.count("0") <= 1:
+            self._resolve_mode(kept)
+            if self._kept_guards(pattern, self._mode_velocity()) == kept:
+                return
+            self.mode = corner
         if any(v.tolist()):
             self._step_along(lambda s: x + s * v, pattern, h, pattern)
         else:
             self._record(self.t + h, x + h * v, pattern)
         self._resolve_mode()
+
+    def _mode_velocity(self):
+        """The velocity of the region or slide mode at self.x."""
+        if self.mode[0] == "region":
+            return self.field.piece_for(self.mode[1]).value(self.x)
+        _, k, pattern0 = self.mode
+        return self._sliding_decision(self.x, k, pattern0).velocity
+
+    def _kept_guards(self, pattern, v):
+        """pattern with each '0' slot whose guard v strictly leaves, at a
+        normal speed above DEFAULT_SURFACE_TOL, set to the side it leaves to."""
+        chars = list(pattern)
+        for k, c in enumerate(pattern):
+            if c == "0":
+                grad = np.asarray(self.field.guards[k].gradient(self.x), dtype=float)
+                speed = float(grad @ v)
+                if abs(speed) > DEFAULT_SURFACE_TOL * float(np.linalg.norm(grad)):
+                    chars[k] = "+" if speed > 0.0 else "-"
+        return "".join(chars)
 
     # -- driver -------------------------------------------------------------
 
@@ -297,7 +332,7 @@ class _FilippovStepper:
         stall_guard = 0
         while self.t < t_end - 1e-14:
             h = min(self.dt, t_end - self.t)
-            t_before = self.t
+            t_before, x_before, mode_before = self.t, self.x.tobytes(), self.mode
             if self.mode[0] == "region":
                 self._region_step(h)
             elif self.mode[0] == "slide":
@@ -308,8 +343,19 @@ class _FilippovStepper:
                 stall_guard += 1
                 if stall_guard > 100:
                     raise StepTooLarge("integration stalled at a switching surface")
-            else:
-                stall_guard = 0
+                continue
+            stall_guard = 0
+            # a step reads (x, mode, h), never t: a full step that kept x (bit
+            # for bit) and the mode is a rest point, and each later full step
+            # repeats it, with t advanced by the same sequential adds
+            if h == self.dt and self.mode == mode_before and self.x.tobytes() == x_before:
+                t, label = self.t, self.labels[-1]
+                while t < t_end - 1e-14 and t_end - t >= self.dt and t + self.dt > t:
+                    t += self.dt
+                    self.times.append(t)
+                    self.points.append(self.x.copy())
+                    self.labels.append(label)
+                self.t = t
         return Trajectory(np.array(self.times), np.array(self.points), self.labels)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrace, IndexOutOfRange
-from .fields import DEFAULT_RADIUS_TOL, PatternMaps, _row_norms, label_of_code
+from .fields import DEFAULT_RADIUS_TOL, PatternMaps, _row_norms, _row_sums, label_of_code
 
 _MERGE_ATOL = 1e-15
 _BOX_PAD = 0.1
@@ -195,7 +195,7 @@ class TestFunctionFamily:
             raise ValueError(f"points have {xs.shape[1]} coordinates, the family has {d}")
         y = xs - self.members[0].center
         sigma2 = self.members[0].sigma ** 2
-        bump = np.exp(-np.sum(y * y, axis=1) / (2.0 * sigma2))
+        bump = np.exp(-_row_sums(y * y) / (2.0 * sigma2))
         ones = np.ones(y.shape[0])
         # y ** 2 is taken on the whole (n, d) array, the layout in which a
         # member's y ** beta took it, so the same pow kernel rounds it: y * y,
@@ -247,7 +247,7 @@ def stationarity_residual(measure, family):
     limiting averaged measures."""
     if measure.n_atoms == 0:
         raise EmptyTrace("measure has no atoms")
-    terms = np.sum(family.gradients(measure.xs) * measure.zs, axis=2)
+    terms = _row_sums(family.gradients(measure.xs) * measure.zs)
     return np.array([measure.weights @ member_terms for member_terms in terms])
 
 
@@ -271,7 +271,7 @@ def checkpoint_residuals(trace, family, checkpoints):
         n = checkpoints[0]
         raise EmptyTrace(f"t({n}) = 0: no positive stepsize before step {n}")
     n_max = int(checkpoints.max(initial=0))
-    terms = np.sum(family.gradients(trace.states[:n_max]) * trace.drifts[:n_max], axis=2)
+    terms = _row_sums(family.gradients(trace.states[:n_max]) * trace.drifts[:n_max])
     out = np.empty((checkpoints.size, len(family)))
     for j, n in enumerate(checkpoints):
         out[j] = terms[:, :n] @ (trace.steps[:n] / trace.times[n])
@@ -396,12 +396,12 @@ def martingale_diagnostic(trace, family):
     xs = trace.states[:n]
     xi = np.zeros((n + 1, len(family.members), d))
     qv = np.zeros((n + 1, len(family.members)))
-    noise_sq = np.sum(trace.noises**2, axis=1)
+    noise_sq = _row_sums(trace.noises**2)
     steps_sq = trace.steps**2
     for i, grads in enumerate(family.gradients(xs)):
         terms = trace.steps[:, None] * grads * trace.noises
         np.cumsum(terms, axis=0, out=xi[1:, i, :])
-        qv_terms = steps_sq * np.sum(grads**2, axis=1) * noise_sq
+        qv_terms = steps_sq * _row_sums(grads**2) * noise_sq
         np.cumsum(qv_terms, out=qv[1:, i])
     return MartingaleDiagnostic(xi=xi, quadratic_variation=qv)
 

@@ -31,7 +31,7 @@ from .errors import (
     OutOfDomain,
     WindowExceedsTrace,
 )
-from .fields import ConstantPiece
+from .fields import ConstantPiece, _row_sums
 
 DEFAULT_BLOWUP_BOUND = 1e6
 _BLOCK_ROWS = 4096  # steps and noises are read, states and drifts written, per block
@@ -359,7 +359,7 @@ def _step_table(column, table, states, drifts, steps, noises, blowup_bound):
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(a[:, None], zs + m, out=block[1:])
             np.add.accumulate(block, axis=0, out=block)
-            sure = np.sqrt((block[1:] * block[1:]).sum(axis=1)) <= sure_bound
+            sure = np.sqrt(_row_sums(block[1:] * block[1:])) <= sure_bound
         for i in np.flatnonzero(~sure).tolist():
             _check_blowup(block[1 + i], start + i + 1, blowup_bound)
         drifts[start:stop] = zs

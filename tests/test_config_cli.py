@@ -222,6 +222,36 @@ class TestConfigValidation:
         with pytest.raises(dl.ConfigInvalid, match=f"^{re.escape(path)}:"):
             config_from_dict(base_config(tmp_path, **{key: value}))
 
+    @pytest.mark.parametrize(
+        "entry, key", [("pieces", "x"), ("pieces", "+\u2014"), ("boundary_values", "O")]
+    )
+    def test_pattern_key_of_another_character_rejected(self, tmp_path, entry, key):
+        # an 'x' piece used to load unread; a capital O is not a '0' label
+        field = _one_guard_field()
+        field.setdefault(entry, {})[key] = (
+            [0.0, 0.0] if entry == "boundary_values" else {"type": "constant", "value": [0.0, 0.0]}
+        )
+        with pytest.raises(dl.ConfigInvalid, match=f"^field.{entry}.{re.escape(key)}: a sign pattern"):
+            config_from_dict(base_config(tmp_path, field=field))
+
+    @pytest.mark.parametrize(
+        "field, path",
+        [
+            ({**_one_guard_field(), "pieces": {**_one_guard_field()["pieces"],
+                                               "\u2212": {"type": "constant", "value": [5.0, 5.0]}}},
+             "field.pieces.\u2212"),
+            ({"dimension": 2, "guards": [{"a": [1.0, 0.0]}, {"a": [0.0, 1.0]}],
+              "pieces": {a + b: {"type": "constant", "value": [1.0, 1.0]} for a in "+-" for b in "+-"},
+              "boundary_values": {"0-": [0.0, 0.0], "0\u2013": [1.0, 1.0]}},
+             "field.boundary_values.0\u2013"),
+        ],
+        ids=["pieces", "boundary_values"],
+    )
+    def test_pattern_keys_that_read_alike_rejected(self, tmp_path, field, path):
+        # a unicode minus or en dash reads as '-': the later key used to replace the earlier
+        with pytest.raises(dl.ConfigInvalid, match=f"^{path}: reads as"):
+            config_from_dict(base_config(tmp_path, field=field))
+
     def test_hash_matches_recomputation(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
         recomputed = hashlib.sha256(canonical_json(cfg.effective_dict()).encode()).hexdigest()

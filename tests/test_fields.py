@@ -119,6 +119,20 @@ class TestEvaluateField:
         with pytest.raises(ValueError, match=f"guard 0 takes points of size {size}, not 2"):
             PiecewiseField(2, [guard], pieces)
 
+    @pytest.mark.parametrize(
+        "pieces, boundary_values, message",
+        [
+            ({"+": [1.0], "x": [0.0]}, {}, "piece pattern 'x' is not a full sign pattern"),
+            ({"+": [1.0], "-": [0.0]}, {"o": [0.0]}, "boundary pattern 'o' is not a sign pattern"),
+        ],
+        ids=["piece", "boundary"],
+    )
+    def test_pattern_of_another_character_is_refused(self, pieces, boundary_values, message):
+        # an 'x' piece used to load, never be read, and leave '-' unassigned
+        pieces = {k: ConstantPiece(v) for k, v in pieces.items()}
+        with pytest.raises(ValueError, match=message):
+            PiecewiseField(1, [CoordinateGuard(0, 1)], pieces, boundary_values)
+
     def test_batch_matches_pointwise(self, example1):
         # rows on guard surfaces take the boundary value or, without one,
         # the lexicographic fallback, in the batch exactly as pointwise

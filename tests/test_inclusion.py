@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import driftlab as dl
 from driftlab.fields import (
@@ -9,7 +10,8 @@ from driftlab.fields import (
     CoordinateGuard,
     PiecewiseField,
 )
-from driftlab.inclusion import DEFAULT_SURFACE_TOL, Trajectory
+from driftlab.errors import StepTooLarge
+from driftlab.inclusion import DEFAULT_SURFACE_TOL, Trajectory, _FilippovStepper
 
 
 class TestSlidingVelocity:
@@ -189,8 +191,10 @@ class TestIntegrateFilippov:
 
     def test_slide_stops_at_first_guard(self):
         # one slide step from x = 0.999 crosses x = 0.9993 before x = 0.9998;
-        # the guard with the lower index must not win.  The corner step from
-        # x = 0.9993 must stop at x = 0.9998 too, past which the speed doubles.
+        # the guard with the lower index must not win.  At each of the two
+        # corners the least-norm element (1, 0) leaves the x guard, so the
+        # slide goes on without a corner step: at speed 1 to x = 0.9998, and
+        # at speed 2 past it, to 0.9998 + 2 * 0.0102 = 1.0202.
         guards = [AffineGuard([1.0, 0.0], -0.9998), CoordinateGuard(1, 2),
                   AffineGuard([1.0, 0.0], -0.9993)]
         pieces = {
@@ -200,6 +204,8 @@ class TestIntegrateFilippov:
         traj = dl.integrate_filippov(PiecewiseField(2, guards, pieces), [0.99, 0.0], 0.02, 1e-3)
         assert np.min(np.abs(traj.points[:, 0] - 0.9993)) <= DEFAULT_SURFACE_TOL
         assert np.min(np.abs(traj.points[:, 0] - 0.9998)) <= DEFAULT_SURFACE_TOL
+        assert abs(traj.points[-1, 0] - 1.0202) <= DEFAULT_SURFACE_TOL
+        assert set(traj.mode_labels) == {"slide:1"}
 
     def test_parameter_validation(self):
         lin = dl.builtin_field("linear")
@@ -219,6 +225,77 @@ class TestIntegrateFilippov:
         reference = Trajectory(np.array([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), [""])
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             dl.integrate_tracking_selection(fld, reference, bad)
+
+
+def _sign_field():
+    """h(x) = -sign(x) in 2-d, with the value 0 at the corner (perfbench's
+    CORNER_FIELD): a solution from off the axes rests at the origin."""
+    pieces = {a + b: ConstantPiece([-1.0 if a == "+" else 1.0, -1.0 if b == "+" else 1.0])
+              for a in "+-" for b in "+-"}
+    guards = [CoordinateGuard(0, 2), CoordinateGuard(1, 2)]
+    return PiecewiseField(2, guards, pieces, {"00": [0.0, 0.0]})
+
+
+class _StepByStep(_FilippovStepper):
+    """The stepper driven one step per dt to the end, rest points included."""
+
+    def run(self, t_end):
+        stall_guard = 0
+        while self.t < t_end - 1e-14:
+            h = min(self.dt, t_end - self.t)
+            t_before = self.t
+            if self.mode[0] == "region":
+                self._region_step(h)
+            elif self.mode[0] == "slide":
+                self._slide_step(h)
+            else:
+                self._corner_step(h)
+            if self.t <= t_before:
+                stall_guard += 1
+                if stall_guard > 100:
+                    raise StepTooLarge("integration stalled at a switching surface")
+            else:
+                stall_guard = 0
+        return Trajectory(np.array(self.times), np.array(self.points), self.labels)
+
+
+_COORDINATE = st.one_of(
+    st.sampled_from([0.0, -0.0, 3e-11, -1e-9, 0.25]), st.floats(-1.5, 1.5, allow_subnormal=False)
+)
+
+
+class TestRestPoints:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["relay", "example1", "spurious_equilibrium", "corner"]),
+        coordinates=st.lists(_COORDINATE, min_size=2, max_size=2),
+        t_end=st.one_of(st.floats(0.001, 2.5), st.sampled_from([1.0, 2.0, 0.1])),
+        dt=st.sampled_from([1e-3, 3e-3, 1e-2, 0.07]),
+    )
+    def test_matches_the_step_by_step_loop(self, name, coordinates, t_end, dt):
+        fld = _sign_field() if name == "corner" else dl.builtin_field(name)
+        x0 = coordinates[: fld.dimension]
+        oracle = _StepByStep(fld, x0, dt).run(t_end)
+        traj = dl.integrate_filippov(fld, x0, t_end, dt)
+        assert traj.times.tobytes() == oracle.times.tobytes()
+        assert traj.points.tobytes() == oracle.points.tobytes()
+        assert traj.mode_labels == oracle.mode_labels
+
+    def test_relay_rest_takes_no_slide_steps(self, monkeypatch):
+        # 501 region steps reach the surface (x = -4.4e-16 at t = 0.501); the
+        # first slide step there keeps x, so the slide steps after it are filled in
+        calls = {"_region_step": 0, "_slide_step": 0}
+        for method in calls:
+            def counted(self, h, step=getattr(_FilippovStepper, method), method=method):
+                calls[method] += 1
+                return step(self, h)
+            monkeypatch.setattr(_FilippovStepper, method, counted)
+        traj = dl.integrate_filippov(dl.builtin_field("relay"), [0.5], 2.0, 1e-3)
+        assert calls["_region_step"] == 501
+        assert calls["_slide_step"] <= 10
+        rest = traj.points[traj.times > 0.5]
+        assert np.all(rest == rest[0]) and abs(rest[0, 0]) <= DEFAULT_SURFACE_TOL
+        assert traj.times[-1] == 2.0 and traj.mode_labels[-1] == "slide:0"
 
 
 class TestTrajectoryType:
