@@ -28,16 +28,10 @@ _TABLE_GUARDS = 8  # evaluate_batch's code table has 3**k rows
 _SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
 
 
-def label_of_code(code):
-    """sign_pattern's label of one guard value v, from its sign_labels code:
-    1 for v > 0, 0 for abs(v) <= 0 and -1 otherwise, NaN included."""
-    return _SIGN_CHARS[code]
-
-
 def _pattern_of_code(code, k):
     """The sign pattern of k guards whose base-3 digits, lowest first, are
     their sign_labels codes plus 1."""
-    return "".join(label_of_code(code // 3**i % 3 - 1) for i in range(k))
+    return "".join(_SIGN_CHARS[code // 3**i % 3 - 1] for i in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -580,22 +574,20 @@ class PatternMaps:
         self.by_pattern = maps_follow_pattern(field)
         self._filippov, self._krasovskii = {}, {}
 
-    def filippov(self, x, radius_tol=DEFAULT_RADIUS_TOL, pattern=None):
-        """filippov_map(field, x, radius_tol); a given pattern must be
-        sign_pattern(x, radius_tol)."""
-        return self._lookup(self._filippov, filippov_map, x, radius_tol, pattern)
+    def filippov(self, x, radius_tol=DEFAULT_RADIUS_TOL):
+        """filippov_map(field, x, radius_tol)."""
+        return self._lookup(self._filippov, filippov_map, x, radius_tol)
 
-    def krasovskii(self, x, radius_tol=DEFAULT_RADIUS_TOL, pattern=None):
-        """krasovskii_map(field, x, radius_tol); pattern as in filippov."""
-        return self._lookup(self._krasovskii, krasovskii_map, x, radius_tol, pattern)
+    def krasovskii(self, x, radius_tol=DEFAULT_RADIUS_TOL):
+        """krasovskii_map(field, x, radius_tol)."""
+        return self._lookup(self._krasovskii, krasovskii_map, x, radius_tol)
 
-    def _lookup(self, sets, set_map, x, radius_tol, pattern):
+    def _lookup(self, sets, set_map, x, radius_tol):
         if not self.by_pattern:
             return set_map(self.field, x, radius_tol)
         if radius_tol <= 0:
             raise ValueError("radius_tol must be > 0")
-        if pattern is None:
-            pattern = self.field.sign_pattern(x, radius_tol)
+        pattern = self.field.sign_pattern(x, radius_tol)
         found = sets.get(pattern)
         if found is None:
             found = sets[pattern] = set_map(self.field, x, radius_tol)

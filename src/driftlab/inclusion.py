@@ -424,7 +424,7 @@ def integrate_tracking_selection(field, reference, dt):
                 continue
         y = points[i]
         label = field.sign_pattern(y, zero_tol=DEFAULT_RADIUS_TOL)
-        hull = maps.filippov(y, DEFAULT_RADIUS_TOL, label)
+        hull = maps.filippov(y, DEFAULT_RADIUS_TOL)
         if hull.distinct_vertices.shape[0] > 1:
             v, _ = hull.project((ref_pts[i + 1] - ref_pts[i]) / spans[i])
         else:

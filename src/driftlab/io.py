@@ -8,12 +8,11 @@ that rule through %-templates, one `%` operation per block of `_BLOCK_ROWS`
 rows: "%d" is the integer rule, "%.17g" the float rule, "%s" the text rule.
 
 A trace's n, t and a columns depend only on its times and steps, which every
-trace of a run shares.  So a trace block's template holds them already
-rendered, with a "%.17g" slot for each x, z and M cell.  Inside
-`shared_trace_templates`, which `experiments` opens around a run, the
-templates are kept per (d, times, steps) and reused by later traces; the
-memo is dropped when the block exits, and a write outside one renders its
-own templates.
+trace of a run (and every arm of a study) shares.  So a trace block's
+template holds them already rendered, with a "%.17g" slot for each x, z and
+M cell.  The last (d, times, steps) rendered keeps its templates, keyed by
+the arrays' bytes, so -0.0 is not 0.0 and a hit is exact: later traces with
+that key reuse them, and a run renders its n, t and a cells once.
 
 `read_trace_csv` refuses by text searches what `float()` takes but the writer
 never writes (" 4", "+0_5"), then parses the body in one `np.loadtxt` pass.
@@ -21,8 +20,7 @@ never writes (" 4", "+0_5"), then parses the body in one `np.loadtxt` pass.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
+import functools
 import json
 import os
 import re
@@ -110,42 +108,15 @@ def _trace_header(d):
     return ["n", "t"] + [f"{name}_{i + 1}" for name in "xzM" for i in range(d)] + ["a"]
 
 
-# {(d, times[:-1] bytes, steps bytes): block templates} inside
-# shared_trace_templates, None outside it
-_trace_templates_memo = contextvars.ContextVar("trace_templates_memo", default=None)
-
-
-@contextlib.contextmanager
-def shared_trace_templates():
-    """Inside the block, traces that share d, times and steps share their
-    row templates, so a run renders its n, t and a columns once.  A nested
-    block uses the outer one's memo; the memo is dropped when the outermost
-    block exits."""
-    if _trace_templates_memo.get() is not None:
-        yield
-        return
-    token = _trace_templates_memo.set({})
-    try:
-        yield
-    finally:
-        _trace_templates_memo.reset(token)
-
-
-def _trace_templates(trace):
-    """Per block of body rows, the template "n,t,%.17g,...,%.17g,a" per row:
-    n, t and a rendered by `_cell`'s rule, one slot per x, z and M cell."""
-    d = trace.dimension
-    times, steps = np.asarray(trace.times[:-1], float), np.asarray(trace.steps, float)
-    key = (d, times.tobytes(), steps.tobytes())  # bytes, so -0.0 is not 0.0
-    memo = _trace_templates_memo.get()
-    templates = memo.get(key) if memo is not None else None
-    if templates is None:
-        row_format = "%d,%.17g," + "%%.17g," * (3 * d) + "%.17g\n"
-        table = np.column_stack([np.arange(steps.size), times, steps])
-        templates = _render_rows(_block_formats(row_format, steps.size), table)
-        if memo is not None:
-            memo[key] = templates
-    return templates
+@functools.lru_cache(maxsize=1)
+def _block_templates(d, times, steps):
+    """Per block of body rows, the template "n,t,%.17g,...,%.17g,a" per row
+    of a trace whose times[:-1] and steps have these float64 bytes: n, t and
+    a rendered by `_cell`'s rule, one slot per x, z and M cell."""
+    times, steps = np.frombuffer(times), np.frombuffer(steps)
+    row_format = "%d,%.17g," + "%%.17g," * (3 * d) + "%.17g\n"
+    table = np.column_stack([np.arange(steps.size), times, steps])
+    return tuple(_render_rows(_block_formats(row_format, steps.size), table))
 
 
 def write_trace_csv(path, trace):
@@ -156,12 +127,15 @@ def write_trace_csv(path, trace):
     d, n = trace.dimension, trace.n_steps
     body = np.column_stack([trace.states[:-1], trace.drifts, trace.noises])
     final = [n, trace.times[-1], *trace.states[-1]] + [""] * (2 * d + 1)
+    templates = _block_templates(  # bytes, so -0.0 is not 0.0
+        d, np.asarray(trace.times[:-1], float).tobytes(), np.asarray(trace.steps, float).tobytes()
+    )
     atomic_write_text(
         path,
         "".join(
             [
                 ",".join(_trace_header(d)) + "\n",
-                *_render_rows(_trace_templates(trace), body),
+                *_render_rows(templates, body),
                 ",".join(map(_cell, final)) + "\n",
             ]
         ),

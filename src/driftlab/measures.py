@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrace, IndexOutOfRange
-from .fields import DEFAULT_RADIUS_TOL, PatternMaps, _row_norms, _row_sums, label_of_code
+from .fields import DEFAULT_RADIUS_TOL, PatternMaps, _row_norms, _row_sums
 
 _MERGE_ATOL = 1e-15
 _BOX_PAD = 0.1
@@ -343,9 +343,8 @@ def graph_distances(measure, field, radius_tol=DEFAULT_RADIUS_TOL):
         rows, inverse = surface, np.arange(surface.size)
     fil, kra = np.empty(rows.size), np.empty(rows.size)
     for j, i in enumerate(rows.tolist()):
-        pattern = "".join(map(label_of_code, labels[i].tolist()))
-        fil[j] = maps.filippov(xs[i], radius_tol, pattern).distance(zs[i])
-        kra[j] = maps.krasovskii(xs[i], radius_tol, pattern).distance(zs[i])
+        fil[j] = maps.filippov(xs[i], radius_tol).distance(zs[i])
+        kra[j] = maps.krasovskii(xs[i], radius_tol).distance(zs[i])
     dist_f[surface] = fil[inverse]
     dist_k[surface] = kra[inverse]
     return GraphDistances(dist_f, dist_k, measure.weights)

@@ -52,14 +52,16 @@ class StepsizeSchedule:
     def __post_init__(self):
         if self.kind not in ("power", "constant", "custom"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind in ("power", "constant") and self.a0 <= 0:
-            raise ValueError("a0 must be > 0")
+        if self.kind in ("power", "constant") and not 0 < self.a0 < math.inf:
+            raise ValueError("a0 must be finite and > 0")
+        if not math.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
         if self.kind == "custom":
             if self.sequence is None:
                 raise ValueError("custom schedule needs a sequence")
             self.sequence = np.asarray(self.sequence, dtype=float)
-            if np.any(self.sequence < 0):
-                raise ValueError("custom stepsizes must be >= 0")
+            if not np.all((self.sequence >= 0) & (self.sequence < np.inf)):
+                raise ValueError("custom stepsizes must be finite and >= 0")
 
     def values(self, n_steps):
         if self.kind == "power":
@@ -161,8 +163,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in _DENSITY_KINDS + _ATOMIC_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.scale < 0:
-            raise ValueError("scale must be >= 0")
+        if not 0 <= self.scale < math.inf:
+            raise ValueError("scale must be finite and >= 0")
 
     @property
     def density_flag(self):
@@ -373,7 +375,7 @@ def interpolate_path(times, points, t):
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
-    if np.any(t_arr < times[0] - 1e-12) or np.any(t_arr > times[-1] + 1e-12):
+    if not np.all((t_arr >= times[0] - 1e-12) & (t_arr <= times[-1] + 1e-12)):  # NaN too
         raise OutOfDomain(f"t outside [{times[0]:g}, {times[-1]:g}]")
     t_arr = np.clip(t_arr, times[0], times[-1])
     idx = np.searchsorted(times, t_arr, side="right") - 1
@@ -395,7 +397,7 @@ def window_index(trace, n, T):
     """Smallest k with t(k) >= t(n) + T (within a roundoff slack) and
     t(k) > t(n), so that the window [t(n), t(k)] spans two times or more;
     WindowExceedsTrace when there is no such k."""
-    if T <= 0:
+    if not T > 0:  # NaN too
         raise ValueError("T must be > 0")
     if n < 0 or n >= trace.times.size:
         raise IndexOutOfRange(f"index {n} outside [0, {trace.times.size - 1}]")

@@ -34,6 +34,24 @@ class TestStepsize:
             sched.values(3)
 
 
+    @pytest.mark.parametrize("kind", ["power", "constant"])
+    @pytest.mark.parametrize("a0", [np.nan, np.inf, 0.0, -1.0])
+    def test_a0_must_be_finite_and_positive(self, kind, a0):
+        with pytest.raises(ValueError, match="a0"):
+            dl.StepsizeSchedule(kind, a0=a0)
+
+    @pytest.mark.parametrize("kind", ["power", "constant"])
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_gamma_must_be_finite(self, kind, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            dl.StepsizeSchedule(kind, a0=1.0, gamma=gamma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_custom_stepsizes_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="custom stepsizes"):
+            dl.StepsizeSchedule("custom", sequence=[0.5, bad, 0.25])
+
+
 class TestValidateSchedule:
     def test_small_gamma_breaks_square_sum(self):
         diag = dl.validate_schedule(dl.StepsizeSchedule("power", a0=1.0, gamma=0.4), 1000)
@@ -107,6 +125,13 @@ class TestNoiseModels:
         # a density law at scale 0 is a Dirac mass
         assert not dl.NoiseModel("gaussian", 0.0).density_flag
         assert not dl.NoiseModel("uniform_ball", 0.0).density_flag
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform_ball", "rademacher", "zero"])
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -0.1])
+    def test_scale_must_be_finite_and_nonnegative(self, kind, scale):
+        # a NaN-scaled gaussian once read density_flag False, i.e. atomic
+        with pytest.raises(ValueError, match="scale"):
+            dl.NoiseModel(kind, scale)
 
     def test_only_zero_noise_is_seed_free(self):
         assert dl.NoiseModel("zero", 0.0).seed_free
@@ -282,6 +307,17 @@ class TestTimescale:
             with pytest.raises(dl.OutOfDomain):
                 path(t)
 
+    def test_interpolate_refuses_nan(self):
+        # NaN once passed the range check and gave the last node
+        trace = self._tiny_trace([1.0, 1.0], x=[0.0, 2.0, 2.0])
+        path = functools.partial(interpolate_path, trace.times, trace.states)
+        for t in (np.nan, [0.5, np.nan]):
+            with pytest.raises(dl.OutOfDomain):
+                path(t)
+        traj = dl.Trajectory(trace.times, trace.states, ["", ""])
+        with pytest.raises(dl.OutOfDomain):
+            traj.value_at(np.nan)
+
     def test_interpolate_is_exact_at_the_last_node(self):
         # the last span was evaluated at weight 1: 0.64 + (0.105 - 0.64) != 0.105
         assert interpolate_path(np.array([0.0, 1.0]), np.array([[0.64], [0.105]]), 1.0)[0] == 0.105
@@ -314,6 +350,13 @@ class TestTimescale:
         assert dl.window_index(trace, 1, 1e-10) == 3
         with pytest.raises(dl.WindowExceedsTrace, match="no node"):
             dl.window_index(trace, 3, 1e-10)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan])
+    def test_window_index_refuses_a_length_not_above_zero(self, T):
+        # NaN once passed the T <= 0 check and raised WindowExceedsTrace
+        trace = self._tiny_trace([0.5, 0.25, 0.125, 0.125])
+        with pytest.raises(ValueError, match="T must be > 0"):
+            dl.window_index(trace, 0, T)
 
     def test_power_timescale_rate(self):
         # t(n) ~ a0 n^(1-gamma) / (1-gamma), within 5% at n = 1e5

@@ -91,6 +91,13 @@ class TestTrackingProfile:
         nodes = trace.times[:31]
         assert np.array_equal(ref.value_at(nodes), interpolate_path(trace.times, trace.states, nodes))
 
+    @pytest.mark.parametrize("n_windows", [1, 3])
+    def test_nan_window_length_raises(self, n_windows):
+        lin = dl.builtin_field("linear")
+        trace = _run(lin, [0.0], 1e-2, 1000)
+        with pytest.raises(ValueError, match="T must be > 0"):
+            dl.tracking_profile(trace, lin, T=np.nan, n_windows=n_windows, dt=1e-3)
+
     def test_too_short_trace_raises(self):
         lin = dl.builtin_field("linear")
         trace = _run(lin, [1.0], 1e-3, 1000)
