@@ -16,6 +16,7 @@ from .errors import (
     IndexOutOfRange,
     IoFailure,
     OutOfDomain,
+    SlopeOverflow,
     StepTooLarge,
     UnassignedPattern,
     WindowExceedsTrace,

@@ -25,6 +25,10 @@ class DivergedIterate(DriftlabError):
     """An iterate left the configured blow-up ball."""
 
 
+class SlopeOverflow(DriftlabError):
+    """A path's slope over one of its segments is not a finite number."""
+
+
 class IndexOutOfRange(DriftlabError):
     """A trace index is outside the recorded range."""
 

@@ -181,6 +181,8 @@ class PiecewiseField:
             if size != self.dimension:
                 raise ValueError(f"guard {k} takes points of size {size}, not {self.dimension}")
         self._boundary_pieces = {k: ConstantPiece(v) for k, v in self.boundary_values.items()}
+        # the sets the maps keep, by (map, pattern); None: decide at every point
+        self._pattern_sets = {} if maps_follow_pattern(self) else None
         # a piece's value is a (d,) vector; its shape does not depend on x
         zero = np.zeros(self.dimension)
         for pat, piece in {**self.pieces, **self._boundary_pieces}.items():
@@ -371,29 +373,26 @@ def _strict_cone_feasible(vectors):
 @dataclass
 class ConvexVelocitySet:
     """Convex hull of finitely many velocity vectors (vertices may be
-    redundant); the vertices are not changed after construction."""
+    redundant); its arrays are its own and read-only, so it can be shared."""
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        self.vertices = _read_only(np.atleast_2d(np.array(self.vertices, dtype=float)))
         if self.vertices.size == 0:
             raise EmptySet("a velocity set needs at least one vertex")
+        # the vertices less any row within 1e-12 of an earlier one; project
+        # works on these, and one row means the set is that single point
+        self.distinct_vertices = _read_only(_dedupe_rows(self.vertices))
 
     @property
     def dimension(self):
         return self.vertices.shape[1]
 
     @functools.cached_property
-    def distinct_vertices(self):
-        """The vertices less any row within 1e-12 of an earlier one; project
-        works on these, and one row means the set is that single point."""
-        return _dedupe_rows(self.vertices)
-
-    @functools.cached_property
     def least_norm(self):
         """The hull's element of least norm."""
-        return self.project(np.zeros(self.dimension))[0]
+        return _read_only(self.project(np.zeros(self.dimension))[0])
 
     def project(self, v):
         """Nearest point of the hull to v and its distance."""
@@ -404,9 +403,14 @@ class ConvexVelocitySet:
 
     def contains(self, v, tol=DEFAULT_RADIUS_TOL):
         """True iff v is within tol of the hull."""
-        if tol < 0:
+        if not tol >= 0:  # NaN too
             raise ValueError("tol must be >= 0")
         return self.distance(v) <= tol
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 def _dedupe_rows(rows, tol=1e-12):
@@ -529,24 +533,12 @@ def filippov_map(field, x, radius_tol=DEFAULT_RADIUS_TOL):
     Boundary values are excluded: they live on guard zero sets, which are
     Lebesgue-null for catalog fields.
     """
-    if radius_tol <= 0:
-        raise ValueError("radius_tol must be > 0")
-    x = np.asarray(x, dtype=float)
-    patterns = field.adjacent_patterns(x, radius_tol)
-    values = [field.piece_for(p).value(x) for p in patterns]
-    return ConvexVelocitySet(np.array(values, dtype=float))
+    return _pattern_set(field, _decide_filippov, x, radius_tol)
 
 
 def krasovskii_map(field, x, radius_tol=DEFAULT_RADIUS_TOL):
     """filippov_map plus any boundary values assigned within the ball."""
-    fil = filippov_map(field, x, radius_tol)
-    extra = [
-        field.boundary_values[p]
-        for p in field.adjacent_boundary_patterns(np.asarray(x, dtype=float), radius_tol)
-    ]
-    if not extra:
-        return fil
-    return ConvexVelocitySet(np.vstack([fil.vertices, np.array(extra)]))
+    return _pattern_set(field, _decide_krasovskii, x, radius_tol)
 
 
 def maps_follow_pattern(field):
@@ -559,39 +551,32 @@ def maps_follow_pattern(field):
     )
 
 
-class PatternMaps:
-    """filippov_map and krasovskii_map over one loop of points of a field.
+def _pattern_set(field, decide, x, radius_tol):
+    """decide(field, x, radius_tol).  Where maps_follow_pattern(field) holds,
+    the set decided at the first point of each sign_pattern(x, radius_tol)
+    is kept on the field and returned at every later point with it: nothing
+    changes a field after construction, and the set is read-only."""
+    if not radius_tol > 0:  # NaN too
+        raise ValueError("radius_tol must be > 0")
+    x = np.asarray(x, dtype=float)
+    sets = field._pattern_sets
+    if sets is None:
+        return decide(field, x, radius_tol)
+    key = decide, field.sign_pattern(x, radius_tol)
+    if key not in sets:
+        sets[key] = decide(field, x, radius_tol)
+    return sets[key]
 
-    Where maps_follow_pattern(field) holds, each map is decided at the first
-    point of each sign_pattern(x, radius_tol) and that same set, vertices in
-    the same order, is returned at every later point with the pattern; its
-    vertex dedupe and least_norm then run once too.  Any other field gets a
-    fresh map call at every point.  Nothing is stored on the field.
-    """
 
-    def __init__(self, field):
-        self.field = field
-        self.by_pattern = maps_follow_pattern(field)
-        self._filippov, self._krasovskii = {}, {}
+def _decide_filippov(field, x, radius_tol):
+    values = [field.piece_for(p).value(x) for p in field.adjacent_patterns(x, radius_tol)]
+    return ConvexVelocitySet(values)
 
-    def filippov(self, x, radius_tol=DEFAULT_RADIUS_TOL):
-        """filippov_map(field, x, radius_tol)."""
-        return self._lookup(self._filippov, filippov_map, x, radius_tol)
 
-    def krasovskii(self, x, radius_tol=DEFAULT_RADIUS_TOL):
-        """krasovskii_map(field, x, radius_tol)."""
-        return self._lookup(self._krasovskii, krasovskii_map, x, radius_tol)
-
-    def _lookup(self, sets, set_map, x, radius_tol):
-        if not self.by_pattern:
-            return set_map(self.field, x, radius_tol)
-        if radius_tol <= 0:
-            raise ValueError("radius_tol must be > 0")
-        pattern = self.field.sign_pattern(x, radius_tol)
-        found = sets.get(pattern)
-        if found is None:
-            found = sets[pattern] = set_map(self.field, x, radius_tol)
-        return found
+def _decide_krasovskii(field, x, radius_tol):
+    fil = filippov_map(field, x, radius_tol)
+    extra = [field.boundary_values[p] for p in field.adjacent_boundary_patterns(x, radius_tol)]
+    return ConvexVelocitySet(np.vstack([fil.vertices, *extra])) if extra else fil
 
 
 def mollify(field, x, delta, samples, rng):

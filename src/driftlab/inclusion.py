@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, StepTooLarge
-from .fields import DEFAULT_RADIUS_TOL, PatternMaps, _row_norms
+from .errors import DegenerateGeometry, SlopeOverflow, StepTooLarge
+from .fields import DEFAULT_RADIUS_TOL, _row_norms, filippov_map
 from .sa import interpolate_path
 
 DEFAULT_SURFACE_TOL = 1e-10
@@ -31,8 +31,8 @@ _MAX_BLOCK = 4096  # nodes of the tracking comparator's walk per block
 
 @dataclass
 class Trajectory:
-    """A continuous-time path: strictly increasing times, one point each,
-    and a per-segment mode tag (region pattern, 'slide:k', or a corner tag)."""
+    """A continuous-time path: strictly increasing finite times, one finite
+    point each, and a per-segment mode tag (a sign pattern or 'slide:k')."""
 
     times: np.ndarray
     points: np.ndarray
@@ -43,6 +43,8 @@ class Trajectory:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if self.times.size != self.points.shape[0]:
             raise ValueError("times and points must have equal length")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.points))):
+            raise ValueError("times and points must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
@@ -55,8 +57,18 @@ class Trajectory:
         return interpolate_path(self.times, self.points, t)
 
     def segment_slopes(self):
-        dt = np.diff(self.times)[:, None]
-        return np.diff(self.points, axis=0) / dt
+        return _slopes(self.times, self.points)
+
+
+def _slopes(times, points):
+    """Each segment's slope; SlopeOverflow names the first that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.diff(points, axis=0) / np.diff(times)[:, None]
+    bad = np.flatnonzero(~np.isfinite(slopes).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise SlopeOverflow(f"segment {i} (t = {times[i]:g} to {times[i + 1]:g}): its slope overflows")
+    return slopes
 
 
 @dataclass
@@ -129,7 +141,6 @@ class _FilippovStepper:
     def __init__(self, field, x0, dt):
         self.field = field
         self.dt = dt
-        self.maps = PatternMaps(field)
         self.x = np.asarray(x0, dtype=float).copy()
         self.t = 0.0
         self.times = [0.0]
@@ -292,7 +303,7 @@ class _FilippovStepper:
         # and at most one stays active, no step: re-classify at once with them
         # on the sides it leaves to, unless that mode's own velocity does not
         # leave them alike (coincident guards can turn it back into the corner)
-        v = self.maps.filippov(self.x, DEFAULT_RADIUS_TOL).least_norm
+        v = filippov_map(self.field, self.x, DEFAULT_RADIUS_TOL).least_norm
         x, corner = self.x, self.mode
         pattern = corner[1]
         kept = self._kept_guards(pattern, v)
@@ -386,14 +397,15 @@ def integrate_tracking_selection(field, reference, dt):
     the member of the solution set pulled toward the reference; where that
     set is a single vertex, the velocity is the vertex and nothing is
     projected.  Each node is labeled with its sign pattern at
-    DEFAULT_RADIUS_TOL, and on a field where fields.maps_follow_pattern holds
-    that label also picks the Filippov set, decided once per pattern.  On a
+    DEFAULT_RADIUS_TOL; on a field where fields.maps_follow_pattern holds,
+    filippov_map decides the set once per such pattern and keeps it.  On a
     field with a guard table (fields.PiecewiseField.guard_table), the '+'
     and '-' sets are the table's rows, so every node off the guard by more
     than DEFAULT_RADIUS_TOL is stepped by _walk_nodes, bit for bit as the
     node-by-node step would; the other nodes take that step.  The step grid
     is the union of the uniform dt grid and the reference's own nodes, which
-    keeps exact reference trajectories reproducible.
+    keeps exact reference trajectories reproducible; a reference slope over
+    it that overflows raises SlopeOverflow.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -407,12 +419,11 @@ def integrate_tracking_selection(field, reference, dt):
     if grid[-1] < t1:
         grid[-1] = t1
 
-    ref_pts = reference.value_at(grid)
     spans = np.diff(grid)
-    points = np.empty((grid.size, ref_pts.shape[1]))
+    slopes = _slopes(grid, reference.value_at(grid))
+    points = np.empty((grid.size, reference.dimension))
     points[0] = reference.points[0]
     labels = []
-    maps = PatternMaps(field)
     guard_table = field.guard_table()
     span_list = None if guard_table is None else spans.tolist()
     i = 0
@@ -423,13 +434,12 @@ def integrate_tracking_selection(field, reference, dt):
                 i += stepped
                 continue
         y = points[i]
-        label = field.sign_pattern(y, zero_tol=DEFAULT_RADIUS_TOL)
-        hull = maps.filippov(y, DEFAULT_RADIUS_TOL)
+        labels.append(field.sign_pattern(y, zero_tol=DEFAULT_RADIUS_TOL))
+        hull = filippov_map(field, y, DEFAULT_RADIUS_TOL)
         if hull.distinct_vertices.shape[0] > 1:
-            v, _ = hull.project((ref_pts[i + 1] - ref_pts[i]) / spans[i])
+            v, _ = hull.project(slopes[i])
         else:
             v = hull.distinct_vertices[0]
-        labels.append(label)
         points[i + 1] = y + spans[i] * v
         i += 1
     return Trajectory(grid, points, labels)
@@ -481,12 +491,10 @@ def max_slope_residual(field, trajectory):
     of the finite-difference slope from the Filippov set at the segment
     midpoint, with the adjacency ball widened by half the segment chord."""
     slopes = trajectory.segment_slopes()
-    maps = PatternMaps(field)
     worst = 0.0
     for i in range(slopes.shape[0]):
         a, b = trajectory.points[i], trajectory.points[i + 1]
         mid = 0.5 * (a + b)
         band = DEFAULT_RADIUS_TOL + 0.5 * float(_row_norms((b - a)[None])[0])
-        hull = maps.filippov(mid, band)
-        worst = max(worst, hull.distance(slopes[i]))
+        worst = max(worst, filippov_map(field, mid, band).distance(slopes[i]))
     return worst

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrace, IndexOutOfRange
-from .fields import DEFAULT_RADIUS_TOL, PatternMaps, _row_norms, _row_sums
+from .fields import (
+    DEFAULT_RADIUS_TOL, _row_norms, _row_sums, filippov_map, krasovskii_map, maps_follow_pattern,
+)
 
 _MERGE_ATOL = 1e-15
 _BOX_PAD = 0.1
@@ -311,7 +313,7 @@ def graph_distances(measure, field, radius_tol=DEFAULT_RADIUS_TOL):
 
     Atoms strictly interior to a region take the vectorized singleton path,
     where F(x) = K(x) = {h(x)}.  Atoms within radius_tol of a guard surface
-    get their sets through fields.PatternMaps.  On a field where
+    get their sets from filippov_map and krasovskii_map.  On a field where
     maps_follow_pattern holds both sets follow the sign pattern, so each
     distinct (pattern, z) pair, z compared bit for bit, is projected once
     and its two distances go to every atom with that pair; on any other
@@ -332,8 +334,7 @@ def graph_distances(measure, field, radius_tol=DEFAULT_RADIUS_TOL):
     if surface.size == 0:
         return GraphDistances(dist_f, dist_f, measure.weights)
     dist_k = dist_f.copy()
-    maps = PatternMaps(field)
-    if maps.by_pattern:
+    if maps_follow_pattern(field):
         bits = np.asarray(zs[surface], dtype=float).view(np.int64)
         _, first, inverse = np.unique(
             np.hstack([labels[surface], bits]), axis=0, return_index=True, return_inverse=True
@@ -343,8 +344,8 @@ def graph_distances(measure, field, radius_tol=DEFAULT_RADIUS_TOL):
         rows, inverse = surface, np.arange(surface.size)
     fil, kra = np.empty(rows.size), np.empty(rows.size)
     for j, i in enumerate(rows.tolist()):
-        fil[j] = maps.filippov(xs[i], radius_tol).distance(zs[i])
-        kra[j] = maps.krasovskii(xs[i], radius_tol).distance(zs[i])
+        fil[j] = filippov_map(field, xs[i], radius_tol).distance(zs[i])
+        kra[j] = krasovskii_map(field, xs[i], radius_tol).distance(zs[i])
     dist_f[surface] = fil[inverse]
     dist_k[surface] = kra[inverse]
     return GraphDistances(dist_f, dist_k, measure.weights)

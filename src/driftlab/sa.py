@@ -52,8 +52,8 @@ class StepsizeSchedule:
     def __post_init__(self):
         if self.kind not in ("power", "constant", "custom"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind in ("power", "constant") and not 0 < self.a0 < math.inf:
-            raise ValueError("a0 must be finite and > 0")
+        if not math.isfinite(self.a0) or (self.kind != "custom" and not self.a0 > 0):
+            raise ValueError("a0 must be finite, and > 0 unless the schedule is custom")
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
         if self.kind == "custom":

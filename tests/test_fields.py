@@ -483,8 +483,9 @@ class TestHullOperations:
     def test_vertex_with_zero_tol(self):
         hull = ConvexVelocitySet(np.array([[1.0, -1.0], [1.0, 1.0]]))
         assert hull.contains([1.0, 1.0], 0.0)
-        with pytest.raises(ValueError):
-            hull.contains([1.0, 1.0], -1e-12)
+        for tol in (-1e-12, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                hull.contains([1.0, 1.0], tol)
 
     def test_distances(self):
         hull = ConvexVelocitySet(np.array([[1.0, -1.0], [1.0, 1.0]]))

@@ -303,6 +303,31 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0, 1.0]), np.zeros((3, 1)), ["", ""])
 
+    @pytest.mark.parametrize("times, points", [
+        ([0.0, np.nan], [[0.0], [1.0]]),
+        ([0.0, np.inf], [[0.0], [1.0]]),
+        ([0.0, 1.0], [[0.0], [np.nan]]),
+        ([0.0, 1.0], [[-np.inf], [1.0]]),
+    ])
+    def test_rejects_times_or_points_that_are_not_finite(self, times, points):
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(times, points, [""])
+
+    def test_slope_overflow_names_its_segment(self):
+        """1e300 over 1e-10 overflows: segment 1's slope is refused, not
+        passed on as inf."""
+        traj = Trajectory([0.0, 1.0, 1.0 + 1e-10], [[0.0], [0.0], [1e300]], ["", ""])
+        for run in (traj.segment_slopes, lambda: dl.max_slope_residual(dl.builtin_field("relay"), traj)):
+            with pytest.raises(dl.SlopeOverflow, match="segment 1 "):
+                run()
+
+    def test_tracking_refuses_a_reference_slope_that_overflows(self):
+        """The relay set at 0 is [-1, 1], so node 0 projects the reference
+        slope, (5e307 - 0) / 0.25, which overflows."""
+        reference = Trajectory([0.0, 0.5], [[0.0], [1e308]], [""])
+        with pytest.raises(dl.SlopeOverflow, match="segment 0 "):
+            dl.integrate_tracking_selection(dl.builtin_field("relay"), reference, 0.25)
+
     def test_value_at_interpolates(self):
         traj = Trajectory(np.array([0.0, 1.0]), np.array([[0.0, 0.0], [2.0, 4.0]]), ["+"])
         assert np.allclose(traj.value_at(0.5), [1.0, 2.0])

@@ -1,5 +1,6 @@
-"""PatternMaps decides the set-valued maps once per sign pattern on fields
-whose maps follow the pattern; the per-point maps are its oracle."""
+"""filippov_map and krasovskii_map decide their sets once per sign pattern
+on fields whose maps follow the pattern, and keep them on the field; the
+same maps deciding at every point are their oracle."""
 
 import itertools
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import driftlab as dl
 import driftlab.fields as fields_module
-from driftlab import inclusion
+from driftlab import inclusion, measures
 from driftlab.fields import (
     AffineGuard,
     AffinePiece,
@@ -17,7 +18,6 @@ from driftlab.fields import (
     ConvexVelocitySet,
     CoordinateGuard,
     NormGuard,
-    PatternMaps,
     PiecewiseField,
     maps_follow_pattern,
 )
@@ -64,16 +64,31 @@ class TestWhichFields:
         assert not maps_follow_pattern(PiecewiseField(2, [CoordinateGuard(1, 2)], affine))
 
 
-def _counting_filippov(monkeypatch, field):
-    """Patch fields.filippov_map to record the sign pattern of every call."""
+def _counting_filippov(monkeypatch):
+    """Patch the filippov_map that inclusion calls to record every call."""
     calls = []
-    filippov_map = fields_module.filippov_map
+    filippov_map = inclusion.filippov_map
 
     def counted(fld, x, tol=dl.fields.DEFAULT_RADIUS_TOL):
-        calls.append(field.sign_pattern(x, tol))
+        calls.append(x)
         return filippov_map(fld, x, tol)
 
-    monkeypatch.setattr(fields_module, "filippov_map", counted)
+    monkeypatch.setattr(inclusion, "filippov_map", counted)
+    return calls
+
+
+def _counting_decisions(monkeypatch, name="adjacent_patterns"):
+    """Record the sign pattern of each set decided: a Filippov set calls
+    PiecewiseField.adjacent_patterns once, and a Krasovskii set calls
+    adjacent_boundary_patterns once."""
+    calls = []
+    method = getattr(PiecewiseField, name)
+
+    def counted(self, x, radius_tol=dl.fields.DEFAULT_RADIUS_TOL):
+        calls.append(self.sign_pattern(np.asarray(x, dtype=float), radius_tol))
+        return method(self, x, radius_tol)
+
+    monkeypatch.setattr(PiecewiseField, name, counted)
     return calls
 
 
@@ -90,15 +105,27 @@ def _counting_calls(monkeypatch, cls, name):
     return calls
 
 
-def _per_node(field, run):
-    """run() with the per-pattern maps and the guard table switched off:
-    every node of a tracking comparator then takes the node-by-node step,
-    with a map call of its own."""
+def _decide_afresh(fld, decide, x, radius_tol):
+    """fields._pattern_set without the kept sets: the undecided computation."""
+    return decide(fld, np.asarray(x, dtype=float), radius_tol)
+
+
+def _per_point(run):
+    """run() with filippov_map and krasovskii_map deciding at every call."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields_module, "maps_follow_pattern", lambda fld: False)
-        mp.setattr(PiecewiseField, "guard_table", lambda fld: None)
-        assert not PatternMaps(field).by_pattern and field.guard_table() is None
+        mp.setattr(fields_module, "_pattern_set", _decide_afresh)
         return run()
+
+
+def _per_node(field, run):
+    """run() with the kept sets, graph_distances' dedupe and the guard table
+    switched off: every node of a tracking comparator then takes the
+    node-by-node step, with a set decided for it alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "maps_follow_pattern", lambda fld: False)
+        mp.setattr(PiecewiseField, "guard_table", lambda fld: None)
+        assert field.guard_table() is None
+        return _per_point(run)
 
 
 def _tracking(field, reference, dt):
@@ -118,7 +145,7 @@ def _tracking_map_calls(monkeypatch, field):
     by sign pattern, and the window's labels."""
     schedule = dl.StepsizeSchedule("power", a0=1.0, gamma=0.75)
     trace = dl.run_sa(field, [0.0, 1.0], schedule, dl.NoiseModel("gaussian", 0.1), 3000, seed=1)
-    calls = _counting_filippov(monkeypatch, field)
+    calls = _counting_decisions(monkeypatch)
     labels = integrate_tracking_selection(field, window_reference(trace, 1000, 3000), 1e-3).mode_labels
     assert len(labels) > 1000
     return calls, labels
@@ -127,7 +154,7 @@ def _tracking_map_calls(monkeypatch, field):
 class TestFastPathTaken:
     def test_corner_steps_map_once_per_pattern(self, monkeypatch):
         field = _corner_field()
-        calls = _counting_filippov(monkeypatch, field)
+        calls = _counting_decisions(monkeypatch)
         traj = dl.integrate_filippov(field, [0.5, 0.3], 2.0, 1e-3)
         corner_steps = sum(label.count("0") > 1 for label in traj.mode_labels)
         assert corner_steps > 1000
@@ -246,14 +273,14 @@ class TestAgainstPerPointMaps:
     @settings(max_examples=60, deadline=None)
     def test_sets_match_the_maps(self, field, data):
         assert maps_follow_pattern(field)
-        maps = PatternMaps(field)
         # repeated points hit the sets decided earlier, also at another tol
         points = _points(data.draw, field, 6)
         for x in points + points[::-1]:
             tol = data.draw(st.sampled_from([1e-9, 1e-6, 0.1]))
-            fil, kra = maps.filippov(x, tol), maps.krasovskii(x, tol)
-            assert np.array_equal(fil.vertices, dl.filippov_map(field, x, tol).vertices)
-            assert np.array_equal(kra.vertices, dl.krasovskii_map(field, x, tol).vertices)
+            for set_map in (dl.filippov_map, dl.krasovskii_map):
+                kept = set_map(field, x, tol).vertices
+                fresh = _per_point(lambda: set_map(field, x, tol)).vertices
+                assert kept.shape == fresh.shape and kept.tobytes() == fresh.tobytes()
 
     @given(field=_fields(), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -265,12 +292,13 @@ class TestAgainstPerPointMaps:
         ws = np.full(len(points), 1.0 / len(points))
         box = np.array([np.min(points, axis=0), np.max(points, axis=0)])
         measure = EmpiricalMeasure(np.array(points), zs, ws, box, box)
-        reference = Trajectory([0.0, 0.1, 0.2, 0.3], points[:4], ["ref"] * 3)
+        # built in each run: a point that is not finite is refused there
+        reference = lambda: Trajectory([0.0, 0.1, 0.2, 0.3], points[:4], ["ref"] * 3)
         eps = data.draw(st.sampled_from([0.05, 0.5]))
         runs = [
             lambda: dl.integrate_filippov(field, points[0], 0.3, 0.01),
-            lambda: integrate_tracking_selection(field, reference, 0.02),
-            lambda: max_slope_residual(field, reference),
+            lambda: integrate_tracking_selection(field, reference(), 0.02),
+            lambda: max_slope_residual(field, reference()),
             lambda: max_slope_residual(field, dl.integrate_filippov(field, points[1], 0.3, 0.01)),
             lambda: graph_support_fraction(measure, field, eps),
         ]
@@ -356,7 +384,8 @@ def _assert_matches_per_atom_maps(field, measure, tol):
     distances = graph_distances(measure, field, tol)
     fil, kra = [], []
     for x, z in zip(measure.xs, measure.zs):
-        fil_map, kra_map = dl.filippov_map(field, x, tol), dl.krasovskii_map(field, x, tol)
+        fil_map, kra_map = _per_point(lambda: (dl.filippov_map(field, x, tol),
+                                               dl.krasovskii_map(field, x, tol)))
         if "0" in field.sign_pattern(x, tol):
             fil.append(fil_map.distance(z))
             kra.append(kra_map.distance(z))
@@ -495,12 +524,11 @@ class TestTrackingBlocks:
         nodes = data.draw(st.integers(100, 1500))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         m = data.draw(st.integers(2, 400))
-        walk = rng.normal(scale=span / m, size=(m - 1, field.dimension))
-        reference = Trajectory(
-            np.linspace(0.0, span, m), start + np.vstack([0 * start, np.cumsum(walk, axis=0)]),
-            ["ref"] * (m - 1),
-        )
-        run = lambda: _tracking(field, reference, span / nodes)
+        walk = np.vstack([np.zeros(field.dimension), np.cumsum(
+            rng.normal(scale=span / m, size=(m - 1, field.dimension)), axis=0)])
+        # built in each run: a start that is not finite is refused there
+        run = lambda: _outcome(lambda: _tracking(
+            field, Trajectory(np.linspace(0.0, span, m), start + walk, ["ref"] * (m - 1)), span / nodes))
         assert run() == _per_node(field, run)
 
 
@@ -543,7 +571,7 @@ class TestTrackingWalk:
         included, is walked."""
         field, references = _example1_windows()
         labelled = _counting_calls(monkeypatch, PiecewiseField, "sign_pattern")
-        mapped = _counting_filippov(monkeypatch, field)
+        mapped = _counting_filippov(monkeypatch)
         labels = integrate_tracking_selection(field, references[3], 1e-3).mode_labels
         assert sum(a != b for a, b in zip(labels, labels[1:])) > 1000
         assert "0" not in labels and labelled == [] and mapped == []
@@ -554,7 +582,7 @@ class TestTrackingWalk:
         field = dl.builtin_field("relay")
         run = lambda: _tracking(field, _line(1.0, 0.0, 64), 1 / 128)
         labelled = _counting_calls(monkeypatch, PiecewiseField, "sign_pattern")
-        mapped = _counting_filippov(monkeypatch, field)
+        mapped = _counting_filippov(monkeypatch)
         memo = run()
         assert memo[2] == ["+"] * 64 and np.frombuffer(memo[1])[-1] == 0.5
         assert labelled == [] and mapped == []
@@ -606,3 +634,103 @@ class TestTrackingWalk:
         assert memo[2][:7] == ["+", "+", "+", "0", "+", "-", "-"]
         assert projected == ["project"] and "0" not in memo[2][4:]
         assert memo == _per_node(field, run)
+
+
+# ---------------------------------------------------------------------------
+# sets kept on the field outlive the call that decided them
+
+def _zero_noise_example1():
+    """configs/example1.json without noise: from x0 = [0, 1] the first step
+    lands on y = 0, and every later iterate stays there."""
+    return dl.builtin_field("example1"), [0.0, 1.0], dl.NoiseModel("zero", 0.0)
+
+
+def _noisy_corner():
+    return _corner_field(), [0.5, 0.3], dl.NoiseModel("gaussian", 0.1)
+
+
+_LIFETIME_CASES = pytest.mark.parametrize("case", [_zero_noise_example1, _noisy_corner],
+                                          ids=["example1", "corner"])
+
+
+def _every_caller(field, x0, noise):
+    """A 5-window tracking_profile of a 20000-step run, then graph_distances
+    on its measure, at a radius that puts atoms of the noisy run near the
+    guards, and max_slope_residual on an inclusion solution, all on one
+    field object; the run's states."""
+    schedule = dl.StepsizeSchedule("power", a0=1.0, gamma=0.75)
+    trace = dl.run_sa(field, x0, schedule, noise, 20000, seed=1)
+    report = tracking_profile(trace, field, 1.0, 5, 1e-3)
+    assert len(report.window_starts) == 5
+    graph_distances(averaged_measure(trace, trace.n_steps), field, 0.05)
+    max_slope_residual(field, dl.integrate_filippov(field, x0, 2.0, 1e-3))
+    return trace.states
+
+
+_QUADRANT_HULL = {dl.filippov_map: list(_QUADRANTS.values()),
+                  dl.krasovskii_map: list(_QUADRANTS.values()) + [[0.0, 0.0]]}
+
+
+class TestSetsKeptOnTheField:
+    @_LIFETIME_CASES
+    def test_each_pattern_is_decided_once_across_callers(self, monkeypatch, case):
+        field, x0, noise = case()
+        filippov = _counting_decisions(monkeypatch)
+        krasovskii = _counting_decisions(monkeypatch, "adjacent_boundary_patterns")
+        _every_caller(field, x0, noise)
+        assert "0" in "".join(filippov) and "0" in "".join(krasovskii)
+        assert len(filippov) == len(set(filippov)) and len(krasovskii) == len(set(krasovskii))
+
+    @_LIFETIME_CASES
+    def test_kept_sets_equal_the_per_point_sets(self, case):
+        """Bit for bit and in the same order, at the tolerance a set was
+        decided at and at others; one pattern gets one set object."""
+        field, x0, noise = case()
+        states = _every_caller(field, x0, noise)[::97]
+        for tol in (1e-9, 1e-6, 0.1):
+            for set_map in (dl.filippov_map, dl.krasovskii_map):
+                kept = {}
+                for x in states:
+                    found = set_map(field, x, tol)
+                    assert kept.setdefault(field.sign_pattern(x, tol), found) is found
+                    fresh = _per_point(lambda: set_map(field, x, tol)).vertices
+                    assert found.vertices.shape == fresh.shape
+                    assert found.vertices.tobytes() == fresh.tobytes()
+
+    def test_kept_sets_are_read_only(self):
+        """A write raises, so the set kept for the pattern stays as decided."""
+        field = _corner_field()
+        for set_map in (dl.filippov_map, dl.krasovskii_map):
+            found = set_map(field, [0.0, 0.0])
+            for array in (found.vertices, found.distinct_vertices, found.least_norm):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 7.0
+            assert set_map(field, [0.0, 0.0]).vertices.tolist() == _QUADRANT_HULL[set_map]
+
+    def test_a_set_keeps_its_own_vertices(self):
+        vertices = np.array([[1.0, -1.0], [1.0, 1.0]])
+        hull = ConvexVelocitySet(vertices)
+        vertices[0] = 7.0
+        assert hull.vertices.tolist() == [[1.0, -1.0], [1.0, 1.0]]
+
+    @pytest.mark.parametrize("field", [
+        dl.builtin_field("linear", 2),
+        PiecewiseField(2, [NormGuard([0.0, 0.0], 1.0)],
+                       {"+": ConstantPiece([1.0, 0.0]), "-": ConstantPiece([0.0, 1.0])}),
+    ], ids=["linear", "norm-guard"])
+    def test_other_fields_decide_at_every_point(self, field):
+        x = [1.0, 0.0]
+        for set_map in (dl.filippov_map, dl.krasovskii_map):
+            assert set_map(field, x) is not set_map(field, x)
+
+    @pytest.mark.parametrize("set_map", [dl.filippov_map, dl.krasovskii_map])
+    def test_maps_refuse_a_nan_tolerance(self, set_map):
+        """At a NaN tolerance no guard is labelled '0': example1's origin
+        would get the one-vertex set of its '+' side.  Also once a set is
+        kept for the origin's pattern."""
+        field = dl.builtin_field("example1")
+        with pytest.raises(ValueError, match="radius_tol"):
+            set_map(field, [0.0, 0.0], float("nan"))
+        assert set_map(field, [0.0, 0.0]).vertices.shape[0] >= 2
+        with pytest.raises(ValueError, match="radius_tol"):
+            set_map(field, [0.0, 0.0], float("nan"))

@@ -40,6 +40,17 @@ class TestStepsize:
         with pytest.raises(ValueError, match="a0"):
             dl.StepsizeSchedule(kind, a0=a0)
 
+    @pytest.mark.parametrize("a0", [np.nan, np.inf, -np.inf])
+    def test_custom_a0_must_be_finite(self, a0):
+        with pytest.raises(ValueError, match="a0"):
+            dl.StepsizeSchedule("custom", a0=a0, sequence=[0.1, 0.1])
+
+    @pytest.mark.parametrize("a0", [0.0, -1.0])
+    def test_custom_a0_may_be_nonpositive(self, a0):
+        """A custom schedule never reads a0, and a config with a0 <= 0 loads."""
+        schedule = dl.StepsizeSchedule("custom", a0=a0, sequence=[0.1, 0.1])
+        assert dl.io.canonical_json(schedule.to_dict())
+
     @pytest.mark.parametrize("kind", ["power", "constant"])
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
     def test_gamma_must_be_finite(self, kind, gamma):
