@@ -552,13 +552,16 @@ def maps_follow_pattern(field):
 
 
 def _pattern_set(field, decide, x, radius_tol):
-    """decide(field, x, radius_tol).  Where maps_follow_pattern(field) holds,
-    the set decided at the first point of each sign_pattern(x, radius_tol)
-    is kept on the field and returned at every later point with it: nothing
-    changes a field after construction, and the set is read-only."""
+    """decide(field, x, radius_tol) at a finite x (ValueError elsewhere).
+    Where maps_follow_pattern(field) holds, the set decided at the first
+    point of each sign_pattern(x, radius_tol) is kept on the field and
+    returned at every later point with it: nothing changes a field after
+    construction, and the set is read-only."""
     if not radius_tol > 0:  # NaN too
         raise ValueError("radius_tol must be > 0")
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():  # NaN would label '-', and inf * 0 is NaN
+        raise ValueError(f"x must be finite, got {x.tolist()}")
     sets = field._pattern_sets
     if sets is None:
         return decide(field, x, radius_tol)

@@ -6,7 +6,13 @@ or attracting via the adjacent normal components, and attracting surfaces are
 followed with the tangent convex-combination velocity until the combination
 coefficient leaves its admissible band.  A full step that leaves the point
 (bit for bit) and the mode unchanged is a rest point of the stepper, whose
-later full steps would repeat it: they are written out without stepping.
+later full steps would repeat it: they are written out without stepping,
+on any field.  A region of a constant piece, and a slide on an affine guard
+between two constant pieces, step by a fixed translation x + dt*v; after a
+full step that made it, the later ones are built in one array pass and
+stop before the first node that crosses a guard, leaves the surface by
+more than 1e-14 on a slide, or no full step reaches, which the loop then
+takes.
 The tracking comparator steps a member of the same solution set, pulled
 toward a reference path.
 """
@@ -19,14 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, SlopeOverflow, StepTooLarge
-from .fields import DEFAULT_RADIUS_TOL, _row_norms, filippov_map
+from .fields import (
+    DEFAULT_RADIUS_TOL, AffineGuard, ConstantPiece, CoordinateGuard, _row_norms, filippov_map,
+)
 from .sa import interpolate_path
 
 DEFAULT_SURFACE_TOL = 1e-10
 _ALPHA_EXIT_LO = 0.001  # hysteresis band against chattering re-entry
 _ALPHA_EXIT_HI = 0.999
 _MAX_BISECT = 200
-_MAX_BLOCK = 4096  # nodes of the tracking comparator's walk per block
+_MAX_BLOCK = 4096  # nodes per block of the stepper's repeated steps and the comparator's walk
 
 
 @dataclass
@@ -144,9 +152,10 @@ class _FilippovStepper:
         self.x = np.asarray(x0, dtype=float).copy()
         self.t = 0.0
         self.times = [0.0]
-        self.points = [self.x.copy()]
+        self.points = [self.x[None]]  # (n, d) blocks; no step writes into self.x
         self.labels = []
         self.mode = None  # ("region", pattern) | ("slide", k, pattern_with_0)
+        self._translations = {}  # _translation() of each mode met
         self._resolve_mode()
 
     # -- bookkeeping --------------------------------------------------------
@@ -157,8 +166,18 @@ class _FilippovStepper:
         self.t = t_new
         self.x = x_new
         self.times.append(t_new)
-        self.points.append(x_new.copy())
+        self.points.append(x_new[None])
         self.labels.append(label)
+
+    def _record_block(self, times, points, label):
+        """_record for each row of a block of nodes with one label."""
+        self.times += times.tolist()
+        self.points.append(points)
+        self.labels += [label] * len(times)
+        self.t, self.x = self.times[-1], points[-1]
+
+    def _trajectory(self):
+        return Trajectory(np.array(self.times), np.concatenate(self.points), self.labels)
 
     # -- mode resolution ----------------------------------------------------
 
@@ -337,13 +356,99 @@ class _FilippovStepper:
                     chars[k] = "+" if speed > 0.0 else "-"
         return "".join(chars)
 
+    # -- repeated steps -------------------------------------------------------
+
+    def _translation(self):
+        """v when every full step of the current mode is x + dt*v, up to the
+        events the step itself finds, with v fixed by the mode: a region
+        whose piece is a ConstantPiece, or a slide that it keeps on an
+        AffineGuard or CoordinateGuard between two ConstantPieces (its
+        decision and band do not depend on x, and its projection returns
+        x + dt*v where |g| <= 1e-14); else None."""
+        if self.mode[0] == "region":
+            piece = self.field.piece_for(self.mode[1])
+            return piece.c if type(piece) is ConstantPiece else None
+        if self.mode[0] == "slide":
+            _, k, pattern0 = self.mode
+            sides = [self.field.pieces.get(_with_slot(pattern0, k, c)) for c in "+-"]
+            if type(self.field.guards[k]) in (AffineGuard, CoordinateGuard) and all(
+                type(p) is ConstantPiece for p in sides
+            ):
+                dec = self._sliding_decision(self.x, k, pattern0)
+                if dec.kind == "sliding" and _ALPHA_EXIT_LO <= dec.alpha <= _ALPHA_EXIT_HI:
+                    return dec.velocity
+        return None
+
+    def _full_step_times(self, t_end, size):
+        """The times of the run loop's next full steps (h == dt), at most
+        size: each the sequential add t + dt of the last, while
+        t < t_end - 1e-14, t_end - t >= dt and t + dt > t."""
+        # the sequential adds may fit one step more than the quotient says
+        size = int(min(size, (t_end - self.t) / self.dt + 2))
+        times = np.full(size + 1, self.dt)
+        times[0] = self.t
+        with np.errstate(over="ignore"):
+            np.add.accumulate(times, out=times)
+        before, after = times[:-1], times[1:]
+        full = (before < t_end - 1e-14) & (t_end - before >= self.dt) & (after > before)
+        return after[: _leading(full)]
+
+    def _translated(self, v, count):
+        """The nodes x + dt*v, (x + dt*v) + dt*v, ... of count full steps
+        (the step's own sequential adds), and how many the step reaches
+        that way: up to the first that is not finite, lies beyond a guard
+        of the mode's pattern by more than DEFAULT_SURFACE_TOL (one
+        labeled '0' is not crossed) or, on a slide, has |g| > 1e-14."""
+        points = np.empty((count + 1, self.x.size))
+        points[0] = self.x
+        points[1:] = self.dt * v
+        with np.errstate(over="ignore"):
+            np.add.accumulate(points, axis=0, out=points)
+        points = points[1:]
+        points = points[: _leading(np.isfinite(points).all(axis=1))]
+        signs = np.array(["-0+".index(c) - 1 for c in self.mode[-1]], dtype=np.int8)
+        # a guard is crossed where its label and the pattern's sign are opposite
+        kept = ~(self.field.sign_labels(points, DEFAULT_SURFACE_TOL) * signs < 0).any(axis=1)
+        if self.mode[0] == "slide":
+            kept &= np.abs(self.field.guards[self.mode[1]].value_batch(points)) <= 1e-14
+        return points, _leading(kept)
+
+    def _repeat_steps(self, x_before, t_end):
+        """After a full step from x_before that kept the mode, append the
+        later full steps that repeat it, in blocks that double from 16
+        nodes to _MAX_BLOCK.  A step reads (x, mode, h), never t: one that
+        kept x (bit for bit) is a rest point, and every later full step
+        keeps x too.  One that moved x by exactly dt*v, the mode's
+        translation, is followed by its translates while each is one (see
+        _translated); the step after them goes through the loop."""
+        if self.x.tobytes() == x_before.tobytes():
+            v = None
+        else:
+            if self.mode not in self._translations:
+                self._translations[self.mode] = self._translation()
+            v = self._translations[self.mode]
+            if v is None or (x_before + self.dt * v).tobytes() != self.x.tobytes():
+                return
+        label, size = self.labels[-1], 16
+        while True:
+            times = self._full_step_times(t_end, size)
+            if v is None:
+                points, n = np.repeat(self.x[None], times.size, axis=0), times.size
+            else:
+                points, n = self._translated(v, times.size)
+            if n:
+                self._record_block(times[:n], points[:n], label)
+            if n < size:
+                return
+            size = min(2 * size, _MAX_BLOCK)
+
     # -- driver -------------------------------------------------------------
 
     def run(self, t_end):
         stall_guard = 0
         while self.t < t_end - 1e-14:
             h = min(self.dt, t_end - self.t)
-            t_before, x_before, mode_before = self.t, self.x.tobytes(), self.mode
+            t_before, x_before, mode_before = self.t, self.x, self.mode
             if self.mode[0] == "region":
                 self._region_step(h)
             elif self.mode[0] == "slide":
@@ -356,18 +461,15 @@ class _FilippovStepper:
                     raise StepTooLarge("integration stalled at a switching surface")
                 continue
             stall_guard = 0
-            # a step reads (x, mode, h), never t: a full step that kept x (bit
-            # for bit) and the mode is a rest point, and each later full step
-            # repeats it, with t advanced by the same sequential adds
-            if h == self.dt and self.mode == mode_before and self.x.tobytes() == x_before:
-                t, label = self.t, self.labels[-1]
-                while t < t_end - 1e-14 and t_end - t >= self.dt and t + self.dt > t:
-                    t += self.dt
-                    self.times.append(t)
-                    self.points.append(self.x.copy())
-                    self.labels.append(label)
-                self.t = t
-        return Trajectory(np.array(self.times), np.array(self.points), self.labels)
+            if h == self.dt and self.mode == mode_before:
+                self._repeat_steps(x_before, t_end)
+        return self._trajectory()
+
+
+def _leading(flags):
+    """How many entries of the boolean array flags are True before the
+    first False."""
+    return flags.size if flags.all() else int(flags.argmin())
 
 
 def integrate_filippov(field, x0, t_end, dt):
@@ -384,7 +486,9 @@ def integrate_filippov(field, x0, t_end, dt):
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    stepper = _FilippovStepper(field, x0, dt)
+    if x0.size != field.dimension:
+        raise ValueError(f"x0 has size {x0.size}, field dimension is {field.dimension}")
+    stepper = _FilippovStepper(field, x0.reshape(-1), dt)
     return stepper.run(float(t_end))
 
 

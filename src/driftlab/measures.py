@@ -317,10 +317,13 @@ def graph_distances(measure, field, radius_tol=DEFAULT_RADIUS_TOL):
     maps_follow_pattern holds both sets follow the sign pattern, so each
     distinct (pattern, z) pair, z compared bit for bit, is projected once
     and its two distances go to every atom with that pair; on any other
-    field each atom is projected."""
+    field each atom is projected.  An atom that is not finite is refused
+    with ValueError."""
     if not radius_tol > 0:
         raise ValueError(f"radius_tol must be > 0, got {radius_tol!r}")
     xs, zs = measure.xs, measure.zs
+    if not (np.isfinite(xs).all() and np.isfinite(zs).all()):
+        raise ValueError("graph_distances needs finite atoms")
     labels = field.sign_labels(xs, radius_tol)
     interior = np.all(labels != 0, axis=1)
     surface = np.flatnonzero(~interior)

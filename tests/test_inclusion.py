@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +216,12 @@ class TestIntegrateFilippov:
         with pytest.raises(ValueError):
             dl.integrate_filippov(lin, [np.inf], 1.0, 1e-3)
 
+    @pytest.mark.parametrize("x0", [[1.0], [1.0, 2.0, 3.0], []])
+    def test_x0_of_the_wrong_size_is_refused(self, x0):
+        # [1.0] raised a bare IndexError in the stepper, [1, 2, 3] a broadcast error
+        with pytest.raises(ValueError, match=f"x0 has size {len(x0)}, field dimension is 2"):
+            dl.integrate_filippov(dl.builtin_field("example1"), x0, 1.0, 1e-3)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
     def test_non_finite_dt_and_t_end_are_refused(self, bad):
         # a NaN dt used to give times [0, nan], and a NaN t_end one point
@@ -256,46 +264,95 @@ class _StepByStep(_FilippovStepper):
                     raise StepTooLarge("integration stalled at a switching surface")
             else:
                 stall_guard = 0
-        return Trajectory(np.array(self.times), np.array(self.points), self.labels)
+        return self._trajectory()
 
 
 _COORDINATE = st.one_of(
     st.sampled_from([0.0, -0.0, 3e-11, -1e-9, 0.25]), st.floats(-1.5, 1.5, allow_subnormal=False)
 )
+_VALUE = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 0.3, 3.0]), st.floats(-3.0, 3.0))
+_ANGLE = st.one_of(st.sampled_from([np.pi / 4, 2.0]), st.floats(0.1, 1.47), st.floats(1.67, 3.04))
 
 
-class TestRestPoints:
-    @settings(max_examples=60, deadline=None)
+@st.composite
+def _fields_and_starts(draw):
+    """A built-in field or the corner field from x0 of _COORDINATE; or, as
+    often, a field of ConstantPieces (values other than +-1) with one or two
+    AffineGuards off the axes, so that a slide step projects, each passing
+    within 1 of x0, whose scale reaches 1e17, where x + dt*v == x.  A pull
+    of 4.5 toward the first guard makes it attracting, so the run slides,
+    and at scale 1e3 its nodes leave |g| <= 1e-14 every few steps."""
+    names = ["relay", "example1", "spurious_equilibrium", "corner"]
+    name = draw(st.sampled_from(names + ["tilted"] * len(names)))
+    if name != "tilted":
+        fld = _sign_field() if name == "corner" else dl.builtin_field(name)
+        return fld, draw(st.lists(_COORDINATE, min_size=fld.dimension, max_size=fld.dimension))
+    x0 = np.array(draw(st.lists(_COORDINATE, min_size=2, max_size=2)))
+    x0 *= draw(st.sampled_from([1.0, 1e3, 1e17]))
+    guards = []
+    for _ in range(draw(st.integers(1, 2))):
+        angle = draw(_ANGLE)
+        a = np.array([np.cos(angle), np.sin(angle)])
+        guards.append(AffineGuard(a, draw(st.floats(-1.0, 1.0)) - float(a @ x0)))
+    pull = draw(st.sampled_from([0.0, 4.5])) * guards[0].a
+    pieces = {
+        "".join(p): ConstantPiece(np.array(draw(st.lists(_VALUE, min_size=2, max_size=2)))
+                                  + (-pull if p[0] == "+" else pull))
+        for p in itertools.product("+-", repeat=len(guards))
+    }
+    return PiecewiseField(2, guards, pieces), x0.tolist()
+
+
+def _outcome(run):
+    """run()'s trajectory as bytes and labels, or its error's type and message."""
+    try:
+        traj = run()
+    except dl.DriftlabError as exc:
+        return type(exc).__name__, str(exc)
+    return traj.times.tobytes(), traj.points.tobytes(), traj.mode_labels
+
+
+def _count_steps(monkeypatch):
+    """A dict that counts the stepper's _region_step and _slide_step calls."""
+    calls = {"_region_step": 0, "_slide_step": 0}
+    for method in calls:
+        def counted(self, h, step=getattr(_FilippovStepper, method), method=method):
+            calls[method] += 1
+            return step(self, h)
+        monkeypatch.setattr(_FilippovStepper, method, counted)
+    return calls
+
+
+class TestRepeatedSteps:
+    @settings(max_examples=100, deadline=None)
     @given(
-        name=st.sampled_from(["relay", "example1", "spurious_equilibrium", "corner"]),
-        coordinates=st.lists(_COORDINATE, min_size=2, max_size=2),
+        field_and_start=_fields_and_starts(),
         t_end=st.one_of(st.floats(0.001, 2.5), st.sampled_from([1.0, 2.0, 0.1])),
         dt=st.sampled_from([1e-3, 3e-3, 1e-2, 0.07]),
     )
-    def test_matches_the_step_by_step_loop(self, name, coordinates, t_end, dt):
-        fld = _sign_field() if name == "corner" else dl.builtin_field(name)
-        x0 = coordinates[: fld.dimension]
-        oracle = _StepByStep(fld, x0, dt).run(t_end)
-        traj = dl.integrate_filippov(fld, x0, t_end, dt)
-        assert traj.times.tobytes() == oracle.times.tobytes()
-        assert traj.points.tobytes() == oracle.points.tobytes()
-        assert traj.mode_labels == oracle.mode_labels
+    def test_matches_the_step_by_step_loop(self, field_and_start, t_end, dt):
+        fld, x0 = field_and_start
+        oracle = _outcome(lambda: _StepByStep(fld, x0, dt).run(t_end))
+        assert _outcome(lambda: dl.integrate_filippov(fld, x0, t_end, dt)) == oracle
 
-    def test_relay_rest_takes_no_slide_steps(self, monkeypatch):
-        # 501 region steps reach the surface (x = -4.4e-16 at t = 0.501); the
-        # first slide step there keeps x, so the slide steps after it are filled in
-        calls = {"_region_step": 0, "_slide_step": 0}
-        for method in calls:
-            def counted(self, h, step=getattr(_FilippovStepper, method), method=method):
-                calls[method] += 1
-                return step(self, h)
-            monkeypatch.setattr(_FilippovStepper, method, counted)
+    def test_relay_run_and_rest_take_few_steps(self, monkeypatch):
+        # the run to the surface (x = -4.4e-16 at t = 0.501) is built in array
+        # blocks, and the first slide step there keeps x, so the rest is filled in
+        calls = _count_steps(monkeypatch)
         traj = dl.integrate_filippov(dl.builtin_field("relay"), [0.5], 2.0, 1e-3)
-        assert calls["_region_step"] == 501
-        assert calls["_slide_step"] <= 10
+        assert calls["_region_step"] + calls["_slide_step"] <= 10
         rest = traj.points[traj.times > 0.5]
         assert np.all(rest == rest[0]) and abs(rest[0, 0]) <= DEFAULT_SURFACE_TOL
         assert traj.times[-1] == 2.0 and traj.mode_labels[-1] == "slide:0"
+
+    def test_example1_run_and_slide_take_few_steps(self, monkeypatch):
+        # 1000 region steps to y = 0 and 2000 slide steps along it: each run
+        # takes two loop steps, and array blocks build the rest
+        calls = _count_steps(monkeypatch)
+        traj = dl.integrate_filippov(dl.builtin_field("example1"), [0.0, 1.0], 3.0, 1e-3)
+        assert calls["_region_step"] + calls["_slide_step"] <= 10
+        assert traj.times.size == 3002 and traj.times[-1] == 3.0
+        assert np.linalg.norm(traj.points[-1] - [3.0, 0.0]) < 1e-12
 
 
 class TestTrajectoryType:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import driftlab as dl
 from driftlab import measures
-from driftlab.fields import ConstantPiece, PiecewiseField
+from driftlab.fields import AffineGuard, ConstantPiece, PiecewiseField
 from driftlab.measures import _merge_duplicate_atoms, _padded_box, velocity_mass_split
 
 
@@ -430,6 +430,19 @@ class TestGraphSupport:
         m = _measure([[0.5]], [[-1.0]], [1.0])
         with pytest.raises(ValueError, match="radius_tol"):
             dl.graph_distances(m, dl.builtin_field("relay"), tol)
+
+    @pytest.mark.parametrize("x, z", [
+        ([1.0, np.inf], [0.0, 0.0]),
+        ([np.nan, 0.5], [0.0, 0.0]),
+        ([1.0, 0.5], [-np.inf, 0.0]),
+    ])
+    def test_atoms_that_are_not_finite_are_refused(self, x, z):
+        # at [1, inf] the guard a = [1, 0] computed inf * 0, a RuntimeWarning
+        fld = PiecewiseField(2, [AffineGuard([1.0, 0.0])],
+                             {"+": ConstantPiece([-1.0, 0.0]), "-": ConstantPiece([1.0, 0.0])})
+        m = _measure([x, [0.5, 0.5]], [z, [0.0, 0.0]], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite atoms"):
+            dl.graph_distances(m, fld)
 
     @pytest.mark.parametrize("name", ["relay", "example1", "linear"])
     def test_atoms_are_labelled_once(self, monkeypatch, name):

@@ -734,3 +734,19 @@ class TestSetsKeptOnTheField:
         assert set_map(field, [0.0, 0.0]).vertices.shape[0] >= 2
         with pytest.raises(ValueError, match="radius_tol"):
             set_map(field, [0.0, 0.0], float("nan"))
+
+    @pytest.mark.parametrize("set_map", [dl.filippov_map, dl.krasovskii_map])
+    @pytest.mark.parametrize("field, x", [
+        (dl.builtin_field("relay"), [np.nan]),
+        (dl.builtin_field("relay"), [-np.inf]),
+        (dl.builtin_field("example1"), [np.inf, 0.0]),
+        (dl.builtin_field("linear", 2), [np.nan, 1.0]),
+        (PiecewiseField(2, [AffineGuard([1.0, 0.0])],
+                        {"+": ConstantPiece([-1.0, 0.0]), "-": ConstantPiece([1.0, 0.0])}),
+         [1.0, np.inf]),
+    ], ids=["relay-nan", "relay-inf", "example1-inf", "linear-nan", "affine-inf"])
+    def test_maps_refuse_a_point_that_is_not_finite(self, set_map, field, x):
+        """NaN labels '-', so relay's NaN got the '-' set [[1.]]; at
+        [1, inf] the guard a = [1, 0] computed inf * 0."""
+        with pytest.raises(ValueError, match="x must be finite"):
+            set_map(field, x)
