@@ -409,9 +409,14 @@ class _FilippovStepper:
         signs = np.array(["-0+".index(c) - 1 for c in self.mode[-1]], dtype=np.int8)
         # a guard is crossed where its label and the pattern's sign are opposite
         kept = ~(self.field.sign_labels(points, DEFAULT_SURFACE_TOL) * signs < 0).any(axis=1)
-        if self.mode[0] == "slide":
-            kept &= np.abs(self.field.guards[self.mode[1]].value_batch(points)) <= 1e-14
-        return points, _leading(kept)
+        return points, _leading(kept & self._in_band(points))
+
+    def _in_band(self, points):
+        """Which rows of points a slide keeps as they are (|g| <= 1e-14);
+        every row in a region."""
+        if self.mode[0] != "slide":
+            return np.ones(len(points), dtype=bool)
+        return np.abs(self.field.guards[self.mode[1]].value_batch(points)) <= 1e-14
 
     def _repeat_steps(self, x_before, t_end):
         """After a full step from x_before that kept the mode, append the
@@ -428,6 +433,10 @@ class _FilippovStepper:
                 self._translations[self.mode] = self._translation()
             v = self._translations[self.mode]
             if v is None or (x_before + self.dt * v).tobytes() != self.x.tobytes():
+                return
+            # a slide that alternates translation and projection leaves the
+            # band at the next node: skip the block that would keep none
+            if not self._in_band((self.x + self.dt * v)[None])[0]:
                 return
         label, size = self.labels[-1], 16
         while True:

@@ -16,11 +16,16 @@ the increments a * (z + M), a block at a time: the same IEEE operations in
 the same order.
 Every other field, a one-guard field missing a region piece included, steps
 all coordinates on Python floats, one sign_pattern and piece_for per step.
+
+Traces of one schedule and n_steps share one read-only pair of steps and
+times arrays, held while some trace holds it; a caller who wants to edit
+them copies them first.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +36,7 @@ from .errors import (
     OutOfDomain,
     WindowExceedsTrace,
 )
-from .fields import ConstantPiece, _row_sums
+from .fields import ConstantPiece, _read_only, _row_sums
 
 DEFAULT_BLOWUP_BOUND = 1e6
 _BLOCK_ROWS = 4096  # steps and noises are read, states and drifts written, per block
@@ -60,6 +65,8 @@ class StepsizeSchedule:
             if self.sequence is None:
                 raise ValueError("custom schedule needs a sequence")
             self.sequence = np.asarray(self.sequence, dtype=float)
+            if self.sequence.ndim != 1:
+                raise ValueError("a custom schedule's sequence must be 1-d")
             if not np.all((self.sequence >= 0) & (self.sequence < np.inf)):
                 raise ValueError("custom stepsizes must be finite and >= 0")
 
@@ -207,7 +214,9 @@ def make_rng(seed):
 @dataclass
 class IterateTrace:
     """Full record of an SA run; satisfies the replay identity
-    x(n+1) = x(n) + a(n) (z(n) + M(n+1)) bit-exactly."""
+    x(n+1) = x(n) + a(n) (z(n) + M(n+1)) bit-exactly.  run_sa's traces of
+    one schedule and n_steps share their read-only steps and times: copy
+    them to edit them."""
 
     states: np.ndarray  # (N+1, d)
     drifts: np.ndarray  # (N, d)
@@ -239,6 +248,8 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
     assumption that the asymptotic theory conditions on.
     """
     x0 = np.asarray(x0, dtype=float)
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if not np.all(np.isfinite(x0)):
@@ -249,7 +260,8 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
     if not 0 < blowup_bound < np.inf:
         raise ValueError(f"blowup_bound must be positive and finite, got {blowup_bound}")
     rng = make_rng(seed)
-    steps = schedule.values(n_steps)
+    key = _schedule_key(schedule, n_steps)
+    steps = _shared(_SHARED_STEPS, key, lambda: schedule.values(n_steps))
     noises = noise.sample_batch(n_steps, d, rng)
     states = np.empty((n_steps + 1, d))
     drifts = np.empty((n_steps, d))
@@ -259,7 +271,7 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
         _step_loop(field, states, drifts, steps, noises, blowup_bound)
     else:
         _step_table(*guard_table, states, drifts, steps, noises, blowup_bound)
-    times = np.concatenate([[0.0], np.cumsum(steps)])
+    times = _shared(_SHARED_TIMES, key, lambda: np.concatenate([[0.0], np.cumsum(steps)]))
     return IterateTrace(
         states=states,
         drifts=drifts,
@@ -269,6 +281,33 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
         seed=int(seed),
         field_name=field.name,
     )
+
+
+# run_sa's read-only steps and times by _schedule_key, each kept while a trace holds it
+_SHARED_STEPS = weakref.WeakValueDictionary()
+_SHARED_TIMES = weakref.WeakValueDictionary()
+
+
+def _schedule_key(schedule, n_steps):
+    """A key under which equal keys give bit-identical schedule.values(n_steps):
+    the kind, a0 and gamma by type and value (a float's by its bytes, so that
+    -0.0 is not 0.0; an int apart from its float, as a constant schedule's
+    values take a0's dtype), n_steps, and a custom schedule's sequence[:n_steps]
+    bytes."""
+    def exact(value):
+        is_float = isinstance(value, (float, np.floating))
+        return type(value), np.asarray(value).tobytes() if is_float else value
+
+    sequence = schedule.sequence[:n_steps].tobytes() if schedule.kind == "custom" else None
+    return schedule.kind, exact(schedule.a0), exact(schedule.gamma), int(n_steps), sequence
+
+
+def _shared(memo, key, make):
+    """memo[key], or make() made read-only and kept there while some caller holds it."""
+    array = memo.get(key)
+    if array is None:
+        array = memo[key] = _read_only(make())
+    return array
 
 
 def _sure_bound(blowup_bound):

@@ -1,10 +1,12 @@
 import functools
+import gc
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import driftlab as dl
 from driftlab.fields import (
@@ -61,6 +63,11 @@ class TestStepsize:
     def test_custom_stepsizes_must_be_finite_and_nonnegative(self, bad):
         with pytest.raises(ValueError, match="custom stepsizes"):
             dl.StepsizeSchedule("custom", sequence=[0.5, bad, 0.25])
+
+    @pytest.mark.parametrize("sequence", [[[0.1, 0.1], [0.1, 0.1]], 0.1, [[0.1]]])
+    def test_custom_sequence_must_be_1d(self, sequence):
+        with pytest.raises(ValueError, match="1-d"):
+            dl.StepsizeSchedule("custom", sequence=sequence)
 
 
 class TestValidateSchedule:
@@ -271,6 +278,124 @@ class TestRunSA:
         assert trace.noises.shape[0] == trace.steps.size
         assert trace.times.size == trace.states.shape[0]
         assert np.all(np.diff(trace.times) > 0)
+
+    @pytest.mark.parametrize(
+        "n_steps", [2.5, 3.0, True, np.float64(3.0), "3"], ids=["2.5", "3.0", "True", "float64", "str"]
+    )
+    def test_n_steps_must_be_an_integer(self, n_steps):
+        class NoDraws(dl.NoiseModel):
+            def sample_batch(self, n, dimension, rng):
+                raise AssertionError("noise drawn before n_steps was checked")
+
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            dl.run_sa(dl.builtin_field("relay"), [0.5], dl.StepsizeSchedule("constant", a0=0.1),
+                      NoDraws("zero", 0.0), n_steps, seed=0)
+
+    def test_numpy_integer_n_steps_is_accepted(self):
+        args = (dl.builtin_field("relay"), [0.5], dl.StepsizeSchedule("constant", a0=0.1),
+                dl.NoiseModel("gaussian", 0.1))
+        trace = dl.run_sa(*args, np.int64(3), seed=0)
+        assert trace.n_steps == 3
+        assert trace.states.tobytes() == dl.run_sa(*args, 3, seed=0).states.tobytes()
+
+
+def _zero_noise_trace(schedule, n_steps):
+    return dl.run_sa(dl.builtin_field("relay"), [0.5], schedule, dl.NoiseModel("zero", 0.0),
+                     n_steps, seed=0)
+
+
+def _assert_schedule_arrays(trace, schedule, n_steps):
+    """trace's steps and times are read-only and bit-identical to
+    schedule.values(n_steps) and its cumulative sum from 0."""
+    steps = schedule.values(n_steps)
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    for got, expected in ((trace.steps, steps), (trace.times, times)):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable
+
+
+# few distinct values, so that two draws often give one schedule; -0.0 and 0.0
+# are one value under == but two byte patterns, and a constant schedule's
+# values take the dtype of a0, so an int a0 of 1 is not 1.0
+_SHARED_SCHEDULES = st.one_of(
+    st.builds(
+        lambda a0, gamma: dl.StepsizeSchedule("power", a0=a0, gamma=gamma),
+        st.sampled_from([0.5, 1.0]),
+        st.sampled_from([0.75, 1.0]),
+    ),
+    st.sampled_from([0.5, 1.0, 1]).map(lambda a0: dl.StepsizeSchedule("constant", a0=a0)),
+    st.lists(st.sampled_from([0.0, -0.0, 0.5]), min_size=4, max_size=4).map(
+        lambda seq: dl.StepsizeSchedule("custom", sequence=seq)
+    ),
+)
+
+
+def _schedule_bytes(schedule, n_steps):
+    sequence = None if schedule.sequence is None else schedule.sequence[:n_steps].tobytes()
+    return schedule.kind, type(schedule.a0), schedule.a0, schedule.gamma, sequence
+
+
+class TestSharedScheduleArrays:
+    """Traces of one schedule and n_steps share one read-only steps/times
+    pair, held only while some trace holds it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(first=_SHARED_SCHEDULES, second=_SHARED_SCHEDULES, n_steps=st.sampled_from([3, 4]))
+    @example(
+        first=dl.StepsizeSchedule("constant", a0=1),
+        second=dl.StepsizeSchedule("constant", a0=1.0),
+        n_steps=3,
+    )
+    @example(
+        first=dl.StepsizeSchedule("custom", sequence=[0.5, 0.0, 0.5, 0.0]),
+        second=dl.StepsizeSchedule("custom", sequence=[0.5, -0.0, 0.5, 0.0]),
+        n_steps=4,
+    )
+    def test_traces_share_bit_identical_read_only_arrays(self, first, second, n_steps):
+        a, b = _zero_noise_trace(first, n_steps), _zero_noise_trace(first, n_steps)
+        c = _zero_noise_trace(second, n_steps)
+        for trace, schedule in ((a, first), (b, first), (c, second)):
+            _assert_schedule_arrays(trace, schedule, n_steps)
+        assert a.steps is b.steps and a.times is b.times
+        same = _schedule_bytes(first, n_steps) == _schedule_bytes(second, n_steps)
+        assert (a.steps is c.steps) == same and (a.times is c.times) == same
+
+    def test_an_edited_sequence_gets_fresh_arrays(self):
+        schedule = dl.StepsizeSchedule("custom", sequence=[0.5, 0.0, 0.25, 0.0])
+        before = _zero_noise_trace(schedule, 4)
+        schedule.sequence[1] = -0.0  # equal under ==, not in its bytes
+        signed = _zero_noise_trace(schedule, 4)
+        schedule.sequence[2] = 0.125
+        edited = _zero_noise_trace(schedule, 4)
+        _assert_schedule_arrays(edited, schedule, 4)
+        assert signed.steps.tobytes() == np.array([0.5, -0.0, 0.25, 0.0]).tobytes()
+        assert before.steps.tobytes() == np.array([0.5, 0.0, 0.25, 0.0]).tobytes()
+        assert len({id(t.steps) for t in (before, signed, edited)}) == 3
+        assert before.times.tolist() == [0.0, 0.5, 0.5, 0.75, 0.75]
+        assert edited.times.tolist() == [0.0, 0.5, 0.5, 0.625, 0.625]
+
+    def test_live_traces_hold_one_pair(self):
+        relay = dl.builtin_field("relay")
+        # a length no other test keeps a trace of, so that no live pair is shared
+        schedule = dl.StepsizeSchedule("power", a0=0.9, gamma=0.75)
+        noise, n_steps = dl.NoiseModel("gaussian", 0.1), 10_003
+        dl.run_sa(relay, [0.5], schedule, noise, n_steps, seed=0)  # first-call caches
+        gc.collect()
+        array = 8 * n_steps  # bytes of one 1-d array of a trace, to within one row
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traces = [dl.run_sa(relay, [0.5], schedule, noise, n_steps, seed) for seed in range(10)]
+            held = tracemalloc.get_traced_memory()[0] - base
+            del traces
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # states, drifts and noises per trace, and one steps/times pair for all
+        # ten; 5 arrays per trace would be 50
+        assert 31.5 < held / array < 33.5
+        assert left < array  # the pair went with the last trace
 
 
 class TestTimescale:
