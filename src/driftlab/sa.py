@@ -17,8 +17,9 @@ the same order.
 Every other field, a one-guard field missing a region piece included, steps
 all coordinates on Python floats, one sign_pattern and piece_for per step.
 
-Traces of one schedule and n_steps share one read-only pair of steps and
-times arrays, held while some trace holds it; a caller who wants to edit
+A StepsizeSchedule is immutable, and it keeps the read-only steps and times
+that run_sa gives its traces: traces of one schedule object and n_steps
+share one pair, held while some trace holds it. A caller who wants to edit
 them copies them first.
 """
 
@@ -45,9 +46,11 @@ _BLOCK_ROWS = 4096  # steps and noises are read, states and drifts written, per 
 # ---------------------------------------------------------------------------
 # stepsize schedules
 
-@dataclass
+@dataclass(frozen=True)
 class StepsizeSchedule:
-    """a(n) = a0 / (n+1)^gamma for the power kind; constant and custom too."""
+    """a(n) = a0 / (n+1)^gamma for the power kind; constant and custom too.
+    Immutable: a custom sequence is the schedule's own read-only copy, so
+    the run arrays it keeps stay those of values()."""
 
     kind: str = "power"
     a0: float = 1.0
@@ -64,13 +67,20 @@ class StepsizeSchedule:
         if self.kind == "custom":
             if self.sequence is None:
                 raise ValueError("custom schedule needs a sequence")
-            self.sequence = np.asarray(self.sequence, dtype=float)
-            if self.sequence.ndim != 1:
+            sequence = _read_only(np.array(self.sequence, dtype=float))
+            if sequence.ndim != 1:
                 raise ValueError("a custom schedule's sequence must be 1-d")
-            if not np.all((self.sequence >= 0) & (self.sequence < np.inf)):
+            if not np.all((sequence >= 0) & (sequence < np.inf)):
                 raise ValueError("custom stepsizes must be finite and >= 0")
+            object.__setattr__(self, "sequence", sequence)
+        # run_arrays' steps and times by n_steps, each kept while some caller holds it
+        object.__setattr__(self, "_steps", weakref.WeakValueDictionary())
+        object.__setattr__(self, "_times", weakref.WeakValueDictionary())
 
     def values(self, n_steps):
+        """A fresh array of a(0), ..., a(n_steps - 1)."""
+        if not _is_integer(n_steps) or n_steps < 0:
+            raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
         if self.kind == "power":
             return self.a0 / (np.arange(1, n_steps + 1, dtype=float)) ** self.gamma
         if self.kind == "constant":
@@ -78,6 +88,15 @@ class StepsizeSchedule:
         if n_steps > self.sequence.size:
             raise IndexOutOfRange("custom schedule exhausted")
         return self.sequence[:n_steps].copy()
+
+    def run_arrays(self, n_steps):
+        """Read-only values(n_steps) and its times t(n) = sum_{m<n} a(m), the
+        same two objects for every caller while some caller holds them."""
+        steps, times = self._steps.get(n_steps), self._times.get(n_steps)
+        if steps is None or times is None:
+            steps = self._steps[n_steps] = _read_only(self.values(n_steps))
+            times = self._times[n_steps] = _read_only(np.concatenate([[0.0], np.cumsum(steps)]))
+        return steps, times
 
     def to_dict(self):
         d = {"kind": self.kind, "a0": self.a0, "gamma": self.gamma}
@@ -215,8 +234,8 @@ def make_rng(seed):
 class IterateTrace:
     """Full record of an SA run; satisfies the replay identity
     x(n+1) = x(n) + a(n) (z(n) + M(n+1)) bit-exactly.  run_sa's traces of
-    one schedule and n_steps share their read-only steps and times: copy
-    them to edit them."""
+    one schedule object and n_steps share that schedule's read-only steps
+    and times: copy them to edit them."""
 
     states: np.ndarray  # (N+1, d)
     drifts: np.ndarray  # (N, d)
@@ -248,7 +267,7 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
     assumption that the asymptotic theory conditions on.
     """
     x0 = np.asarray(x0, dtype=float)
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+    if not _is_integer(n_steps):
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -260,8 +279,7 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
     if not 0 < blowup_bound < np.inf:
         raise ValueError(f"blowup_bound must be positive and finite, got {blowup_bound}")
     rng = make_rng(seed)
-    key = _schedule_key(schedule, n_steps)
-    steps = _shared(_SHARED_STEPS, key, lambda: schedule.values(n_steps))
+    steps, times = schedule.run_arrays(n_steps)
     noises = noise.sample_batch(n_steps, d, rng)
     states = np.empty((n_steps + 1, d))
     drifts = np.empty((n_steps, d))
@@ -271,7 +289,6 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
         _step_loop(field, states, drifts, steps, noises, blowup_bound)
     else:
         _step_table(*guard_table, states, drifts, steps, noises, blowup_bound)
-    times = _shared(_SHARED_TIMES, key, lambda: np.concatenate([[0.0], np.cumsum(steps)]))
     return IterateTrace(
         states=states,
         drifts=drifts,
@@ -283,31 +300,9 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
     )
 
 
-# run_sa's read-only steps and times by _schedule_key, each kept while a trace holds it
-_SHARED_STEPS = weakref.WeakValueDictionary()
-_SHARED_TIMES = weakref.WeakValueDictionary()
-
-
-def _schedule_key(schedule, n_steps):
-    """A key under which equal keys give bit-identical schedule.values(n_steps):
-    the kind, a0 and gamma by type and value (a float's by its bytes, so that
-    -0.0 is not 0.0; an int apart from its float, as a constant schedule's
-    values take a0's dtype), n_steps, and a custom schedule's sequence[:n_steps]
-    bytes."""
-    def exact(value):
-        is_float = isinstance(value, (float, np.floating))
-        return type(value), np.asarray(value).tobytes() if is_float else value
-
-    sequence = schedule.sequence[:n_steps].tobytes() if schedule.kind == "custom" else None
-    return schedule.kind, exact(schedule.a0), exact(schedule.gamma), int(n_steps), sequence
-
-
-def _shared(memo, key, make):
-    """memo[key], or make() made read-only and kept there while some caller holds it."""
-    array = memo.get(key)
-    if array is None:
-        array = memo[key] = _read_only(make())
-    return array
+def _is_integer(n):
+    """True for an int or a numpy integer; a bool is not one."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 def _sure_bound(blowup_bound):

@@ -105,9 +105,17 @@ def _counting_calls(monkeypatch, cls, name):
     return calls
 
 
+_keeping_pattern_set = fields_module._pattern_set
+
+
 def _decide_afresh(fld, decide, x, radius_tol):
-    """fields._pattern_set without the kept sets: the undecided computation."""
-    return decide(fld, np.asarray(x, dtype=float), radius_tol)
+    """fields._pattern_set with the field's kept sets switched off: the same
+    checks of x and radius_tol, then the undecided computation."""
+    kept, fld._pattern_sets = fld._pattern_sets, None
+    try:
+        return _keeping_pattern_set(fld, decide, x, radius_tol)
+    finally:
+        fld._pattern_sets = kept
 
 
 def _per_point(run):
@@ -273,14 +281,19 @@ class TestAgainstPerPointMaps:
     @settings(max_examples=60, deadline=None)
     def test_sets_match_the_maps(self, field, data):
         assert maps_follow_pattern(field)
-        # repeated points hit the sets decided earlier, also at another tol
+        # repeated points hit the sets decided earlier, also at another tol;
+        # a point that is not finite is refused on both sides
         points = _points(data.draw, field, 6)
         for x in points + points[::-1]:
             tol = data.draw(st.sampled_from([1e-9, 1e-6, 0.1]))
             for set_map in (dl.filippov_map, dl.krasovskii_map):
-                kept = set_map(field, x, tol).vertices
-                fresh = _per_point(lambda: set_map(field, x, tol)).vertices
-                assert kept.shape == fresh.shape and kept.tobytes() == fresh.tobytes()
+                run = lambda: _outcome(lambda: set_map(field, x, tol).vertices)
+                kept, fresh = run(), _per_point(run)
+                assert type(kept) is type(fresh)
+                if isinstance(kept, np.ndarray):
+                    assert kept.shape == fresh.shape and kept.tobytes() == fresh.tobytes()
+                else:
+                    assert kept == fresh
 
     @given(field=_fields(), data=st.data())
     @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@ import gc
 import itertools
 import tracemalloc
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ class TestStepsize:
         with pytest.raises(dl.IndexOutOfRange):
             sched.values(3)
 
+    @pytest.mark.parametrize("schedule", [
+        dl.StepsizeSchedule("power", a0=1.0, gamma=0.75),
+        dl.StepsizeSchedule("constant", a0=0.5),
+        dl.StepsizeSchedule("custom", sequence=[0.5, 0.25, 0.125]),
+    ], ids=["power", "constant", "custom"])
+    def test_values_refuses_a_count_not_an_integer_ge_0(self, schedule):
+        # power once gave 3 steps for 2.5 and custom all but the last for -1
+        for n in (2.5, -1, True, np.float64(2.0)):
+            with pytest.raises(ValueError, match="n_steps must be an integer >= 0"):
+                schedule.values(n)
+        assert schedule.values(np.int64(2)).size == 2 and schedule.values(0).size == 0
 
     @pytest.mark.parametrize("kind", ["power", "constant"])
     @pytest.mark.parametrize("a0", [np.nan, np.inf, 0.0, -1.0])
@@ -96,6 +108,12 @@ class TestValidateSchedule:
         diag = dl.validate_schedule(dl.StepsizeSchedule("custom", sequence=seq), 2000)
         assert diag.heuristic
         assert diag.sum_divergent is True and diag.square_sum_finite is True
+
+    @pytest.mark.parametrize("horizon", [2.5, True])
+    def test_horizon_must_be_an_integer(self, horizon):
+        # 2.5 once summed 3 steps
+        with pytest.raises(ValueError, match="must be an integer"):
+            dl.validate_schedule(dl.StepsizeSchedule("power", a0=1.0, gamma=0.75), horizon)
 
     def test_partial_sums_are_exact(self):
         sched = dl.StepsizeSchedule("constant", a0=0.5)
@@ -314,9 +332,8 @@ def _assert_schedule_arrays(trace, schedule, n_steps):
         assert not got.flags.writeable
 
 
-# few distinct values, so that two draws often give one schedule; -0.0 and 0.0
-# are one value under == but two byte patterns, and a constant schedule's
-# values take the dtype of a0, so an int a0 of 1 is not 1.0
+# the three kinds; custom sequences with -0.0 entries, which differ from 0.0
+# only in their bytes, and an int a0, whose constant steps are int64
 _SHARED_SCHEDULES = st.one_of(
     st.builds(
         lambda a0, gamma: dl.StepsizeSchedule("power", a0=a0, gamma=gamma),
@@ -330,72 +347,73 @@ _SHARED_SCHEDULES = st.one_of(
 )
 
 
-def _schedule_bytes(schedule, n_steps):
-    sequence = None if schedule.sequence is None else schedule.sequence[:n_steps].tobytes()
-    return schedule.kind, type(schedule.a0), schedule.a0, schedule.gamma, sequence
-
-
 class TestSharedScheduleArrays:
-    """Traces of one schedule and n_steps share one read-only steps/times
-    pair, held only while some trace holds it."""
+    """A schedule is immutable and keeps its own read-only sequence; traces
+    of one schedule object and n_steps share its read-only steps/times pair,
+    held only while some trace holds it."""
 
     @settings(max_examples=60, deadline=None)
-    @given(first=_SHARED_SCHEDULES, second=_SHARED_SCHEDULES, n_steps=st.sampled_from([3, 4]))
-    @example(
-        first=dl.StepsizeSchedule("constant", a0=1),
-        second=dl.StepsizeSchedule("constant", a0=1.0),
-        n_steps=3,
-    )
-    @example(
-        first=dl.StepsizeSchedule("custom", sequence=[0.5, 0.0, 0.5, 0.0]),
-        second=dl.StepsizeSchedule("custom", sequence=[0.5, -0.0, 0.5, 0.0]),
-        n_steps=4,
-    )
-    def test_traces_share_bit_identical_read_only_arrays(self, first, second, n_steps):
-        a, b = _zero_noise_trace(first, n_steps), _zero_noise_trace(first, n_steps)
-        c = _zero_noise_trace(second, n_steps)
-        for trace, schedule in ((a, first), (b, first), (c, second)):
+    @given(schedule=_SHARED_SCHEDULES, n_steps=st.sampled_from([3, 4]))
+    @example(schedule=dl.StepsizeSchedule("constant", a0=1), n_steps=3)
+    @example(schedule=dl.StepsizeSchedule("custom", sequence=[0.5, -0.0, 0.5, 0.0]), n_steps=4)
+    def test_traces_share_bit_identical_read_only_arrays(self, schedule, n_steps):
+        a, b = _zero_noise_trace(schedule, n_steps), _zero_noise_trace(schedule, n_steps)
+        for trace in (a, b):
             _assert_schedule_arrays(trace, schedule, n_steps)
         assert a.steps is b.steps and a.times is b.times
-        same = _schedule_bytes(first, n_steps) == _schedule_bytes(second, n_steps)
-        assert (a.steps is c.steps) == same and (a.times is c.times) == same
+        # an equal schedule gives the same bits, shared or not
+        twin = _zero_noise_trace(replace(schedule), n_steps)
+        assert twin.steps.tobytes() == a.steps.tobytes()
+        assert twin.times.tobytes() == a.times.tobytes()
 
-    def test_an_edited_sequence_gets_fresh_arrays(self):
-        schedule = dl.StepsizeSchedule("custom", sequence=[0.5, 0.0, 0.25, 0.0])
-        before = _zero_noise_trace(schedule, 4)
-        schedule.sequence[1] = -0.0  # equal under ==, not in its bytes
-        signed = _zero_noise_trace(schedule, 4)
-        schedule.sequence[2] = 0.125
-        edited = _zero_noise_trace(schedule, 4)
-        _assert_schedule_arrays(edited, schedule, 4)
-        assert signed.steps.tobytes() == np.array([0.5, -0.0, 0.25, 0.0]).tobytes()
-        assert before.steps.tobytes() == np.array([0.5, 0.0, 0.25, 0.0]).tobytes()
-        assert len({id(t.steps) for t in (before, signed, edited)}) == 3
-        assert before.times.tolist() == [0.0, 0.5, 0.5, 0.75, 0.75]
-        assert edited.times.tolist() == [0.0, 0.5, 0.5, 0.625, 0.625]
+    def test_an_int_a0_keeps_int64_steps(self):
+        trace = _zero_noise_trace(dl.StepsizeSchedule("constant", a0=1), 3)
+        assert trace.steps.dtype == np.int64 and trace.steps.tolist() == [1, 1, 1]
+        assert trace.times.dtype == np.float64 and trace.times.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("name, value", [("kind", "constant"), ("a0", 0.5), ("gamma", 0.75),
+                                             ("sequence", np.array([0.25, 0.25]))])
+    def test_a_field_cannot_be_assigned(self, name, value):
+        schedule = dl.StepsizeSchedule("custom", sequence=[0.5, 0.5])
+        with pytest.raises(FrozenInstanceError):
+            setattr(schedule, name, value)
+        assert schedule.values(2).tolist() == [0.5, 0.5]
+
+    def test_the_sequence_is_a_read_only_copy(self):
+        given = np.array([0.5, 0.0, 0.25, 0.0])
+        schedule = dl.StepsizeSchedule("custom", sequence=given)
+        with pytest.raises(ValueError, match="read-only"):
+            schedule.sequence[1] = 0.125
+        given[:] = 1.0  # the caller's array is not the schedule's
+        assert schedule.values(4).tolist() == [0.5, 0.0, 0.25, 0.0]
+        assert _zero_noise_trace(schedule, 4).times.tolist() == [0.0, 0.5, 0.5, 0.75, 0.75]
 
     def test_live_traces_hold_one_pair(self):
         relay = dl.builtin_field("relay")
-        # a length no other test keeps a trace of, so that no live pair is shared
-        schedule = dl.StepsizeSchedule("power", a0=0.9, gamma=0.75)
         noise, n_steps = dl.NoiseModel("gaussian", 0.1), 10_003
-        dl.run_sa(relay, [0.5], schedule, noise, n_steps, seed=0)  # first-call caches
-        gc.collect()
         array = 8 * n_steps  # bytes of one 1-d array of a trace, to within one row
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            traces = [dl.run_sa(relay, [0.5], schedule, noise, n_steps, seed) for seed in range(10)]
-            held = tracemalloc.get_traced_memory()[0] - base
-            del traces
+        for schedule in (
+            dl.StepsizeSchedule("power", a0=0.9, gamma=0.75),
+            dl.StepsizeSchedule("custom", sequence=np.full(n_steps, 0.01)),
+        ):
+            dl.run_sa(relay, [0.5], schedule, noise, n_steps, seed=0)  # first-call caches
             gc.collect()
-            left = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
-        # states, drifts and noises per trace, and one steps/times pair for all
-        # ten; 5 arrays per trace would be 50
-        assert 31.5 < held / array < 33.5
-        assert left < array  # the pair went with the last trace
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                traces = [dl.run_sa(relay, [0.5], schedule, noise, n_steps, seed)
+                          for seed in range(10)]
+                held = tracemalloc.get_traced_memory()[0] - base
+                del traces
+                gc.collect()
+                left = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            # states, drifts and noises per trace, and one steps/times pair for
+            # all ten, with no further copy of the steps; 5 arrays per trace
+            # would be 50
+            assert 31.5 < held / array < 32.6, schedule.kind
+            assert left < array  # the pair went with the last trace
 
 
 class TestTimescale:
