@@ -258,7 +258,7 @@ _ROOT = {
 def config_from_dict(data):
     config = _object(ExperimentConfig, _ROOT)(data, "")
     n_steps, sequence, measures = config.n_steps, config.schedule.sequence, config.measures
-    if sequence is not None and (config.schedule.kind != "custom" or sequence.size < n_steps):
+    if sequence is not None and sequence.size < n_steps:
         raise ConfigInvalid(f"schedule.sequence: must be a custom schedule's {n_steps}+ stepsizes")
     if measures.checkpoints is None:
         measures.checkpoints = sorted({max(1, n_steps // 4), n_steps})

@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import operator
+import types
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -157,7 +158,9 @@ class PiecewiseField:
 
     ``pieces`` maps full sign patterns (strings over '+', '-') to catalog
     pieces; ``boundary_values`` maps degenerate patterns (at least one '0')
-    to explicit vectors carried on the guard zero sets.
+    to explicit vectors carried on the guard zero sets.  The field keeps
+    guards as a tuple and both maps as read-only views of its own copies,
+    so the sets the maps keep on it stay its own.
     """
 
     dimension: int
@@ -167,7 +170,11 @@ class PiecewiseField:
     name: str = ""
 
     def __post_init__(self):
-        self.boundary_values = {k: np.asarray(v, float) for k, v in self.boundary_values.items()}
+        self.guards = tuple(self.guards)
+        self.pieces = types.MappingProxyType(dict(self.pieces))
+        self.boundary_values = types.MappingProxyType(
+            {k: _read_only(np.array(v, float)) for k, v in self.boundary_values.items()}
+        )
         for pat in self.pieces:
             if len(pat) != len(self.guards) or not set(pat) <= set("+-"):
                 raise ValueError(f"piece pattern {pat!r} is not a full sign pattern")

@@ -4,7 +4,9 @@ The step-weighted time average of the Dirac path at (x(n), z(n)) is an
 empirical measure; its stationarity residuals against a family of smooth
 test functions, its support relative to the Filippov/Krasovskii graphs, and
 the noise-martingale partial sums are the quantities the limit theory
-constrains.
+constrains.  A test-function family is one (sigma, center) group of
+gaussian-bump monomials, built from its group.  Every trace index taken
+here (up_to_n, a checkpoint, n0) is an integer, not a float or a bool.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import EmptyTrace, IndexOutOfRange
 from .fields import (
     DEFAULT_RADIUS_TOL, _row_norms, _row_sums, filippov_map, krasovskii_map, maps_follow_pattern,
 )
+from .sa import _is_integer
 
 _MERGE_ATOL = 1e-15
 _BOX_PAD = 0.1
@@ -75,8 +78,8 @@ def averaged_measure(trace, up_to_n):
     atoms (x(k), z(k)) with weights a(k)/t(up_to_n)."""
     if trace.n_steps < 1:
         raise EmptyTrace("trace has no recorded steps")
-    if up_to_n < 1 or up_to_n > trace.n_steps:
-        raise ValueError(f"up_to_n must be in [1, {trace.n_steps}]")
+    if not _is_integer(up_to_n) or not 1 <= up_to_n <= trace.n_steps:
+        raise ValueError(f"up_to_n must be an integer in [1, {trace.n_steps}], got {up_to_n!r}")
     t_n = float(trace.times[up_to_n])
     if t_n <= 0:
         raise EmptyTrace(f"t({up_to_n}) = 0: no positive stepsize before step {up_to_n}")
@@ -138,47 +141,31 @@ def _radial_max(k, sigma):
     return (sigma * np.sqrt(k)) ** k * np.exp(-k / 2.0)
 
 
-@dataclass
 class TestFunctionFamily:
-    """Members sharing one sigma and one center, which is what lets
-    gradients compute the bump and every monomial once for the family."""
+    """The degree <= 2 gaussian-bump monomials of one sigma and one center:
+    one group, so gradients computes the bump and every monomial once for
+    the family.  The center is the family's own copy (zeros if None)."""
 
-    members: list
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("a test-function family needs at least one member")
-        first = self.members[0]
-        for member in self.members[1:]:
-            if (
-                member.sigma != first.sigma
-                or len(member.beta) != len(first.beta)
-                or member.center.tobytes() != first.center.tobytes()
-            ):
-                raise ValueError(
-                    f"family members must share sigma, center and dimension: "
-                    f"beta {member.beta} has sigma {member.sigma}, center {member.center}; "
-                    f"beta {first.beta} has sigma {first.sigma}, center {first.center}"
-                )
+    def __init__(self, dimension, sigma, center=None):
+        if not _is_integer(dimension) or dimension < 1:
+            raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
+        if not 0 < sigma < np.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+        center = np.zeros(dimension) if center is None else np.array(center, dtype=float)
+        if center.shape != (dimension,) or not np.isfinite(center).all():
+            raise ValueError(f"center must be {dimension} finite numbers, got {center!r}")
+        self.dimension, self.sigma, self.center = dimension, float(sigma), center
+        self.members = [GaussianMonomial(beta, sigma, center) for beta in _multi_indices(dimension)]
 
     @classmethod
     def from_box(cls, box_states):
-        """Members adapted to a state box: sigma from the box radius,
+        """The family adapted to a state box: sigma from the box radius,
         bump centered at the box center."""
         box = np.asarray(box_states, dtype=float)
         center = 0.5 * (box[0] + box[1])
         radius = 0.5 * float(np.linalg.norm(box[1] - box[0]))
         sigma = radius if radius > 1e-9 else 1.0
-        d = box.shape[1]
-        return cls.with_scale(d, sigma, center)
-
-    @classmethod
-    def with_scale(cls, dimension, sigma, center=None):
-        members = [
-            GaussianMonomial(beta, sigma, center)
-            for beta in _multi_indices(dimension, max_degree=2)
-        ]
-        return cls(members)
+        return cls(box.shape[1], sigma, center)
 
     def __len__(self):
         return len(self.members)
@@ -192,11 +179,11 @@ class TestFunctionFamily:
         once per distinct beta, as the product of its factors in coordinate
         order."""
         xs = np.atleast_2d(xs)
-        d = len(self.members[0].beta)
+        d = self.dimension
         if xs.shape[1] != d:
             raise ValueError(f"points have {xs.shape[1]} coordinates, the family has {d}")
-        y = xs - self.members[0].center
-        sigma2 = self.members[0].sigma ** 2
+        y = xs - self.center
+        sigma2 = self.sigma**2
         bump = np.exp(-_row_sums(y * y) / (2.0 * sigma2))
         ones = np.ones(y.shape[0])
         # y ** 2 is taken on the whole (n, d) array, the layout in which a
@@ -230,9 +217,11 @@ class TestFunctionFamily:
         return out
 
 
-def _multi_indices(dimension, max_degree):
+def _multi_indices(dimension):
+    """Every multi-index of degree <= 2, by degree, then in
+    combinations_with_replacement order."""
     out = []
-    for total in range(max_degree + 1):
+    for total in range(3):
         for combo in itertools.combinations_with_replacement(range(dimension), total):
             beta = [0] * dimension
             for i in combo:
@@ -264,7 +253,7 @@ def checkpoint_residuals(trace, family, checkpoints):
     """
     if trace.n_steps < 1:
         raise EmptyTrace("trace has no recorded steps")
-    checkpoints = np.asarray(checkpoints, dtype=int)
+    checkpoints = _indices(checkpoints)
     if np.any((checkpoints < 1) | (checkpoints > trace.n_steps)):
         raise ValueError(f"checkpoints must be in [1, {trace.n_steps}]")
     if np.any(np.diff(checkpoints) <= 0):
@@ -278,6 +267,14 @@ def checkpoint_residuals(trace, family, checkpoints):
     for j, n in enumerate(checkpoints):
         out[j] = terms[:, :n] @ (trace.steps[:n] / trace.times[n])
     return out
+
+
+def _indices(checkpoints):
+    """checkpoints as an int array; each must be an integer, not a bool."""
+    checkpoints = list(checkpoints)
+    if not all(_is_integer(n) for n in checkpoints):
+        raise ValueError(f"checkpoints must be integers, got {checkpoints!r}")
+    return np.asarray(checkpoints, dtype=int)
 
 
 @dataclass
@@ -388,6 +385,8 @@ class MartingaleDiagnostic:
         return self.quadratic_variation[-1] - self.quadratic_variation[n0]
 
     def _check_index(self, n0):
+        if not _is_integer(n0):
+            raise ValueError(f"n0 must be an integer, got {n0!r}")
         if not 0 <= n0 <= self.n_steps:
             raise IndexOutOfRange(f"n0 must be in [0, {self.n_steps}], got {n0!r}")
 
@@ -439,7 +438,7 @@ def residual_decay_study(traces, family, checkpoints):
     the fitted C/t envelope anchored at the first checkpoint."""
     if len(traces) == 0:
         raise EmptyTrace("residual_decay_study needs at least one trace")
-    checkpoints = np.asarray(checkpoints, dtype=int)
+    checkpoints = _indices(checkpoints)
     if checkpoints.size == 0:
         raise ValueError("residual_decay_study needs at least one checkpoint")
     per_trace = np.empty((len(traces), checkpoints.size))

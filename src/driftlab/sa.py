@@ -46,11 +46,12 @@ _BLOCK_ROWS = 4096  # steps and noises are read, states and drifts written, per 
 # ---------------------------------------------------------------------------
 # stepsize schedules
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepsizeSchedule:
     """a(n) = a0 / (n+1)^gamma for the power kind; constant and custom too.
     Immutable: a custom sequence is the schedule's own read-only copy, so
-    the run arrays it keeps stay those of values()."""
+    the run arrays it keeps stay those of values().  Two schedules are equal,
+    and hash alike, only when they are one object, as they share run arrays."""
 
     kind: str = "power"
     a0: float = 1.0
@@ -64,6 +65,8 @@ class StepsizeSchedule:
             raise ValueError("a0 must be finite, and > 0 unless the schedule is custom")
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
+        if self.kind != "custom" and self.sequence is not None:
+            raise ValueError(f"sequence: only a custom schedule takes one, not a {self.kind} one")
         if self.kind == "custom":
             if self.sequence is None:
                 raise ValueError("custom schedule needs a sequence")

@@ -173,7 +173,9 @@ class TestConfigValidation:
             ("seeds", [2, 2], "seeds[1]"),
             ("schedule", {"kind": "custom", "sequence": [0.1, 0.1, 0.1]}, "schedule.sequence"),
             ("schedule", {"kind": "custom", "sequence": 0.5}, "schedule.sequence"),
-            ("schedule", {"kind": "power", "sequence": [0.1] * 3000}, "schedule.sequence"),
+            # the schedule refuses a sequence it would not read, naming the entry
+            pytest.param("schedule", {"kind": "power", "sequence": [0.1] * 3000},
+                         "schedule: sequence", id="schedule-value37-schedule.sequence"),
             # an integer literal beyond the largest float
             ("tracking", {"T": 10**400}, "tracking.T"),
             ("schedule", {"kind": "power", "a0": -(10**400)}, "schedule.a0"),

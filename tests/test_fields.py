@@ -313,6 +313,27 @@ class TestFilippovMap:
         hull = dl.filippov_map(example1, [0.0, 0.5], 1e-9)
         assert _same_hull(hull, ConvexVelocitySet(np.array([[1.0, -1.0]])))
 
+    def test_the_field_under_a_kept_set_is_read_only(self):
+        # the map keeps the set it decides at the origin's pattern on the field
+        pieces = {"+": ConstantPiece([1.0, -1.0]), "-": ConstantPiece([1.0, 1.0])}
+        value = np.array([-1.0, 0.0])
+        fld = PiecewiseField(2, [CoordinateGuard(1, 2)], pieces, {"0": value})
+        kept = dl.filippov_map(fld, [0.0, 0.0]).vertices.tobytes()
+        with pytest.raises(TypeError):
+            fld.pieces["+"] = ConstantPiece([5.0, -1.0])
+        with pytest.raises(TypeError):
+            fld.boundary_values["+0"] = np.zeros(2)
+        with pytest.raises(ValueError, match="read-only"):
+            fld.boundary_values["0"][0] = 5.0
+        with pytest.raises(AttributeError):
+            fld.guards.append(CoordinateGuard(0, 2))
+        # the caller's dict and array are not the field's
+        pieces["+"] = ConstantPiece([5.0, -1.0])
+        value[:] = 5.0
+        assert fld.evaluate([0.0, 1.0]).tolist() == [1.0, -1.0]
+        assert fld.evaluate([0.0, 0.0]).tolist() == [-1.0, 0.0]
+        assert dl.filippov_map(fld, [0.0, 0.0]).vertices.tobytes() == kept
+
     def test_relay_interval_with_mollify_cross_check(self, relay):
         hull = dl.filippov_map(relay, [0.0], 1e-9)
         assert _same_hull(hull, ConvexVelocitySet(np.array([[-1.0], [1.0]])))

@@ -263,12 +263,12 @@ class TestFamilyGradients:
         xs[rng.random(n) < 0.05] = special
         xs[rng.random(n) < 0.05, rng.integers(d)] = special
         center = rng.standard_normal(d) if centered else None
-        fam = dl.TestFunctionFamily.with_scale(d, 10.0 ** rng.uniform(-1.0, 1.0), center)
+        fam = dl.TestFunctionFamily(d, 10.0 ** rng.uniform(-1.0, 1.0), center)
         with np.errstate(invalid="ignore"):
             assert _bitwise_equal(fam.gradients(xs), _stacked_oracle(fam, xs))
 
     def test_empty_point_set(self):
-        fam = dl.TestFunctionFamily.with_scale(2, sigma=1.0)
+        fam = dl.TestFunctionFamily(2, sigma=1.0)
         assert fam.gradients(np.zeros((0, 2))).shape == (len(fam), 0, 2)
 
     @pytest.mark.parametrize("name,x0,kind", [
@@ -288,16 +288,45 @@ class TestFamilyGradients:
         assert np.array_equal(diag.xi, xi)
         assert np.array_equal(diag.quadratic_variation, qv)
 
-    @pytest.mark.parametrize("members", [
-        [dl.GaussianMonomial((0,), 1.0), dl.GaussianMonomial((1,), 2.0)],
-        [dl.GaussianMonomial((0,), 1.0), dl.GaussianMonomial((1,), 1.0, [0.5])],
-        [dl.GaussianMonomial((0,), 1.0, [0.0]), dl.GaussianMonomial((1,), 1.0, [-0.0])],
-        [dl.GaussianMonomial((0,), 1.0), dl.GaussianMonomial((1, 0), 1.0)],
-        [],
+    @pytest.mark.parametrize("dimension", [1.5, 2.0, True, 0, -1])
+    def test_dimension_must_be_an_integer_ge_1(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+            dl.TestFunctionFamily(dimension, 1.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            dl.TestFunctionFamily(1, sigma)
+
+    @pytest.mark.parametrize("center", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], [0.0, np.nan],
+                                        [np.inf, 0.0]])
+    def test_center_must_be_dimension_finite_numbers(self, center):
+        with pytest.raises(ValueError, match="center must be 2 finite numbers"):
+            dl.TestFunctionFamily(2, 1.0, center)
+
+    @pytest.mark.parametrize("d, betas", [
+        (1, [(0,), (1,), (2,)]),
+        (2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+        (3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (1, 0, 1),
+             (0, 2, 0), (0, 1, 1), (0, 0, 2)]),
     ])
-    def test_members_must_share_sigma_and_center(self, members):
-        with pytest.raises(ValueError, match="member"):
-            dl.TestFunctionFamily(members)
+    def test_members_are_the_group_of_degree_le_2(self, d, betas):
+        center = np.arange(d) - 0.5
+        fam = dl.TestFunctionFamily(d, 0.5, center)
+        assert [m.beta for m in fam.members] == betas == measures._multi_indices(d)
+        assert len(fam) == len(betas)
+        for member in fam.members:
+            assert member.sigma == fam.sigma == 0.5
+            assert member.center.tobytes() == fam.center.tobytes() == center.tobytes()
+
+    def test_the_center_is_the_familys_own_copy(self):
+        center = np.array([0.5, -0.25])
+        fam = dl.TestFunctionFamily(2, 1.0, center)
+        xs = np.random.default_rng(2).standard_normal((50, 2))
+        before = fam.gradients(xs)
+        center[:] = 9.0
+        assert not np.shares_memory(fam.center, center)
+        assert _bitwise_equal(fam.gradients(xs), before)
 
     def test_one_family_pass_per_call_and_no_per_member_pass(self, monkeypatch):
         assert not hasattr(dl.GaussianMonomial, "gradient_batch")
@@ -310,7 +339,7 @@ class TestFamilyGradients:
         monkeypatch.setattr(dl.TestFunctionFamily, "gradients",
                             lambda fam, xs: passes.append(len(xs)) or one_pass(fam, xs))
         trace = _relay_trace()
-        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        fam = dl.TestFunctionFamily(1, sigma=1.0)
         dl.checkpoint_residuals(trace, fam, [50, 100, 200])
         assert passes == [200]
         dl.martingale_diagnostic(trace, fam)
@@ -320,7 +349,7 @@ class TestFamilyGradients:
 
     def test_family_of_the_wrong_dimension_fails_loudly(self):
         relay_trace = _relay_trace()
-        wide = dl.TestFunctionFamily.with_scale(2, 1.0)
+        wide = dl.TestFunctionFamily(2, 1.0)
         msg = "points have 1 coordinates, the family has 2"
         with pytest.raises(ValueError, match=msg):
             dl.checkpoint_residuals(relay_trace, wide, [100, 200])
@@ -330,25 +359,25 @@ class TestFamilyGradients:
             dl.builtin_field("example1"), [0.0, 1.0], dl.StepsizeSchedule("power", a0=1.0, gamma=0.75),
             dl.NoiseModel("gaussian", 0.1), 200, seed=0,
         )
-        narrow = dl.TestFunctionFamily.with_scale(1, 1.0)
+        narrow = dl.TestFunctionFamily(1, 1.0)
         with pytest.raises(ValueError, match="points have 2 coordinates, the family has 1"):
             dl.checkpoint_residuals(example1_trace, narrow, [200])
 
 
 class TestStationarityResidual:
     def test_zero_velocity_atom(self):
-        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        fam = dl.TestFunctionFamily(1, sigma=1.0)
         m = _measure([[0.3]], [[0.0]], [1.0])
         assert np.array_equal(dl.stationarity_residual(m, fam), np.zeros(len(fam)))
 
     def test_symmetric_velocities_cancel(self):
-        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        fam = dl.TestFunctionFamily(1, sigma=1.0)
         m = _measure([[0.0], [0.0]], [[1.0], [-1.0]], [0.5, 0.5])
         assert np.allclose(dl.stationarity_residual(m, fam), 0.0, atol=1e-15)
 
     def test_unit_gradient_member(self):
         # the degree-1 member has gradient exactly 1 at the center
-        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        fam = dl.TestFunctionFamily(1, sigma=1.0)
         m = _measure([[0.0]], [[1.0]], [1.0])
         res = dl.stationarity_residual(m, fam)
         idx = [g.beta for g in fam.members].index((1,))
@@ -357,7 +386,7 @@ class TestStationarityResidual:
     @given(lam=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=40, deadline=None)
     def test_linearity_in_the_measure(self, lam):
-        fam = dl.TestFunctionFamily.with_scale(1, sigma=2.0)
+        fam = dl.TestFunctionFamily(1, sigma=2.0)
         m1 = _measure([[0.2], [1.0]], [[1.0], [-0.5]], [0.3, 0.7])
         m2 = _measure([[-0.4]], [[2.0]], [1.0])
         mixed = _measure(np.vstack([m1.xs, m2.xs]), np.vstack([m1.zs, m2.zs]),
@@ -367,7 +396,7 @@ class TestStationarityResidual:
         assert np.allclose(r_mixed, r_split, atol=1e-12)
 
     def test_family_bounds_hold_empirically(self):
-        fam = dl.TestFunctionFamily.with_scale(2, sigma=0.8)
+        fam = dl.TestFunctionFamily(2, sigma=0.8)
         xs = np.random.default_rng(0).normal(scale=2.0, size=(500, 2))
         for member in fam.members:
             vals = np.array([member.value(x) for x in xs])
@@ -469,7 +498,7 @@ class TestMartingaleDiagnostic:
             lin, [1.0], dl.StepsizeSchedule("power", a0=0.1, gamma=0.75),
             dl.NoiseModel("zero", 0.0), 300, seed=0,
         )
-        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        fam = dl.TestFunctionFamily(1, sigma=1.0)
         diag = dl.martingale_diagnostic(trace, fam)
         assert np.all(diag.xi == 0.0)
         assert np.all(diag.tail_oscillation(0) == 0.0)
@@ -480,7 +509,7 @@ class TestMartingaleDiagnostic:
             relay, [0.5], dl.StepsizeSchedule("constant", a0=0.1),
             dl.NoiseModel("gaussian", 0.1), 20, seed=0,
         )
-        diag = dl.martingale_diagnostic(trace, dl.TestFunctionFamily.with_scale(1, sigma=1.0))
+        diag = dl.martingale_diagnostic(trace, dl.TestFunctionFamily(1, sigma=1.0))
         for n0 in (-1, 21, 100):
             with pytest.raises(dl.IndexOutOfRange):
                 diag.tail_oscillation(n0)
@@ -550,6 +579,43 @@ class TestMartingaleDiagnostic:
         assert fails == 0
 
 
+class TestIndicesAreIntegers:
+    """Every trace index a diagnostic takes is an integer, not a float or a
+    bool; numpy integers are integers."""
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_up_to_n(self, bad):
+        with pytest.raises(ValueError, match="up_to_n must be an integer"):
+            dl.averaged_measure(_relay_trace(), bad)
+
+    @pytest.mark.parametrize("bad", [[2.7], [1, 2.0], [True], [50, np.float64(100.5)]])
+    def test_checkpoints(self, bad):
+        trace, fam = _relay_trace(), dl.TestFunctionFamily(1, 1.0)
+        with pytest.raises(ValueError, match="checkpoints must be integers"):
+            dl.checkpoint_residuals(trace, fam, bad)
+        with pytest.raises(ValueError, match="checkpoints must be integers"):
+            dl.residual_decay_study([trace], fam, bad)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_n0(self, bad):
+        diag = dl.martingale_diagnostic(_relay_trace(), dl.TestFunctionFamily(1, 1.0))
+        with pytest.raises(ValueError, match="n0 must be an integer"):
+            diag.tail_oscillation(bad)
+        with pytest.raises(ValueError, match="n0 must be an integer"):
+            diag.tail_quadratic_variation(bad)
+
+    def test_numpy_integers_are_accepted(self):
+        trace, fam = _relay_trace(), dl.TestFunctionFamily(1, 1.0)
+        measure = dl.averaged_measure(trace, np.int64(100))
+        assert np.array_equal(measure.weights, dl.averaged_measure(trace, 100).weights)
+        fast = dl.checkpoint_residuals(trace, fam, np.array([50, 100]))
+        assert np.array_equal(fast, dl.checkpoint_residuals(trace, fam, [50, 100]))
+        table = dl.residual_decay_study([trace], fam, [np.int32(100), np.int64(200)])
+        assert table.checkpoints.tolist() == [100, 200]
+        diag = dl.martingale_diagnostic(trace, fam)
+        assert np.array_equal(diag.tail_oscillation(np.int64(100)), diag.tail_oscillation(100))
+
+
 class TestResidualDecay:
     def test_constant_trace_residuals_zero_everywhere(self):
         lin = dl.builtin_field("linear")
@@ -557,13 +623,13 @@ class TestResidualDecay:
             lin, [0.0], dl.StepsizeSchedule("constant", a0=0.1),
             dl.NoiseModel("zero", 0.0), 400, seed=0,
         )
-        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        fam = dl.TestFunctionFamily(1, sigma=1.0)
         table = dl.residual_decay_study([trace], fam, [100, 200, 400])
         assert np.array_equal(table.median_residuals, np.zeros(3))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_traces_or_checkpoints_raise(self):
-        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        fam = dl.TestFunctionFamily(1, sigma=1.0)
         with pytest.raises(dl.EmptyTrace):
             dl.residual_decay_study([], fam, [1, 10])
         trace = dl.run_sa(
@@ -581,7 +647,7 @@ class TestResidualDecay:
             lin, [0.0], dl.StepsizeSchedule("power", a0=1.0, gamma=0.75),
             dl.NoiseModel("gaussian", 0.1), 10**5, seed=0,
         )
-        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        fam = dl.TestFunctionFamily(1, sigma=1.0)
         table = dl.residual_decay_study([trace], fam, [10**5])
         assert table.median_residuals[0] <= 1e-2
 
@@ -651,7 +717,7 @@ class TestCheckpointResiduals:
             relay, [0.5], dl.StepsizeSchedule("constant", a0=0.1),
             dl.NoiseModel("gaussian", 0.1), 10, seed=0,
         )
-        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        fam = dl.TestFunctionFamily(1, sigma=1.0)
         for bad in ([0, 5], [5, 11], [5, 5], [6, 5]):
             with pytest.raises(ValueError):
                 dl.checkpoint_residuals(trace, fam, bad)
@@ -668,7 +734,7 @@ class TestCheckpointResiduals:
             dl.builtin_field("relay"), [0.5], dl.StepsizeSchedule("custom", sequence=[0.0, 0.5, 0.5]),
             dl.NoiseModel("gaussian", 0.1), 3, seed=0,
         )
-        fam = dl.TestFunctionFamily.with_scale(1, sigma=1.0)
+        fam = dl.TestFunctionFamily(1, sigma=1.0)
         with pytest.raises(dl.EmptyTrace, match=r"t\(1\) = 0"):
             dl.averaged_measure(trace, 1)
         with pytest.raises(dl.EmptyTrace, match=r"t\(1\) = 0"):

@@ -7,7 +7,7 @@ import pathlib
 import driftlab
 
 _PACKAGE = pathlib.Path(driftlab.__file__).parent
-_SHARED_PRIVATE = {"_read_only", "_row_norms", "_row_sums"}
+_SHARED_PRIVATE = {"_is_integer", "_read_only", "_row_norms", "_row_sums"}
 
 
 def _private_imports(path):

@@ -81,6 +81,11 @@ class TestStepsize:
         with pytest.raises(ValueError, match="1-d"):
             dl.StepsizeSchedule("custom", sequence=sequence)
 
+    @pytest.mark.parametrize("kind", ["power", "constant"])
+    def test_only_a_custom_schedule_takes_a_sequence(self, kind):
+        with pytest.raises(ValueError, match="sequence: only a custom schedule"):
+            dl.StepsizeSchedule(kind, a0=0.5, sequence=[0.5, 0.5])
+
 
 class TestValidateSchedule:
     def test_small_gamma_breaks_square_sum(self):
@@ -378,6 +383,17 @@ class TestSharedScheduleArrays:
         with pytest.raises(FrozenInstanceError):
             setattr(schedule, name, value)
         assert schedule.values(2).tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("make", [
+        lambda: dl.StepsizeSchedule("power", a0=0.9, gamma=0.75),
+        lambda: dl.StepsizeSchedule("constant", a0=0.5),
+        lambda: dl.StepsizeSchedule("custom", sequence=[0.1, 0.2]),
+    ], ids=["power", "constant", "custom"])
+    def test_equality_and_hash_are_by_identity(self, make):
+        # sharing run arrays is per object, so equality is too
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
 
     def test_the_sequence_is_a_read_only_copy(self):
         given = np.array([0.5, 0.0, 0.25, 0.0])
