@@ -52,8 +52,8 @@ def main():
     n0 = traces[0].n_steps // 2
     osc = diag.tail_oscillation(n0).max(axis=1)
     bound = 4.0 * np.sqrt(diag.tail_quadratic_variation(n0))
-    for i, member in enumerate(family.members):
-        print(f"  member beta={member.beta}: tail osc {osc[i]:.2e} <= "
+    for i, beta in enumerate(family.betas):
+        print(f"  member beta={beta}: tail osc {osc[i]:.2e} <= "
               f"4 sqrt(QV tail) = {bound[i]:.2e}")
 
 

@@ -56,7 +56,6 @@ from .inclusion import (
 from .tracking import TrackingReport, tracking_error, tracking_profile
 from .measures import (
     EmpiricalMeasure,
-    GaussianMonomial,
     TestFunctionFamily,
     averaged_measure,
     checkpoint_residuals,

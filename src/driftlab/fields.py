@@ -42,7 +42,7 @@ class AffineGuard:
     """g(x) = a . x + b with a nonzero coefficient vector."""
 
     def __init__(self, a, b=0.0):
-        self.a = np.asarray(a, dtype=float)
+        self.a = _read_only(np.array(a, dtype=float))
         self.b = float(b)
         if self.a.ndim != 1 or not np.any(self.a):
             raise ValueError("affine guard needs a nonzero 1-d coefficient vector")
@@ -82,7 +82,7 @@ class NormGuard:
     """g(x) = ||x - center|| - radius (Euclidean)."""
 
     def __init__(self, center, radius):
-        self.center = np.asarray(center, dtype=float)
+        self.center = _read_only(np.array(center, dtype=float))
         self.radius = float(radius)
 
     def value(self, x):
@@ -107,7 +107,7 @@ class NormGuard:
 
 class ConstantPiece:
     def __init__(self, value):
-        self.c = np.asarray(value, dtype=float)
+        self.c = _read_only(np.array(value, dtype=float))
 
     def value(self, x):
         return self.c
@@ -120,8 +120,8 @@ class AffinePiece:
     """f(x) = A x + b."""
 
     def __init__(self, A, b=None):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.b = np.zeros(self.A.shape[0]) if b is None else np.asarray(b, dtype=float)
+        self.A = _read_only(np.atleast_2d(np.array(A, dtype=float)))
+        self.b = _read_only(np.zeros(self.A.shape[0]) if b is None else np.array(b, dtype=float))
 
     def value(self, x):
         return self.A @ x + self.b
@@ -134,12 +134,12 @@ class QuadraticPiece:
     """f_i(x) = x^T Q_i x + A_i . x + b_i, degree <= 2 per component."""
 
     def __init__(self, Q, A=None, b=None):
-        self.Q = np.asarray(Q, dtype=float)
+        self.Q = _read_only(np.array(Q, dtype=float))
         if self.Q.ndim != 3:
             raise ValueError(f"quadratic piece needs a (d_out, d, d) Q, not shape {self.Q.shape}")
         d_out, d = self.Q.shape[0], self.Q.shape[1]
-        self.A = np.zeros((d_out, d)) if A is None else np.atleast_2d(np.asarray(A, dtype=float))
-        self.b = np.zeros(d_out) if b is None else np.asarray(b, dtype=float)
+        self.A = _read_only(np.zeros((d_out, d)) if A is None else np.atleast_2d(np.array(A, float)))
+        self.b = _read_only(np.zeros(d_out) if b is None else np.array(b, dtype=float))
 
     def value(self, x):
         return np.einsum("ijk,j,k->i", self.Q, x, x) + self.A @ x + self.b
@@ -420,6 +420,11 @@ def _read_only(array):
     return array
 
 
+def _is_integer(n):
+    """True for an int or a numpy integer; a bool is not one."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _dedupe_rows(rows, tol=1e-12):
     kept = []
     for r in rows:
@@ -596,10 +601,10 @@ def mollify(field, x, delta, samples, rng):
     (rejection from the uniform ball) and averages evaluate; draws that
     land on a boundary pattern are redrawn.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
+    if not _is_integer(samples) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     x = np.asarray(x, dtype=float)
     d = field.dimension
     total = np.zeros(d)
@@ -629,7 +634,10 @@ def mollify(field, x, delta, samples, rng):
 # built-in catalog
 
 def builtin_field(name, dimension=None):
-    """Named fields used by the demos and the test suite."""
+    """Named fields used by the demos and the test suite; a given dimension
+    (used by "linear") must be an integer >= 1."""
+    if dimension is not None and (not _is_integer(dimension) or dimension < 1):
+        raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
     if name == "example1":
         return PiecewiseField(
             dimension=2,
@@ -655,7 +663,7 @@ def builtin_field(name, dimension=None):
             name="spurious_equilibrium",
         )
     if name == "linear":
-        d = 1 if dimension is None else int(dimension)
+        d = 1 if dimension is None else dimension
         return PiecewiseField(
             dimension=d,
             guards=[],

@@ -155,7 +155,6 @@ class _FilippovStepper:
         self.points = [self.x[None]]  # (n, d) blocks; no step writes into self.x
         self.labels = []
         self.mode = None  # ("region", pattern) | ("slide", k, pattern_with_0)
-        self._translations = {}  # _translation() of each mode met
         self._resolve_mode()
 
     # -- bookkeeping --------------------------------------------------------
@@ -429,9 +428,7 @@ class _FilippovStepper:
         if self.x.tobytes() == x_before.tobytes():
             v = None
         else:
-            if self.mode not in self._translations:
-                self._translations[self.mode] = self._translation()
-            v = self._translations[self.mode]
+            v = self._translation()
             if v is None or (x_before + self.dt * v).tobytes() != self.x.tobytes():
                 return
             # a slide that alternates translation and projection leaves the

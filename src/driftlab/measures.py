@@ -5,8 +5,9 @@ empirical measure; its stationarity residuals against a family of smooth
 test functions, its support relative to the Filippov/Krasovskii graphs, and
 the noise-martingale partial sums are the quantities the limit theory
 constrains.  A test-function family is one (sigma, center) group of
-gaussian-bump monomials, built from its group.  Every trace index taken
-here (up_to_n, a checkpoint, n0) is an integer, not a float or a bool.
+gaussian-bump monomials, one per multi-index, built from its group.  Every
+trace index taken here (up_to_n, a checkpoint, n0) is an integer, not a
+float or a bool.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import numpy as np
 
 from .errors import EmptyTrace, IndexOutOfRange
 from .fields import (
-    DEFAULT_RADIUS_TOL, _row_norms, _row_sums, filippov_map, krasovskii_map, maps_follow_pattern,
+    DEFAULT_RADIUS_TOL, _is_integer, _read_only, _row_norms, _row_sums, filippov_map,
+    krasovskii_map, maps_follow_pattern,
 )
-from .sa import _is_integer
 
 _MERGE_ATOL = 1e-15
 _BOX_PAD = 0.1
@@ -111,29 +112,6 @@ def averaged_measure(trace, up_to_n):
 # ---------------------------------------------------------------------------
 # test functions: gaussian-bump-weighted monomials up to degree 2
 
-class GaussianMonomial:
-    """f(x) = prod (x-c)_i^beta_i * exp(-|x-c|^2 / (2 sigma^2))."""
-
-    def __init__(self, beta, sigma, center=None):
-        self.beta = tuple(int(b) for b in beta)
-        self.sigma = float(sigma)
-        d = len(self.beta)
-        self.center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-
-    def value(self, x):
-        y = np.asarray(x, dtype=float) - self.center
-        mono = np.prod(y ** np.array(self.beta))
-        return float(mono * np.exp(-(y @ y) / (2.0 * self.sigma**2)))
-
-    def value_bound(self):
-        k = sum(self.beta)
-        return _radial_max(k, self.sigma)
-
-    def gradient_bound(self):
-        k = sum(self.beta)
-        return k * _radial_max(max(k - 1, 0), self.sigma) + _radial_max(k + 1, self.sigma) / self.sigma**2
-
-
 def _radial_max(k, sigma):
     """max over r >= 0 of r^k exp(-r^2 / (2 sigma^2))."""
     if k == 0:
@@ -142,9 +120,11 @@ def _radial_max(k, sigma):
 
 
 class TestFunctionFamily:
-    """The degree <= 2 gaussian-bump monomials of one sigma and one center:
-    one group, so gradients computes the bump and every monomial once for
-    the family.  The center is the family's own copy (zeros if None)."""
+    """The degree <= 2 gaussian-bump monomials
+    f_beta(x) = prod (x-c)_i^beta_i * exp(-|x-c|^2 / (2 sigma^2))
+    of one sigma and one center, one per multi-index in betas: gradients
+    computes the bump and every monomial once for the family.  The center
+    is the family's own read-only copy (zeros if None)."""
 
     def __init__(self, dimension, sigma, center=None):
         if not _is_integer(dimension) or dimension < 1:
@@ -154,8 +134,8 @@ class TestFunctionFamily:
         center = np.zeros(dimension) if center is None else np.array(center, dtype=float)
         if center.shape != (dimension,) or not np.isfinite(center).all():
             raise ValueError(f"center must be {dimension} finite numbers, got {center!r}")
-        self.dimension, self.sigma, self.center = dimension, float(sigma), center
-        self.members = [GaussianMonomial(beta, sigma, center) for beta in _multi_indices(dimension)]
+        self.dimension, self.sigma, self.center = dimension, float(sigma), _read_only(center)
+        self.betas = tuple(_multi_indices(dimension))
 
     @classmethod
     def from_box(cls, box_states):
@@ -168,7 +148,19 @@ class TestFunctionFamily:
         return cls(box.shape[1], sigma, center)
 
     def __len__(self):
-        return len(self.members)
+        return len(self.betas)
+
+    def value_bounds(self):
+        """max |f_beta| per beta."""
+        return np.array([_radial_max(sum(beta), self.sigma) for beta in self.betas])
+
+    def gradient_bounds(self):
+        """A bound on |grad f_beta| per beta."""
+        s = self.sigma
+        return np.array([
+            k * _radial_max(max(k - 1, 0), s) + _radial_max(k + 1, s) / s**2
+            for k in map(sum, self.betas)
+        ])
 
     def gradients(self, xs):
         """Every member's gradient at every point, shape (members, n, d), in
@@ -202,9 +194,9 @@ class TestFunctionFamily:
                 monomials[beta] = mono
             return monomials[beta]
 
-        out = np.empty((len(self.members), *y.shape))
-        for grads, member in zip(out, self.members):
-            beta, mono = member.beta, monomial(member.beta)
+        out = np.empty((len(self.betas), *y.shape))
+        for grads, beta in zip(out, self.betas):
+            mono = monomial(beta)
             for j, b in enumerate(beta):
                 if b:
                     lowered = monomial(beta[:j] + (b - 1,) + beta[j + 1:])
@@ -396,8 +388,8 @@ def martingale_diagnostic(trace, family):
     cumulative bound sum a(m)^2 |grad f_i(x(m))|^2 |M(m+1)|^2."""
     n, d = trace.noises.shape
     xs = trace.states[:n]
-    xi = np.zeros((n + 1, len(family.members), d))
-    qv = np.zeros((n + 1, len(family.members)))
+    xi = np.zeros((n + 1, len(family), d))
+    qv = np.zeros((n + 1, len(family)))
     noise_sq = _row_sums(trace.noises**2)
     steps_sq = trace.steps**2
     for i, grads in enumerate(family.gradients(xs)):

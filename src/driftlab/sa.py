@@ -37,7 +37,7 @@ from .errors import (
     OutOfDomain,
     WindowExceedsTrace,
 )
-from .fields import ConstantPiece, _read_only, _row_sums
+from .fields import ConstantPiece, _is_integer, _read_only, _row_sums
 
 DEFAULT_BLOWUP_BOUND = 1e6
 _BLOCK_ROWS = 4096  # steps and noises are read, states and drifts written, per block
@@ -303,11 +303,6 @@ def run_sa(field, x0, schedule, noise, n_steps, seed, blowup_bound=DEFAULT_BLOWU
     )
 
 
-def _is_integer(n):
-    """True for an int or a numpy integer; a bool is not one."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-
-
 def _sure_bound(blowup_bound):
     """|x| up to this passes the exact test of _check_blowup, which then need
     not run: the margin covers the rounding of |x| and of x @ x, except near
@@ -436,6 +431,8 @@ def window_index(trace, n, T):
     WindowExceedsTrace when there is no such k."""
     if not T > 0:  # NaN too
         raise ValueError("T must be > 0")
+    if not _is_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0 or n >= trace.times.size:
         raise IndexOutOfRange(f"index {n} outside [0, {trace.times.size - 1}]")
     target = trace.times[n] + T

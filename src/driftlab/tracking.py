@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WindowExceedsTrace
+from .fields import _is_integer
 from .inclusion import Trajectory, integrate_tracking_selection
 from .sa import window_index
 
@@ -64,8 +65,8 @@ def tracking_profile(trace, field, T, n_windows, dt, noise_flag=False):
     noise_flag is the density flag of the noise model that produced the
     trace, carried along for downstream comparisons.
     """
-    if n_windows < 1:
-        raise ValueError("n_windows must be >= 1")
+    if not _is_integer(n_windows) or n_windows < 1:
+        raise ValueError(f"n_windows must be an integer >= 1, got {n_windows!r}")
     t_total = float(trace.times[-1])
     if t_total < n_windows * T - 1e-12:
         raise WindowExceedsTrace(

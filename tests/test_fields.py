@@ -19,6 +19,7 @@ from driftlab.fields import (
     CoordinateGuard,
     NormGuard,
     PiecewiseField,
+    QuadraticPiece,
     _hull_project,
     _min_norm_point,
     _strict_cone_feasible,
@@ -334,6 +335,36 @@ class TestFilippovMap:
         assert fld.evaluate([0.0, 0.0]).tolist() == [-1.0, 0.0]
         assert dl.filippov_map(fld, [0.0, 0.0]).vertices.tobytes() == kept
 
+    def test_a_piece_under_a_kept_set_is_read_only(self):
+        fld = dl.builtin_field("example1")
+        kept = dl.filippov_map(fld, [0.0, 0.0]).vertices.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            fld.pieces["+"].c[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            fld.guards[0].a[1] = 0.0
+        assert fld.evaluate([0.0, 1.0]).tolist() == [1.0, -1.0]
+        assert dl.filippov_map(fld, [0.0, 0.0]).vertices.tobytes() == kept
+
+    @pytest.mark.parametrize("make, args, names", [
+        (AffineGuard, ([1.0, 0.0], 0.5), ["a"]),
+        (NormGuard, ([0.5, -0.5], 1.0), ["center"]),
+        (ConstantPiece, ([1.0, -1.0],), ["c"]),
+        (AffinePiece, ([[1.0, 2.0], [3.0, 4.0]], [0.5, -0.5]), ["A", "b"]),
+        (QuadraticPiece, (np.ones((2, 2, 2)), [[1.0, 2.0], [3.0, 4.0]], [0.5, -0.5]), ["Q", "A", "b"]),
+    ])
+    def test_catalog_coefficients_are_read_only_copies(self, make, args, names):
+        # the caller's float64 arrays once became the guard's or piece's own
+        arrays = [np.array(arg, dtype=float) for arg in args]
+        made = make(*arrays)
+        for name, arr in zip(names, arrays):
+            before = arr.copy()
+            arr[...] = 0.0  # the caller's array stays writable
+            coef = getattr(made, name)
+            assert not np.shares_memory(coef, arr)
+            assert np.array_equal(coef, before)
+            with pytest.raises(ValueError, match="read-only"):
+                coef[...] = 0.0
+
     def test_relay_interval_with_mollify_cross_check(self, relay):
         hull = dl.filippov_map(relay, [0.0], 1e-9)
         assert _same_hull(hull, ConvexVelocitySet(np.array([[-1.0], [1.0]])))
@@ -490,6 +521,34 @@ class TestMollify:
             dl.mollify(example1, [0.0, 0.0], -0.1, 10, dl.make_rng(0))
         with pytest.raises(ValueError):
             dl.mollify(example1, [0.0, 0.0], 0.1, 0, dl.make_rng(0))
+
+    @pytest.mark.parametrize("samples", [2.5, 2.0, True, 0, -1])
+    def test_samples_must_be_an_integer_ge_1(self, relay, samples):
+        # 2.5 once drew 3 samples and divided their sum by 2.5
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+            dl.mollify(relay, [0.5], 0.1, samples, dl.make_rng(0))
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -0.1])
+    def test_delta_must_be_finite_and_positive(self, relay, delta):
+        # NaN once passed the check and averaged the field at NaN
+        with pytest.raises(ValueError, match="delta must be finite and > 0"):
+            dl.mollify(relay, [0.5], delta, 3, dl.make_rng(0))
+
+    def test_numpy_integer_samples_are_accepted(self, relay):
+        out = dl.mollify(relay, [0.5], 0.1, np.int64(3), dl.make_rng(0))
+        assert out.tolist() == [-1.0]
+
+
+class TestBuiltinFieldDimension:
+    @pytest.mark.parametrize("dimension", [2.5, 2.0, True, 0, -1])
+    def test_dimension_must_be_an_integer_ge_1(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+            dl.builtin_field("linear", dimension)
+
+    def test_integer_dimensions_are_accepted(self):
+        assert dl.builtin_field("linear").dimension == 1
+        assert dl.builtin_field("linear", np.int64(3)).dimension == 3
+        assert dl.builtin_field("relay", 1).dimension == 1
 
 
 class TestHullOperations:

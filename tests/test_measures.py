@@ -188,14 +188,14 @@ class TestDistinctAtomSort:
 # ---------------------------------------------------------------------------
 # the one-pass family gradient against the per-member form it replaced
 
-def _gradient_batch(member, xs):
-    """d/dx_j of the member: (beta_j / y_j - y_j / sigma^2) * f, handled
-    without dividing by zero via explicit monomial factors.  The
+def _gradient_batch(family, beta, xs):
+    """d/dx_j of the family's member beta: (beta_j / y_j - y_j / sigma^2) * f,
+    handled without dividing by zero via explicit monomial factors.  The
     per-member gradient TestFunctionFamily.gradients replaced, kept as its
     oracle."""
-    y = np.atleast_2d(xs) - member.center
-    beta = np.array(member.beta)
-    bump = np.exp(-np.sum(y * y, axis=1) / (2.0 * member.sigma**2))
+    y = np.atleast_2d(xs) - family.center
+    beta = np.array(beta)
+    bump = np.exp(-np.sum(y * y, axis=1) / (2.0 * family.sigma**2))
     mono = np.prod(y ** beta, axis=1)
     grads = np.empty_like(y)
     for j in range(y.shape[1]):
@@ -205,20 +205,39 @@ def _gradient_batch(member, xs):
             reduced = beta.copy()
             reduced[j] -= 1
             dmono = beta[j] * np.prod(y**reduced, axis=1)
-        grads[:, j] = (dmono - mono * y[:, j] / member.sigma**2) * bump
+        grads[:, j] = (dmono - mono * y[:, j] / family.sigma**2) * bump
     return grads
 
 
 def _stacked_oracle(family, xs):
-    return np.stack([_gradient_batch(member, xs) for member in family.members])
+    return np.stack([_gradient_batch(family, beta, xs) for beta in family.betas])
+
+
+def _value(family, beta, x):
+    """f_beta(x) = prod (x-c)_i^beta_i * exp(-|x-c|^2 / (2 sigma^2))."""
+    y = np.asarray(x, dtype=float) - family.center
+    mono = np.prod(y ** np.array(beta))
+    return float(mono * np.exp(-(y @ y) / (2.0 * family.sigma**2)))
+
+
+def _bounds_oracle(family):
+    """The value and gradient bound of each member, by the per-member
+    formulas the family's bound arrays replaced."""
+    radial_max, sigma = measures._radial_max, family.sigma
+    values, gradients = [], []
+    for beta in family.betas:
+        k = sum(beta)
+        values.append(radial_max(k, sigma))
+        gradients.append(k * radial_max(max(k - 1, 0), sigma) + radial_max(k + 1, sigma) / sigma**2)
+    return np.array(values), np.array(gradients)
 
 
 def _martingale_oracle(trace, family):
     """martingale_diagnostic's per-member loop before the one-pass family."""
     n, d = trace.noises.shape
     xs = trace.states[:n]
-    xi = np.zeros((n + 1, len(family.members), d))
-    qv = np.zeros((n + 1, len(family.members)))
+    xi = np.zeros((n + 1, len(family), d))
+    qv = np.zeros((n + 1, len(family)))
     noise_sq = np.sum(trace.noises**2, axis=1)
     for i, grads in enumerate(_stacked_oracle(family, xs)):
         terms = trace.steps[:, None] * grads * trace.noises
@@ -313,11 +332,12 @@ class TestFamilyGradients:
     def test_members_are_the_group_of_degree_le_2(self, d, betas):
         center = np.arange(d) - 0.5
         fam = dl.TestFunctionFamily(d, 0.5, center)
-        assert [m.beta for m in fam.members] == betas == measures._multi_indices(d)
+        assert isinstance(fam.betas, tuple)
+        assert list(fam.betas) == betas == measures._multi_indices(d)
         assert len(fam) == len(betas)
-        for member in fam.members:
-            assert member.sigma == fam.sigma == 0.5
-            assert member.center.tobytes() == fam.center.tobytes() == center.tobytes()
+        assert fam.sigma == 0.5
+        assert fam.center.tobytes() == center.tobytes()
+        assert fam.value_bounds().shape == fam.gradient_bounds().shape == (len(betas),)
 
     def test_the_center_is_the_familys_own_copy(self):
         center = np.array([0.5, -0.25])
@@ -328,12 +348,28 @@ class TestFamilyGradients:
         assert not np.shares_memory(fam.center, center)
         assert _bitwise_equal(fam.gradients(xs), before)
 
+    def test_the_center_is_read_only(self):
+        fam = dl.TestFunctionFamily(2, 1.0, [0.5, -0.25])
+        with pytest.raises(ValueError, match="read-only"):
+            fam.center[0] = 9.0
+        assert fam.center.tolist() == [0.5, -0.25]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
+    def test_bounds_match_the_per_member_formulas_bit_for_bit(self, d, sigma):
+        fam = dl.TestFunctionFamily(d, sigma, np.arange(d) * 0.25)
+        values, gradients = _bounds_oracle(fam)
+        assert fam.value_bounds().dtype == fam.gradient_bounds().dtype == np.float64
+        assert _bitwise_equal(fam.value_bounds(), values)
+        assert _bitwise_equal(fam.gradient_bounds(), gradients)
+
+    def test_the_per_member_class_is_gone(self):
+        assert not hasattr(dl, "GaussianMonomial")
+        assert "GaussianMonomial" not in dl.__all__
+        assert not hasattr(measures, "GaussianMonomial")
+        assert not hasattr(dl.TestFunctionFamily(1, 1.0), "members")
+
     def test_one_family_pass_per_call_and_no_per_member_pass(self, monkeypatch):
-        assert not hasattr(dl.GaussianMonomial, "gradient_batch")
-        per_member = []
-        monkeypatch.setattr(dl.GaussianMonomial, "gradient_batch",
-                            lambda member, xs: per_member.append(1) or _gradient_batch(member, xs),
-                            raising=False)
         passes = []
         one_pass = dl.TestFunctionFamily.gradients
         monkeypatch.setattr(dl.TestFunctionFamily, "gradients",
@@ -345,7 +381,7 @@ class TestFamilyGradients:
         dl.martingale_diagnostic(trace, fam)
         dl.stationarity_residual(dl.averaged_measure(trace, 200), fam)
         dl.residual_decay_study([trace, trace], fam, [100, 200])
-        assert len(passes) == 5 and per_member == []
+        assert len(passes) == 5
 
     def test_family_of_the_wrong_dimension_fails_loudly(self):
         relay_trace = _relay_trace()
@@ -380,7 +416,7 @@ class TestStationarityResidual:
         fam = dl.TestFunctionFamily(1, sigma=1.0)
         m = _measure([[0.0]], [[1.0]], [1.0])
         res = dl.stationarity_residual(m, fam)
-        idx = [g.beta for g in fam.members].index((1,))
+        idx = fam.betas.index((1,))
         assert res[idx] == pytest.approx(1.0, abs=1e-15)
 
     @given(lam=st.floats(min_value=0.0, max_value=1.0))
@@ -398,11 +434,12 @@ class TestStationarityResidual:
     def test_family_bounds_hold_empirically(self):
         fam = dl.TestFunctionFamily(2, sigma=0.8)
         xs = np.random.default_rng(0).normal(scale=2.0, size=(500, 2))
-        for member in fam.members:
-            vals = np.array([member.value(x) for x in xs])
-            grads = _gradient_batch(member, xs)
-            assert np.all(np.abs(vals) <= member.value_bound() + 1e-12)
-            assert np.all(np.linalg.norm(grads, axis=1) <= 2.0 * member.gradient_bound() + 1e-12)
+        value_bounds, gradient_bounds = fam.value_bounds(), fam.gradient_bounds()
+        for i, beta in enumerate(fam.betas):
+            vals = np.array([_value(fam, beta, x) for x in xs])
+            grads = _gradient_batch(fam, beta, xs)
+            assert np.all(np.abs(vals) <= value_bounds[i] + 1e-12)
+            assert np.all(np.linalg.norm(grads, axis=1) <= 2.0 * gradient_bounds[i] + 1e-12)
 
 
 class TestGraphSupport:
@@ -553,7 +590,7 @@ class TestMartingaleDiagnostic:
         )
         diag = dl.martingale_diagnostic(trace, fam)
         n = np.arange(diag.quadratic_variation.shape[0], dtype=float)
-        for i in range(len(fam.members)):
+        for i in range(len(fam)):
             qv = diag.quadratic_variation[:, i]
             slope, intercept = np.polyfit(n, qv, 1)
             pred = slope * n + intercept

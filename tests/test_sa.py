@@ -521,6 +521,21 @@ class TestTimescale:
         with pytest.raises(dl.WindowExceedsTrace, match="no node"):
             dl.window_index(trace, 3, 1e-10)
 
+    @pytest.mark.parametrize("n", [2.5, 1.0, True])
+    def test_window_index_refuses_an_index_that_is_not_an_integer(self, n):
+        # 2.5 once died in a bare numpy IndexError, True in an ambiguous truth value
+        trace = self._tiny_trace([0.5, 0.25, 0.125, 0.125])
+        with pytest.raises(ValueError, match="n must be an integer"):
+            dl.window_index(trace, n, 0.1)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            dl.tracking_error(trace, dl.builtin_field("linear"), n, 0.1, 1e-3)
+
+    def test_window_index_takes_numpy_integers(self):
+        trace = self._tiny_trace([0.5, 0.25, 0.125, 0.125])
+        assert dl.window_index(trace, np.int64(0), 0.7) == 2
+        with pytest.raises(dl.IndexOutOfRange):
+            dl.window_index(trace, np.int64(5), 0.1)
+
     @pytest.mark.parametrize("T", [0.0, -1.0, np.nan])
     def test_window_index_refuses_a_length_not_above_zero(self, T):
         # NaN once passed the T <= 0 check and raised WindowExceedsTrace

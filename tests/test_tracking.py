@@ -98,6 +98,14 @@ class TestTrackingProfile:
         with pytest.raises(ValueError, match="T must be > 0"):
             dl.tracking_profile(trace, lin, T=np.nan, n_windows=n_windows, dt=1e-3)
 
+    @pytest.mark.parametrize("n_windows", [True, 2.5, 2.0, 0])
+    def test_n_windows_must_be_an_integer_ge_1(self, n_windows):
+        # True once ran one window, 2.5 died in a TypeError
+        lin = dl.builtin_field("linear")
+        trace = _run(lin, [0.0], 1e-2, 1000)
+        with pytest.raises(ValueError, match="n_windows must be an integer >= 1"):
+            dl.tracking_profile(trace, lin, T=1.0, n_windows=n_windows, dt=1e-3)
+
     def test_too_short_trace_raises(self):
         lin = dl.builtin_field("linear")
         trace = _run(lin, [1.0], 1e-3, 1000)
