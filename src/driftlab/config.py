@@ -61,7 +61,10 @@ class ExperimentConfig:
 
     def build_field(self):
         if isinstance(self.field, str):
-            return builtin_field(self.field, dimension=self.x0.size)
+            # only "linear" takes x0's dimension; config_from_dict refuses
+            # an x0 that does not match another built-in field
+            size = self.x0.size if self.field == "linear" else None
+            return builtin_field(self.field, dimension=size)
         return _inline_field(self.field.get("dimension"))(self.field, "field")
 
     def effective_dict(self):

@@ -280,7 +280,8 @@ class PiecewiseField:
 
     def _evaluate_labeled(self, xs, signs):
         """evaluate_batch(xs) from signs = sign_labels(xs), or from labels at
-        any zero_tol of rows that none labels '0'.  A piecewise-constant field
+        any zero_tol of rows that none labels '0' (a row labeled '0' gets
+        the value of its labeled pattern).  A piecewise-constant field
         with at most _TABLE_GUARDS guards reads each row from a table indexed
         by sign code, whose rows are resolved only for the codes that occur;
         any other field takes one value_batch call per sign pattern."""
@@ -435,8 +436,9 @@ def _dedupe_rows(rows, tol=1e-12):
 
 def _hull_project(verts, v):
     """Nearest point of conv(verts) to v and its distance.  One vertex is
-    returned as it is and a 1-d hull is a clip to [min, max]; any other hull
-    goes to _min_norm_point."""
+    returned as it is, a 1-d hull is a clip to [min, max], two vertices
+    take _segment_point's closed form, and any other hull goes to
+    _min_norm_point."""
     m, d = verts.shape
     if m == 1:
         return verts[0].copy(), float(_row_norms((v - verts[0])[None])[0])
@@ -444,6 +446,8 @@ def _hull_project(verts, v):
         lo, hi = float(verts.min()), float(verts.max())
         p = min(max(float(v[0]), lo), hi)
         return np.array([p]), abs(float(v[0]) - p)
+    if m == 2:
+        return _scaled_projection(_segment_point, verts, v)
     return _min_norm_point(verts, v)
 
 
@@ -454,11 +458,27 @@ def _min_norm_point(verts, v):
     cycle drops vertices until the face's affine nearest point has positive
     weights.  A face keeps its vertices w in index order, and its point is
     w[0] + coeff @ (w[1:] - w[0]) with coeff from the Gram system of
-    w[1:] - w[0], so the result depends on the optimal face alone.  It runs
-    on verts and v scaled by 2^-e (see _scale_exponent), so no squared norm
-    overflows, and scales the point and the distance back."""
+    w[1:] - w[0], so the result depends on the optimal face alone."""
+    return _scaled_projection(_wolfe_point, verts, v)
+
+
+def _scaled_projection(point, verts, v):
+    """point(verts, v) run on verts and v scaled by 2^-e (see
+    _scale_exponent), so no squared norm overflows, with the point and its
+    distance from v scaled back."""
     e = _scale_exponent(verts, v)
     verts, v = np.ldexp(verts, -e), np.ldexp(v, -e)
+    p = point(verts, v)
+    # v - p can be far below the scaled vertices, where its square
+    # underflows: its norm is taken at its own scale
+    diff = v - p
+    f = _scale_exponent(diff)
+    diff = np.ldexp(diff, -f)
+    # np.linalg.norm's own rule for a 1-d float array, without its checks
+    return np.ldexp(p, e), math.ldexp(math.sqrt(diff.dot(diff)), e + f)
+
+
+def _wolfe_point(verts, v):
     shifted = verts - v
     sq = np.einsum("ij,ij->i", shifted, shifted)
     face, lam = [int(sq.argmin())], np.ones(1)
@@ -494,11 +514,36 @@ def _min_norm_point(verts, v):
             face, lam = [f for f, kept in zip(face, keep) if kept], lam[keep]
         else:
             lam, p = np.ones(1), verts[face[0]].copy()
-    # v - p can be far below the scaled vertices, where its square
-    # underflows: its norm is taken at its own scale
-    diff = v - p
-    f = _scale_exponent(diff)
-    return np.ldexp(p, e), math.ldexp(float(np.linalg.norm(np.ldexp(diff, -f))), e + f)
+    return p
+
+
+def _segment_point(verts, v):
+    """_wolfe_point on two vertices w0, w1 in closed form, bit for bit, by
+    the same numpy operations.  Wolfe's run starts at the vertex nearer to
+    v, and its major cycle stops there or adds the other vertex.  The face
+    [w0, w1] then has coeff = b @ (v - w0) / b @ b with b = w1 - w0.  The
+    run keeps w0 + coeff @ b when 0 < coeff < 1; otherwise its ratio step
+    keeps w0 (coeff <= 0) or w1 (coeff >= 1), and every later cycle repeats
+    these steps.  Where b @ b underflows to 0, solve fails and lstsq gives
+    coeff 0, so the run keeps w0."""
+    shifted = verts - v
+    sq = np.einsum("ij,ij->i", shifted, shifted)
+    i = int(sq.argmin())
+    x = verts[i] - v
+    dots = shifted @ x
+    j = int(dots.argmin())
+    if j == i or dots[j] > x @ x - 1e-12 * sq.max():
+        return verts[i]
+    basis = verts[1:] - verts[0]
+    gram, rhs = basis @ basis.T, basis @ (v - verts[0])
+    if gram[0, 0] == 0.0:
+        return verts[0]
+    coeff = rhs / gram[0]
+    if coeff[0] <= 0.0:
+        return verts[0]
+    if coeff[0] >= 1.0:
+        return verts[1]
+    return verts[0] + coeff @ basis
 
 
 def _row_norms(diffs):
@@ -506,7 +551,10 @@ def _row_norms(diffs):
     own _scale_exponent, so that no square of a tiny row underflows and no
     sum of a huge row's squares overflows.  It is the distance to a single
     vertex, of one atom in _hull_project and of every region-interior atom
-    in measures.graph_distances."""
+    in measures.graph_distances.  A one-column row's norm is its |entry|,
+    exactly: scaled into [0.5, 1), sqrt(RN(y * y)) = |y| in binary64."""
+    if diffs.shape[1] == 1:
+        return np.abs(diffs[:, 0])
     # the max over a contiguous (d, rows) copy: a max over the short axis 1
     # would run one inner loop per row
     e = np.frexp(np.abs(np.ascontiguousarray(diffs.T)).max(axis=0))[1]
@@ -533,7 +581,8 @@ def _scale_exponent(*arrays):
     [0.5, 1); 0 for zero, inf or nan.  Scaling by a power of two is exact,
     so a result computed on the scaled entries and scaled back is the
     unscaled one, except where an entry far below the largest underflows."""
-    return math.frexp(max(float(np.abs(a).max()) for a in arrays))[1]
+    # the reduction ndarray.max runs, without its Python wrapper
+    return math.frexp(max(float(np.maximum.reduce(np.abs(a), axis=None)) for a in arrays))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +656,8 @@ def mollify(field, x, delta, samples, rng):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     x = np.asarray(x, dtype=float)
     d = field.dimension
+    if x.shape != (d,):
+        raise ValueError(f"x must be a point of dimension {d}, got shape {x.shape}")
     total = np.zeros(d)
     got = 0
     attempts = 0
@@ -634,43 +685,48 @@ def mollify(field, x, delta, samples, rng):
 # built-in catalog
 
 def builtin_field(name, dimension=None):
-    """Named fields used by the demos and the test suite; a given dimension
-    (used by "linear") must be an integer >= 1."""
+    """Named fields used by the demos and the test suite.  A given dimension
+    must be an integer >= 1; "linear" takes it (1 by default), and any
+    other field refuses one that is not its own."""
     if dimension is not None and (not _is_integer(dimension) or dimension < 1):
         raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
     if name == "example1":
-        return PiecewiseField(
+        field = PiecewiseField(
             dimension=2,
             guards=[CoordinateGuard(1, 2)],
             pieces={"+": ConstantPiece([1.0, -1.0]), "-": ConstantPiece([1.0, 1.0])},
             boundary_values={"0": [-1.0, 0.0]},
             name="example1",
         )
-    if name == "relay":
-        return PiecewiseField(
+    elif name == "relay":
+        field = PiecewiseField(
             dimension=1,
             guards=[CoordinateGuard(0, 1)],
             pieces={"+": ConstantPiece([-1.0]), "-": ConstantPiece([1.0])},
             boundary_values={"0": [0.0]},
             name="relay",
         )
-    if name == "spurious_equilibrium":
-        return PiecewiseField(
+    elif name == "spurious_equilibrium":
+        field = PiecewiseField(
             dimension=1,
             guards=[CoordinateGuard(0, 1)],
             pieces={"+": ConstantPiece([1.0]), "-": ConstantPiece([1.0])},
             boundary_values={"0": [0.0]},
             name="spurious_equilibrium",
         )
-    if name == "linear":
+    elif name == "linear":
         d = 1 if dimension is None else dimension
-        return PiecewiseField(
+        field = PiecewiseField(
             dimension=d,
             guards=[],
             pieces={"": AffinePiece(-np.eye(d))},
             name="linear",
         )
-    raise ValueError(f"unknown built-in field {name!r}")
+    else:
+        raise ValueError(f"unknown built-in field {name!r}")
+    if dimension is not None and dimension != field.dimension:
+        raise ValueError(f"{name} has dimension {field.dimension}, not {dimension}")
+    return field
 
 
 BUILTIN_FIELDS = ("example1", "relay", "spurious_equilibrium", "linear")

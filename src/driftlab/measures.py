@@ -314,15 +314,12 @@ def graph_distances(measure, field, radius_tol=DEFAULT_RADIUS_TOL):
     if not (np.isfinite(xs).all() and np.isfinite(zs).all()):
         raise ValueError("graph_distances needs finite atoms")
     labels = field.sign_labels(xs, radius_tol)
-    interior = np.all(labels != 0, axis=1)
-    surface = np.flatnonzero(~interior)
-    if surface.size == 0:
-        interior = slice(None)  # indexes by a view, not a copy
-    dist_f = np.empty(measure.n_atoms)
-    # labels off '0' at radius_tol are evaluate's labels at zero_tol 0
-    diff = field._evaluate_labeled(xs[interior], labels[interior])
-    diff -= zs[interior]
-    dist_f[interior] = _row_norms(diff)
+    # labels off '0' at radius_tol are evaluate's labels at zero_tol 0; the
+    # distances of a row labeled '0' are overwritten from the maps below
+    diff = field._evaluate_labeled(xs, labels)
+    diff -= zs
+    dist_f = _row_norms(diff)
+    surface = np.flatnonzero((labels == 0).any(axis=1))
     if surface.size == 0:
         return GraphDistances(dist_f, dist_f, measure.weights)
     dist_k = dist_f.copy()

@@ -22,6 +22,7 @@ from driftlab.fields import (
     QuadraticPiece,
     _hull_project,
     _min_norm_point,
+    _row_norms,
     _strict_cone_feasible,
 )
 
@@ -538,6 +539,12 @@ class TestMollify:
         out = dl.mollify(relay, [0.5], 0.1, np.int64(3), dl.make_rng(0))
         assert out.tolist() == [-1.0]
 
+    @pytest.mark.parametrize("x", [[0.5, 0.2], [], 0.5, [[0.5]]])
+    def test_x_must_be_a_point_of_the_field(self, relay, x):
+        # [0.5, 0.2] once drew a 1-d ball, broadcast it and returned [-1.]
+        with pytest.raises(ValueError, match="x must be a point of dimension 1"):
+            dl.mollify(relay, x, 0.1, 3, dl.make_rng(0))
+
 
 class TestBuiltinFieldDimension:
     @pytest.mark.parametrize("dimension", [2.5, 2.0, True, 0, -1])
@@ -549,6 +556,13 @@ class TestBuiltinFieldDimension:
         assert dl.builtin_field("linear").dimension == 1
         assert dl.builtin_field("linear", np.int64(3)).dimension == 3
         assert dl.builtin_field("relay", 1).dimension == 1
+
+    @pytest.mark.parametrize("name, dimension", [("relay", 3), ("example1", 5),
+                                                 ("example1", 1), ("spurious_equilibrium", 2)])
+    def test_fixed_dimension_fields_refuse_another(self, name, dimension):
+        # builtin_field("relay", 3) once returned the 1-d relay
+        with pytest.raises(ValueError, match=f"{name} has dimension"):
+            dl.builtin_field(name, dimension)
 
 
 class TestHullOperations:
@@ -812,6 +826,100 @@ class TestMinNormPoint:
         # optimality: no vertex lies beyond the plane through p normal to v - p
         assert np.max((hull.vertices - p) @ (v - p)) <= 1e-12
         assert dist == pytest.approx(np.linalg.norm(v - p), abs=0.0)
+
+
+@st.composite
+def _two_vertex_hulls(draw):
+    """(verts, v): two vertices in R^2..R^4 scaled by 2^k, |k| <= 996 (about
+    1e-300 to 1e300): seeded normal draws, a repeated row, nearly equal rows,
+    or the singular face, where b = w1 - w0 has b @ b = 0.0 at the scale
+    of v - w0 about 1e-155; v is a free draw, a vertex or a point of the
+    segment, or on the singular face a point about 1e-155 from w0."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "repeated", "near", "singular"]))
+    w0 = 2.0 * rng.standard_normal(d)
+    if kind == "singular":
+        w0 = np.zeros(d)
+        w0[0] = 0.5
+        b = rng.standard_normal(d) * 10.0 ** draw(st.floats(-166, -160))
+        verts = np.array([w0, w0 + b])
+        v = w0 + rng.standard_normal(d) * 10.0 ** draw(st.floats(-160, -148))
+    else:
+        if kind == "random":
+            w1 = 2.0 * rng.standard_normal(d)
+        elif kind == "repeated":
+            w1 = w0.copy()
+        else:
+            w1 = w0 + rng.standard_normal(d) * 10.0 ** draw(st.floats(-17, -1))
+        verts = np.array([w0, w1])
+        at = draw(st.sampled_from(["free", "vertex", "segment"]))
+        if at == "free":
+            v = 2.0 * rng.standard_normal(d)
+        elif at == "vertex":
+            v = verts[draw(st.integers(0, 1))].copy()
+        else:
+            v = w0 + draw(st.floats(0.0, 1.0)) * (w1 - w0)
+    k = draw(st.integers(-996, 996))
+    return np.ldexp(verts, k), np.ldexp(v, k)
+
+
+class TestSegmentClosedForm:
+    @given(case=_two_vertex_hulls())
+    @settings(max_examples=500, deadline=None)
+    @pytest.mark.filterwarnings("error")
+    def test_matches_wolfe_bit_for_bit(self, case):
+        verts, v = case
+        p, dist = _hull_project(verts, v)
+        q, expected = _min_norm_point(verts, v)
+        assert p.tobytes() == q.tobytes()
+        assert np.float64(dist).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("k", [-400, 0, 900])
+    @pytest.mark.filterwarnings("error")
+    def test_singular_face(self, monkeypatch, k):
+        # v - w1 and v - w0 square to subnormals one ulp apart, so Wolfe's
+        # run starts at w1, adds w0 on the major cycle's tied dots and meets
+        # b @ b = 0.0: solve fails, lstsq gives coeff 0 and the run keeps w0
+        verts = np.ldexp(np.array([[0.5, 0.0], [0.5, 2.4e-166]]), k)
+        v = np.ldexp(np.array([0.5, 1.7e-158]), k)
+        p, dist = _hull_project(verts, v)
+        solved = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: solved.append(1) or lstsq(*a, **kw))
+        q, expected = _min_norm_point(verts, v)
+        assert solved
+        assert p.tobytes() == q.tobytes() == verts[0].tobytes() and dist == expected
+
+    def test_only_larger_hulls_reach_wolfe(self, monkeypatch):
+        calls = []
+        wolfe = _min_norm_point
+        monkeypatch.setattr("driftlab.fields._min_norm_point",
+                            lambda *args: calls.append(1) or wolfe(*args))
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 4):
+            _hull_project(rng.standard_normal((2, d)), rng.standard_normal(d))
+            ConvexVelocitySet(rng.standard_normal((2, d))).least_norm
+        assert not _strict_cone_feasible(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        assert calls == []
+        for m in (3, 5):
+            _hull_project(rng.standard_normal((m, 2)), rng.standard_normal(2))
+        assert len(calls) == 2
+
+
+class TestRowNorms:
+    def test_one_column_is_the_general_path(self):
+        """A zero second column adds +0.0 to each scaled square, so the
+        general path on [y, 0] is its one-column path on y."""
+        tiny = np.finfo(float).tiny
+        special = [0.0, -0.0, 5e-324, -5e-324, 3 * 5e-324, tiny / 3, -tiny, tiny,
+                   1e308, -1e308, np.finfo(float).max, 1e-160, 1e160]
+        rng = np.random.default_rng(13)
+        drawn = rng.standard_normal(2000) * 10.0 ** rng.uniform(-320, 300, 2000)
+        col = np.concatenate([special, drawn])[:, None]
+        assert np.isfinite(col).all()
+        padded = np.hstack([col, np.zeros_like(col)])
+        assert _row_norms(col).tobytes() == _row_norms(padded).tobytes()
 
 
 # ---------------------------------------------------------------------------

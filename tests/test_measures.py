@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import driftlab as dl
 from driftlab import measures
-from driftlab.fields import AffineGuard, ConstantPiece, PiecewiseField
+from driftlab.fields import AffineGuard, ConstantPiece, CoordinateGuard, PiecewiseField
 from driftlab.measures import _merge_duplicate_atoms, _padded_box, velocity_mass_split
 
 
@@ -497,6 +497,17 @@ class TestGraphSupport:
         with pytest.raises(ValueError, match="radius_tol"):
             dl.graph_distances(m, dl.builtin_field("relay"), tol)
 
+    @pytest.mark.parametrize("surface_x", [0.0, 4e-10, -4e-10])
+    @pytest.mark.parametrize("assigned", ["+", "-"])
+    def test_surface_atom_with_an_unassigned_side_is_refused(self, assigned, surface_x):
+        # the one region piece is adjacent to every atom within radius_tol
+        # of the guard, and so is the missing one
+        fld = PiecewiseField(1, [CoordinateGuard(0, 1)], {assigned: ConstantPiece([1.0])})
+        side = 0.5 if assigned == "+" else -0.5
+        m = _measure([[side], [surface_x]], [[0.0], [0.0]], [0.5, 0.5])
+        with pytest.raises(dl.UnassignedPattern):
+            dl.graph_distances(m, fld)
+
     @pytest.mark.parametrize("x, z", [
         ([1.0, np.inf], [0.0, 0.0]),
         ([np.nan, 0.5], [0.0, 0.0]),
@@ -512,7 +523,7 @@ class TestGraphSupport:
 
     @pytest.mark.parametrize("name", ["relay", "example1", "linear"])
     def test_atoms_are_labelled_once(self, monkeypatch, name):
-        fld = dl.builtin_field(name, dimension=2)
+        fld = dl.builtin_field(name, dimension=2 if name == "linear" else None)
         rng = np.random.default_rng(5)
         xs = rng.normal(size=(200, fld.dimension))
         xs[::7, -1] = 0.0
